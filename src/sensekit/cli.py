@@ -279,7 +279,6 @@ def _cmd_ingest(args, cfg: dict) -> int:
 def _cmd_induce(args, cfg: dict) -> int:
     aset = _load_corpus(_corpus_path(args, cfg))
     tau = args.tau if args.tau is not None else float(cfg.get("tau", 0.0))
-    induce_cfg = InduceConfig(tau=tau)
     labels: Mapping[str, str] | None = None
     if args.labels:
         raw = jsonio.loads(_read_text(args.labels, "label map"), what=f"label map {args.labels}")
@@ -288,12 +287,12 @@ def _cmd_induce(args, cfg: dict) -> int:
         ):
             raise InputDataError(f"label map {args.labels}: expected a string-to-string object")
         labels = raw
-    dag = induce(aset, induce_cfg)
+    dag = induce(aset, InduceConfig(tau=tau))
     for message in dag.diagnostics:
         print(f"diagnostic: {message}", file=sys.stderr)
     out = dag_to_json_text(dag)
     if args.dot:
-        _write_text(args.dot, export_dot(dag, labels if induce_cfg.emit_labels else None), "DOT file")
+        _write_text(args.dot, export_dot(dag, labels), "DOT file")
     if args.out:
         _write_text(args.out, out, "ontology JSON")
     _emit(out)

@@ -4,7 +4,8 @@ Every property in a corpus determines an extent: the set of concepts it can
 sensibly be said of.  Distinct extents become type nodes, subset inclusion
 between extents becomes subsumption, and the transitive reduction of that
 order is the induced DAG.  A property that applies to everything (or a
-synthetic "entity" node when none does) forms the root.
+synthetic "entity" node above every parentless node when none does) forms
+the root.
 
 The output is a DAG rather than a tree: two incomparable extents may both
 include a third, which then has two parents.  Nodes with more than two
@@ -36,8 +37,6 @@ ROOT_LABEL = "entity"
 @dataclass(frozen=True)
 class InduceConfig:
     tau: float = 0.0
-    merge_equal_extents: bool = True
-    emit_labels: bool = True
 
 
 @dataclass(frozen=True)
@@ -159,52 +158,38 @@ def _merge_mutual_inclusions(groups: list[_Group], tau: float) -> list[_Group]:
     return groups
 
 
-def _candidate_edges(groups: Sequence[_Group], tau: float) -> set[tuple[int, int]]:
-    edges: set[tuple[int, int]] = set()
-    for i, parent in enumerate(groups):
-        for j, child in enumerate(groups):
-            if i == j:
-                continue
-            if _tolerant_subset(child.extent, parent.extent, tau) and not _tolerant_subset(
-                parent.extent, child.extent, tau
-            ):
-                edges.add((i, j))
+def _covering_edges(groups: Sequence[_Group], tau: float) -> list[tuple[int, int]]:
+    """Transitive reduction of tolerant inclusion, in index order.
+
+    No two groups include each other tolerantly (equal extents are grouped,
+    and tau > 0 merges the rest), so every inclusion is one-way, which
+    forces the child extent to be strictly smaller than the parent's.  Groups
+    are sorted largest first, so every parent precedes its children.  A
+    node's covering parents are its candidate parents minus everything that
+    reaches one of them.
+    """
+    edges: list[tuple[int, int]] = []
+    reached_by: list[set[int]] = []
+    for j, child in enumerate(groups):
+        parents = {i for i in range(j) if _tolerant_subset(child.extent, groups[i].extent, tau)}
+        above = set().union(*(reached_by[i] for i in parents))
+        edges.extend((i, j) for i in parents - above)
+        reached_by.append(parents | above)
     return edges
 
 
-def _transitive_reduction(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    # The candidate graph is a DAG: a one-way tolerant inclusion forces the
-    # child extent to be strictly smaller than the parent's, so every edge
-    # strictly decreases node size and no cycle can close.
-    adj: dict[int, set[int]] = {i: set() for i in range(n)}
-    indegree = {i: 0 for i in range(n)}
-    for u, v in edges:
-        adj[u].add(v)
-        indegree[v] += 1
-    order: list[int] = []
-    ready = sorted(i for i in range(n) if indegree[i] == 0)
-    while ready:
-        u = ready.pop(0)
-        order.append(u)
-        for v in sorted(adj[u]):
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                ready.append(v)
-    if len(order) != n:  # pragma: no cover - impossible by the size argument
-        raise OntologyError("internal error: inclusion graph has a cycle")
-
-    desc: dict[int, set[int]] = {i: set() for i in range(n)}
-    for u in reversed(order):
-        for v in adj[u]:
-            desc[u].add(v)
-            desc[u] |= desc[v]
-
-    reduced: set[tuple[int, int]] = set()
-    for u, v in edges:
-        if any(v in desc[w] for w in adj[u] if w != v):
-            continue
-        reduced.add((u, v))
-    return reduced
+def _diagnostics(nodes: Sequence[TypeNode], edges: Sequence[tuple[int, int]]) -> tuple[str, ...]:
+    """Flag every node with more than two parents."""
+    by_id = {n.id: n for n in nodes}
+    parent_count: dict[int, int] = {}
+    for _, child in edges:
+        parent_count[child] = parent_count.get(child, 0) + 1
+    return tuple(
+        f"node {i} ({', '.join(by_id[i].characteristic_properties) or ROOT_LABEL}) "
+        f"has {parent_count[i]} parents"
+        for i in sorted(parent_count)
+        if parent_count[i] > 2
+    )
 
 
 def induce(aset: AssertionSet, cfg: InduceConfig | None = None) -> TypeDag:
@@ -217,8 +202,6 @@ def induce(aset: AssertionSet, cfg: InduceConfig | None = None) -> TypeDag:
     cfg = cfg or InduceConfig()
     if not 0.0 <= cfg.tau <= 1.0:
         raise ConfigError(f"tau must be in [0, 1], got {cfg.tau}")
-    if cfg.tau > 0 and not cfg.merge_equal_extents:
-        raise ConfigError("tau > 0 requires merge_equal_extents")
     if not aset.assertions:
         raise EmptyCorpusError("cannot induce a hierarchy from an empty corpus")
     conflicts = check_consistency(aset)
@@ -228,43 +211,31 @@ def induce(aset: AssertionSet, cfg: InduceConfig | None = None) -> TypeDag:
             f"corpus is inconsistent ({len(conflicts)} conflicting pair(s)): {shown}"
         )
 
-    extents: dict[str, frozenset[str]] = {}
-    for prop in aset.sensible_properties():
-        members = frozenset(c.name for c in extent(aset, prop))
-        if members:
-            extents[prop.token] = members
+    extents: dict[str, set[str]] = {}
+    for a in aset.assertions:
+        if a.is_sensible:
+            extents.setdefault(a.property.token, set()).add(a.concept.name)
     if not extents:
         raise EmptyCorpusError("corpus has no sensible assertions")
 
-    if cfg.merge_equal_extents:
-        by_extent: dict[frozenset[str], list[str]] = {}
-        for token in sorted(extents):
-            by_extent.setdefault(extents[token], []).append(token)
-        groups = [_Group(ext, tuple(sorted(props))) for ext, props in by_extent.items()]
-    else:
-        groups = [_Group(extents[token], (token,)) for token in sorted(extents)]
-
+    by_extent: dict[frozenset[str], list[str]] = {}
+    for token in sorted(extents):
+        by_extent.setdefault(frozenset(extents[token]), []).append(token)
+    groups = [_Group(ext, tuple(props)) for ext, props in by_extent.items()]
     if cfg.tau > 0:
         groups = _merge_mutual_inclusions(groups, cfg.tau)
-
     groups.sort(key=_Group.sort_key)
-    edges = _transitive_reduction(len(groups), _candidate_edges(groups, cfg.tau))
+    edges = _covering_edges(groups, cfg.tau)
 
+    # Merged extents are distinct, so one equal to the full concept set is
+    # the strictly largest group; otherwise a synthetic root goes first.
     all_concepts = frozenset(c.name for c in aset.concepts)
-    root_index = next((i for i, g in enumerate(groups) if g.extent == all_concepts), None)
-    if root_index is None:
-        groups.append(_Group(all_concepts, ()))
-        groups.sort(key=_Group.sort_key)
-        # re-index edges after the sort; the synthetic root lands at index 0
-        # because its extent is strictly the largest
-        if groups[0].props != ():  # pragma: no cover - guarded by construction
-            raise OntologyError("internal error: synthetic root is not the largest node")
-        edges = {(u + 1, v + 1) for u, v in edges}
-        root_index = 0
-        with_parent = {v for _, v in edges}
-        for i in range(1, len(groups)):
-            if i not in with_parent:
-                edges.add((0, i))
+    if groups[0].extent != all_concepts:
+        with_parent = {child for _, child in edges}
+        edges = [(0, i + 1) for i in range(len(groups)) if i not in with_parent] + [
+            (p + 1, c + 1) for p, c in edges
+        ]
+        groups.insert(0, _Group(all_concepts, ()))
 
     child_union: dict[int, set[str]] = {i: set() for i in range(len(groups))}
     for u, v in edges:
@@ -279,22 +250,11 @@ def induce(aset: AssertionSet, cfg: InduceConfig | None = None) -> TypeDag:
         )
         for i, g in enumerate(groups)
     )
-
-    parent_count: dict[int, int] = {}
-    for _, v in edges:
-        parent_count[v] = parent_count.get(v, 0) + 1
-    diagnostics = tuple(
-        f"node {i} ({', '.join(nodes[i].characteristic_properties) or ROOT_LABEL}) "
-        f"has {parent_count[i]} parents"
-        for i in sorted(parent_count)
-        if parent_count[i] > 2
-    )
-
     return TypeDag(
         nodes=nodes,
         edges=tuple(sorted(edges)),
-        root=root_index,
-        diagnostics=diagnostics,
+        root=0,
+        diagnostics=_diagnostics(nodes, edges),
     )
 
 
@@ -381,8 +341,7 @@ def dag_from_json(data: object) -> TypeDag:
         root = int(data["root"])
     except (KeyError, TypeError, ValueError) as exc:
         raise OntologyError(f"ontology JSON is missing nodes/edges/root: {exc}") from exc
-    nodes = []
-    seen_ids: set[int] = set()
+    by_id: dict[int, TypeNode] = {}
     for i, raw in enumerate(raw_nodes):
         try:
             node = TypeNode(
@@ -393,13 +352,12 @@ def dag_from_json(data: object) -> TypeDag:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise OntologyError(f"ontology JSON: node {i}: {exc}") from exc
-        if node.id in seen_ids:
+        if node.id in by_id:
             raise OntologyError(f"ontology JSON: duplicate node id {node.id}")
         if not node.direct_members <= node.extent:
             raise OntologyError(f"ontology JSON: node {node.id}: members not within extent")
-        seen_ids.add(node.id)
-        nodes.append(node)
-    if root not in seen_ids:
+        by_id[node.id] = node
+    if root not in by_id:
         raise OntologyError(f"ontology JSON: root {root} is not a node id")
     edges = []
     for i, raw in enumerate(raw_edges):
@@ -407,25 +365,21 @@ def dag_from_json(data: object) -> TypeDag:
             parent, child = (int(raw[0]), int(raw[1]))
         except (TypeError, ValueError, IndexError) as exc:
             raise OntologyError(f"ontology JSON: edge {i}: {exc}") from exc
-        if parent not in seen_ids or child not in seen_ids:
+        if parent not in by_id or child not in by_id:
             raise OntologyError(f"ontology JSON: edge {i} references unknown node")
+        # Every induced edge, tolerant ones included, strictly shrinks the
+        # extent; this also rules out self-loops and cycles.
+        if len(by_id[child].extent) >= len(by_id[parent].extent):
+            raise OntologyError(
+                f"ontology JSON: edge {i}: child {child} is not smaller than parent {parent}"
+            )
         edges.append((parent, child))
-
-    parent_count: dict[int, int] = {}
-    for _, child in edges:
-        parent_count[child] = parent_count.get(child, 0) + 1
-    by_id = {n.id: n for n in nodes}
-    diagnostics = tuple(
-        f"node {i} ({', '.join(by_id[i].characteristic_properties) or ROOT_LABEL}) "
-        f"has {parent_count[i]} parents"
-        for i in sorted(parent_count)
-        if parent_count[i] > 2
-    )
+    nodes = tuple(sorted(by_id.values(), key=lambda n: n.id))
     return TypeDag(
-        nodes=tuple(sorted(nodes, key=lambda n: n.id)),
+        nodes=nodes,
         edges=tuple(sorted(edges)),
         root=root,
-        diagnostics=diagnostics,
+        diagnostics=_diagnostics(nodes, edges),
     )
 
 

@@ -12,6 +12,7 @@ weighted average can never exceed 1.0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -121,7 +122,7 @@ def concept_similarity(
 
     With the default all-equal weights this is the plain arithmetic mean over
     the standard dimensions.  Weights must be non-negative with at least one
-    positive entry.
+    positive entry; non-finite weights are rejected.
     """
     if weights is None:
         weights = equal_weights()
@@ -130,6 +131,8 @@ def concept_similarity(
     for relation, value in weights.items():
         if not isinstance(relation, PrimitiveRelation):
             raise InputDataError(f"weight key {relation!r} is not a primitive relation")
+        if not math.isfinite(float(value)):
+            raise InputDataError(f"weight for {relation.value} is not finite: {value}")
         if float(value) < 0.0:
             raise InputDataError(f"weight for {relation.value} is negative: {value}")
     if all(float(v) == 0.0 for v in weights.values()):

@@ -1,9 +1,9 @@
 """Independent brute-force reference implementations used as test oracles.
 
-These deliberately avoid the production code paths: the hierarchy oracle
-works directly on the subset poset (no digraph machinery), and the
+These deliberately avoid the production code paths: the hierarchy oracles
+work directly on the (tolerant) inclusion relation between extents, and the
 similarity oracle enumerates all cross-pairs instead of joining on a token
-index.  Both are slow and obviously correct.
+index.  All are slow and obviously correct.
 """
 
 from __future__ import annotations
@@ -45,6 +45,68 @@ def brute_force_hierarchy(aset: AssertionSet):
             ):
                 continue
             edges.add((parent, child))
+    return node_map, edges, all_concepts
+
+
+def brute_force_tolerant_hierarchy(aset: AssertionSet, tau: float):
+    """Reference construction at any tau, same return shape as above.
+
+    A is tolerantly included in B when |A \\ B| <= tau*|A|.  Distinct
+    extents are merged while any pair includes each other tolerantly: sort
+    largest first (then by member list, then by tokens), merge the first such
+    pair, and start over.  Edges are the one-way tolerant inclusions, minus
+    every edge whose child is also reachable through another candidate
+    child of the same parent.  Unless some node's extent is exactly the full
+    concept set, a synthetic root goes above every parentless node.
+    """
+
+    def within(a: frozenset, b: frozenset) -> bool:
+        return len(a - b) <= tau * len(a)
+
+    by_extent: dict[frozenset, list[str]] = {}
+    for prop in aset.sensible_properties():
+        members = frozenset(c.name for c in extent(aset, prop))
+        if members:
+            by_extent.setdefault(members, []).append(prop.token)
+    groups = [(ext, tuple(sorted(props))) for ext, props in by_extent.items()]
+    while True:
+        groups.sort(key=lambda g: (-len(g[0]), tuple(sorted(g[0])), g[1]))
+        pair = next(
+            (
+                (i, j)
+                for i in range(len(groups))
+                for j in range(i + 1, len(groups))
+                if within(groups[i][0], groups[j][0]) and within(groups[j][0], groups[i][0])
+            ),
+            None,
+        )
+        if pair is None:
+            break
+        i, j = pair
+        (a, a_props), (b, b_props) = groups[i], groups.pop(j)
+        groups[i] = (a | b, tuple(sorted(set(a_props) | set(b_props))))
+
+    node_map = dict(groups)
+    extents = list(node_map)
+    candidates = {
+        (p, c) for p in extents for c in extents if within(c, p) and not within(p, c)
+    }
+    reach = set(candidates)
+    for mid in extents:
+        reach |= {
+            (p, c) for p in extents for c in extents if (p, mid) in reach and (mid, c) in reach
+        }
+    edges = {
+        (p, c)
+        for p, c in candidates
+        if not any((p, mid) in candidates and (mid, c) in reach for mid in extents if mid != c)
+    }
+
+    all_concepts = frozenset(c.name for c in aset.concepts)
+    if all_concepts not in node_map:
+        with_parent = {c for _, c in edges}
+        edges |= {(all_concepts, c) for c in extents if c not in with_parent}
+        node_map[all_concepts] = ()
     return node_map, edges, all_concepts
 
 

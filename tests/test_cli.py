@@ -239,6 +239,21 @@ def test_sim_weighted_aggregate(store_file, capsys) -> None:
     assert abs(report["aggregate"] - (3 * 0.975 + 0) / 4) < 1e-12
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_sim_non_finite_weight_exit_2(weight: str, store_file, capsys) -> None:
+    code, out, err = run_cli(
+        capsys,
+        "sim", "book#1", "publication#3",
+        "--store", store_file,
+        "--dims", "hasProp",
+        "--dim-weights", weight,
+    )
+    assert code == 2
+    assert "not finite" in err
+    if out:
+        json.loads(out, parse_constant=pytest.fail)
+
+
 def test_sim_unknown_sense_exit_2(store_file, capsys) -> None:
     code, out, err = run_cli(capsys, "sim", "book#1", "ghost#9", "--store", store_file)
     assert code == 2

@@ -25,7 +25,7 @@ from sensekit.hierarchy import (
 )
 
 from conftest import random_assertion_set
-from oracles import brute_force_hierarchy
+from oracles import brute_force_hierarchy, brute_force_tolerant_hierarchy
 
 # Expected covering relation for the leaf corpus, by characteristic property.
 LEAF_EDGES = {
@@ -98,16 +98,6 @@ def test_equal_extents_merge_into_one_node() -> None:
     dag = induce(aset)
     assert len(dag.nodes) == 1
     assert dag.node_by_id(dag.root).characteristic_properties == ("ALIVE", "HUNGRY")
-
-
-def test_merge_can_be_disabled() -> None:
-    aset = parse_corpus("+ HUNGRY dog\n+ ALIVE dog\n+ OLD dog\n+ OLD cat\n")
-    dag = induce(aset, InduceConfig(merge_equal_extents=False))
-    singles = [n for n in dag.nodes if n.extent == frozenset({"dog"})]
-    assert len(singles) == 2
-    # equal unmerged extents are siblings, never parent/child
-    ids = {n.id for n in singles}
-    assert not any(p in ids and c in ids for p, c in dag.edges)
 
 
 def test_synthetic_root_added_when_no_property_covers_everything(branch_corpus) -> None:
@@ -194,9 +184,19 @@ def test_tolerant_mutual_inclusion_merges() -> None:
     assert merged[0].extent == frozenset({"a", "b", "c", "d", "e"})
 
 
-def test_tau_without_merging_rejected(leaf_corpus) -> None:
-    with pytest.raises(ConfigError):
-        induce(leaf_corpus, InduceConfig(tau=0.2, merge_equal_extents=False))
+def test_synthetic_root_above_tolerantly_full_node() -> None:
+    # P covers 9 of 10 concepts, so at tau = 0.2 it tolerantly equals the full
+    # set; only an extent exactly equal to it makes a property node the root.
+    names = [f"c{i}" for i in range(10)]
+    aset = parse_corpus("".join(f"+ P {n}\n" for n in names[:9]) + f"+ Q {names[9]}\n")
+    dag = induce(aset, InduceConfig(tau=0.2))
+    assert [(n.characteristic_properties, len(n.extent)) for n in dag.nodes] == [
+        ((), 10),
+        (("P",), 9),
+        (("Q",), 1),
+    ]
+    assert dag.edges == ((0, 1), (0, 2))
+    assert dag.root == 0
 
 
 # --- invariants over random corpora -----------------------------------------------
@@ -211,6 +211,23 @@ def test_oracle_equivalence_on_random_corpora() -> None:
         checked += 1
         node_map, edges, root_extent = brute_force_hierarchy(aset)
         dag = induce(aset)
+        assert {n.extent: n.characteristic_properties for n in dag.nodes} == node_map
+        by_id = {n.id: n for n in dag.nodes}
+        assert {(by_id[p].extent, by_id[c].extent) for p, c in dag.edges} == edges
+        assert by_id[dag.root].extent == root_extent
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.2, 0.25, 0.5, 1.0])
+def test_tolerant_oracle_equivalence_on_random_corpora(tau: float) -> None:
+    rng = random.Random(int(tau * 100))
+    checked = 0
+    while checked < 60:
+        aset = random_assertion_set(rng, allow_negative=rng.random() < 0.5)
+        if not any(a.is_sensible for a in aset.assertions):
+            continue
+        checked += 1
+        node_map, edges, root_extent = brute_force_tolerant_hierarchy(aset, tau)
+        dag = induce(aset, InduceConfig(tau=tau))
         assert {n.extent: n.characteristic_properties for n in dag.nodes} == node_map
         by_id = {n.id: n for n in dag.nodes}
         assert {(by_id[p].extent, by_id[c].extent) for p, c in dag.edges} == edges
@@ -327,10 +344,12 @@ def test_dot_deterministic(leaf_corpus) -> None:
 
 
 def test_ontology_json_round_trip(leaf_corpus) -> None:
-    dag = induce(leaf_corpus)
-    once = dag_to_json_text(dag)
-    twice = dag_to_json_text(dag_from_json_text(once))
-    assert once == twice
+    for tau in (0.0, 0.25):
+        dag = induce(leaf_corpus, InduceConfig(tau=tau))
+        once = dag_to_json_text(dag)
+        loaded = dag_from_json_text(once)
+        assert dag_to_json_text(loaded) == once
+        assert loaded.diagnostics == dag.diagnostics
 
 
 def test_ontology_json_shape(branch_corpus) -> None:
@@ -348,6 +367,8 @@ def test_ontology_json_shape(branch_corpus) -> None:
         lambda d: d["edges"].append([0, 99]),
         lambda d: d["nodes"].append({"id": 0, "extent": [], "props": [], "members": []}),
         lambda d: d["nodes"][0]["members"].append("ghost"),
+        lambda d: d["edges"].append([1, 0]),
+        lambda d: d["edges"].append([1, 1]),
     ],
 )
 def test_ontology_json_validation(mutate, leaf_corpus) -> None:
