@@ -15,6 +15,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Mapping, Sequence
@@ -186,12 +187,7 @@ def _load_config(path: str | None) -> dict:
             return {}
         path = DEFAULT_CONFIG_FILE
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        data = jsonio.loads(text, what=f"config {path}")
+        data = jsonio.loads(_read_text(path, "config"), what=f"config {path}")
     except InputDataError as exc:
         raise ConfigError(str(exc)) from exc
     if not isinstance(data, dict):
@@ -205,6 +201,8 @@ def _read_text(path: str, what: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputDataError(f"{what} {path} is not UTF-8: {exc}") from exc
 
 
 def _write_text(path: str, text: str, what: str) -> None:
@@ -276,9 +274,22 @@ def _cmd_ingest(args, cfg: dict) -> int:
     return EXIT_OK
 
 
+def _config_tau(cfg: dict) -> float:
+    value = cfg.get("tau", 0.0)
+    # bool is an int subclass, and float() of a huge int overflows.
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            tau = float(value)
+        except OverflowError:
+            tau = math.inf
+        if math.isfinite(tau):
+            return tau
+    raise ConfigError(f"config 'tau' must be a finite number, got {value!r}")
+
+
 def _cmd_induce(args, cfg: dict) -> int:
     aset = _load_corpus(_corpus_path(args, cfg))
-    tau = args.tau if args.tau is not None else float(cfg.get("tau", 0.0))
+    tau = args.tau if args.tau is not None else _config_tau(cfg)
     labels: Mapping[str, str] | None = None
     if args.labels:
         raw = jsonio.loads(_read_text(args.labels, "label map"), what=f"label map {args.labels}")
@@ -441,6 +452,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InputDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    # Library loaders (lexicon, meaning store, mock fixtures) open their
+    # files themselves; the CLI's own reads go through _read_text.
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:
+        print(f"error: cannot read input: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except SensekitError as exc:  # pragma: no cover - safety net
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -262,11 +262,17 @@ def extent(aset: AssertionSet, prop: PropertyKey) -> frozenset[ConceptId]:
 
 
 def check_consistency(aset: AssertionSet) -> list[tuple[PropertyKey, ConceptId]]:
-    """Every (property, concept) pair asserted with both polarities, sorted."""
-    by_pair: dict[tuple[PropertyKey, ConceptId], set[str]] = {}
-    for a in aset.assertions:
-        by_pair.setdefault((a.property, a.concept), set()).add(a.polarity)
-    conflicts = [pair for pair, pols in by_pair.items() if len(pols) == 2]
+    """Every (property, concept) pair asserted with both polarities, sorted.
+
+    Assertions are deduplicated and sorted by _assertion_key, which puts the
+    polarity last, so the two polarities of a pair are neighbours.
+    """
+    conflicts = [
+        (a.property, a.concept)
+        for prev, a in zip(aset.assertions, aset.assertions[1:])
+        if a.concept.name == prev.concept.name and a.property == prev.property
+    ]
+    # Token order: A-B precedes A@agent as a token but follows it by name.
     conflicts.sort(key=lambda pc: (pc[0].token, pc[1].name))
     return conflicts
 

@@ -13,11 +13,20 @@ parents are flagged in TypeDag.diagnostics instead of being reshaped.
 
 With tolerance tau > 0, A counts as included in B when |A \\ B| <= tau*|A|;
 extents that tolerantly include each other are merged (their union becomes
-the node extent).  tau = 0 is the exact procedure and the default.
+the node extent).  Each step merges the first such pair in node order, and
+steps repeat until no pair is left.  tau = 0 is the exact procedure and the
+default.
+
+Induction works on integer bitsets: each concept owns one bit, an extent is
+the OR of its members' bits, and |A \\ B| is (A & ~B).bit_count().  One pass
+over the assertions builds every extent.  Every pair of groups is tested
+for mutual inclusion once; after a merge only the merged group's pairs are
+tested again, so merging costs O(G^2) inclusion tests for G groups.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -117,45 +126,60 @@ class TypeDag:
         return matches[0]
 
 
-def _tolerant_subset(a: frozenset[str], b: frozenset[str], tau: float) -> bool:
-    return len(a - b) <= tau * len(a)
+def _tolerant_subset(a: int, b: int, tau: float) -> bool:
+    return (a & ~b).bit_count() <= tau * a.bit_count()
 
 
 class _Group:
-    """Mutable working node during induction."""
+    """Working node during induction: an extent bitset and its property tokens.
 
-    __slots__ = ("extent", "props")
+    key orders groups largest first, then by sorted member list, then by
+    tokens.  Concepts take bits in descending name order, so among extents of
+    one size the lexicographically smaller member list is the larger integer.
+    """
 
-    def __init__(self, ext: frozenset[str], props: tuple[str, ...]) -> None:
-        self.extent = ext
+    __slots__ = ("bits", "props", "key")
+
+    def __init__(self, bits: int, props: tuple[str, ...]) -> None:
+        self.bits = bits
         self.props = props
+        self.key = (-bits.bit_count(), -bits, props)
 
-    def absorb(self, other: "_Group") -> None:
-        self.extent = self.extent | other.extent
-        self.props = tuple(sorted(set(self.props) | set(other.props)))
 
-    def sort_key(self) -> tuple:
-        return (-len(self.extent), tuple(sorted(self.extent)), self.props)
+def _group_key(group: _Group) -> tuple:
+    return group.key
 
 
 def _merge_mutual_inclusions(groups: list[_Group], tau: float) -> list[_Group]:
-    changed = True
-    while changed:
-        changed = False
-        groups.sort(key=_Group.sort_key)
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                a, b = groups[i], groups[j]
-                if _tolerant_subset(a.extent, b.extent, tau) and _tolerant_subset(
-                    b.extent, a.extent, tau
-                ):
-                    a.absorb(b)
-                    del groups[j]
-                    changed = True
-                    break
-            if changed:
-                break
-    return groups
+    """Merge groups that include each other tolerantly until no pair does.
+
+    groups must be sorted by key.  Each step merges the first such pair in
+    sort order: the first group with a partner and its earliest partner.  No
+    other group changes, so only the merged group's pairs are tested again.
+    """
+
+    def mutual(a: _Group, b: _Group) -> bool:
+        return _tolerant_subset(a.bits, b.bits, tau) and _tolerant_subset(b.bits, a.bits, tau)
+
+    partners: dict[_Group, set[_Group]] = {g: set() for g in groups}
+    for i, a in enumerate(groups):
+        for b in groups[i + 1:]:
+            if mutual(a, b):
+                partners[a].add(b)
+                partners[b].add(a)
+    while True:
+        a = next((g for g in groups if partners[g]), None)
+        if a is None:
+            return groups
+        b = min(partners[a], key=_group_key)
+        for g in (partners.pop(a) | partners.pop(b)) - {a, b}:
+            partners[g] -= {a, b}
+        groups = [g for g in groups if g is not a and g is not b]
+        merged = _Group(a.bits | b.bits, tuple(sorted(a.props + b.props)))
+        partners[merged] = {g for g in groups if mutual(merged, g)}
+        for g in partners[merged]:
+            partners[g].add(merged)
+        bisect.insort(groups, merged, key=_group_key)
 
 
 def _covering_edges(groups: Sequence[_Group], tau: float) -> list[tuple[int, int]]:
@@ -171,11 +195,16 @@ def _covering_edges(groups: Sequence[_Group], tau: float) -> list[tuple[int, int
     edges: list[tuple[int, int]] = []
     reached_by: list[set[int]] = []
     for j, child in enumerate(groups):
-        parents = {i for i in range(j) if _tolerant_subset(child.extent, groups[i].extent, tau)}
+        parents = {i for i in range(j) if _tolerant_subset(child.bits, groups[i].bits, tau)}
         above = set().union(*(reached_by[i] for i in parents))
         edges.extend((i, j) for i in parents - above)
         reached_by.append(parents | above)
     return edges
+
+
+def _members(bits: int, names: Sequence[str]) -> frozenset[str]:
+    """The names whose bits are set; names[0] owns the highest bit."""
+    return frozenset(n for n, d in zip(names, format(bits, f"0{len(names)}b")) if d == "1")
 
 
 def _diagnostics(nodes: Sequence[TypeNode], edges: Sequence[tuple[int, int]]) -> tuple[str, ...]:
@@ -211,42 +240,45 @@ def induce(aset: AssertionSet, cfg: InduceConfig | None = None) -> TypeDag:
             f"corpus is inconsistent ({len(conflicts)} conflicting pair(s)): {shown}"
         )
 
-    extents: dict[str, set[str]] = {}
+    names = sorted(c.name for c in aset.concepts)
+    bit = {name: 1 << (len(names) - 1 - i) for i, name in enumerate(names)}
+    extents: dict[str, int] = {}
     for a in aset.assertions:
         if a.is_sensible:
-            extents.setdefault(a.property.token, set()).add(a.concept.name)
+            token = a.property.token
+            extents[token] = extents.get(token, 0) | bit[a.concept.name]
     if not extents:
         raise EmptyCorpusError("corpus has no sensible assertions")
 
-    by_extent: dict[frozenset[str], list[str]] = {}
+    by_extent: dict[int, list[str]] = {}
     for token in sorted(extents):
-        by_extent.setdefault(frozenset(extents[token]), []).append(token)
-    groups = [_Group(ext, tuple(props)) for ext, props in by_extent.items()]
+        by_extent.setdefault(extents[token], []).append(token)
+    groups = [_Group(bits, tuple(props)) for bits, props in by_extent.items()]
+    groups.sort(key=_group_key)
     if cfg.tau > 0:
         groups = _merge_mutual_inclusions(groups, cfg.tau)
-    groups.sort(key=_Group.sort_key)
     edges = _covering_edges(groups, cfg.tau)
 
     # Merged extents are distinct, so one equal to the full concept set is
     # the strictly largest group; otherwise a synthetic root goes first.
-    all_concepts = frozenset(c.name for c in aset.concepts)
-    if groups[0].extent != all_concepts:
+    full = (1 << len(names)) - 1
+    if groups[0].bits != full:
         with_parent = {child for _, child in edges}
         edges = [(0, i + 1) for i in range(len(groups)) if i not in with_parent] + [
             (p + 1, c + 1) for p, c in edges
         ]
-        groups.insert(0, _Group(all_concepts, ()))
+        groups.insert(0, _Group(full, ()))
 
-    child_union: dict[int, set[str]] = {i: set() for i in range(len(groups))}
+    child_union = [0] * len(groups)
     for u, v in edges:
-        child_union[u] |= groups[v].extent
+        child_union[u] |= groups[v].bits
 
     nodes = tuple(
         TypeNode(
             id=i,
-            extent=g.extent,
+            extent=_members(g.bits, names),
             characteristic_properties=g.props,
-            direct_members=frozenset(g.extent - child_union[i]),
+            direct_members=_members(g.bits & ~child_union[i], names),
         )
         for i, g in enumerate(groups)
     )

@@ -1,15 +1,27 @@
 """Independent brute-force reference implementations used as test oracles.
 
-These deliberately avoid the production code paths: the hierarchy oracles
-work directly on the (tolerant) inclusion relation between extents, and the
-similarity oracle enumerates all cross-pairs instead of joining on a token
-index.  All are slow and obviously correct.
+These deliberately avoid the production code paths: the conflict oracle
+ignores assertion order, the hierarchy oracles work directly on the
+(tolerant) inclusion relation between extents, and the similarity oracle
+enumerates all cross-pairs instead of joining on a token index.  All are
+slow and obviously correct.
 """
 
 from __future__ import annotations
 
 from sensekit.corpus import AssertionSet, extent
 from sensekit.semantics import MeaningRecord, PrimitiveRelation
+
+
+def brute_force_conflicts(aset: AssertionSet):
+    """(property, concept) pairs asserted with both polarities, by token then name.
+
+    Unlike corpus.check_consistency, this does not rely on the order in
+    which AssertionSet sorts its assertions.
+    """
+    sensible = {(a.property, a.concept) for a in aset.assertions if a.is_sensible}
+    nonsensical = {(a.property, a.concept) for a in aset.assertions if not a.is_sensible}
+    return sorted(sensible & nonsensical, key=lambda pc: (pc[0].token, pc[1].name))
 
 
 def brute_force_hierarchy(aset: AssertionSet):

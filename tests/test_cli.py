@@ -143,6 +143,16 @@ def test_induce_bad_tau_exit_5(leaf_file, capsys) -> None:
     assert code == 5
 
 
+@pytest.mark.parametrize("tau", ["abc", True, [0.1]], ids=["string", "bool", "list"])
+def test_induce_bad_config_tau_exit_5(tau, tmp_path, leaf_file, capsys) -> None:
+    cfg = tmp_path / "ws.json"
+    cfg.write_text(json.dumps({"tau": tau}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "induce", leaf_file, "--config", str(cfg))
+    assert code == 5
+    assert out == ""
+    assert "config 'tau'" in err
+
+
 def test_induce_inconsistent_corpus_exit_3(tmp_path, capsys) -> None:
     corpus = tmp_path / "conflict.sense"
     corpus.write_text("+ OLD trip\n- OLD trip\n", encoding="utf-8")
@@ -185,6 +195,22 @@ def test_nominalize_missing_entry_exit_2(tmp_path, leaf_file, capsys) -> None:
     code, out, err = run_cli(capsys, "nominalize", leaf_file, "--lexicon", str(lex))
     assert code == 2
     assert "HUNGRY" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nominalize", "{leaf}", "--lexicon", "{absent}"],
+        ["elicit", "--subject", "book", "--provider", "mock", "--fixtures", "{absent}"],
+    ],
+    ids=["lexicon", "fixtures"],
+)
+def test_missing_loader_file_exit_5(argv, tmp_path, leaf_file, capsys) -> None:
+    absent = str(tmp_path / "absent.json")
+    code, out, err = run_cli(capsys, *[a.format(leaf=leaf_file, absent=absent) for a in argv])
+    assert code == 5
+    assert out == ""
+    assert "cannot read input" in err and "absent.json" in err
 
 
 def test_nominalize_requires_lexicon(tmp_path, leaf_file, capsys, monkeypatch) -> None:
@@ -418,6 +444,38 @@ def test_console_entry_point_subprocess(tmp_path) -> None:
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["assertions"][0]["concept"] == "apple"
+
+
+NOT_UTF8 = b"+ OLD caf\xe9\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "code"),
+    [
+        (["ingest", "{bad}"], 2),
+        (["induce", "{bad}"], 2),
+        (["induce", "{leaf}", "--labels", "{bad}"], 2),
+        (["nominalize", "{leaf}", "--lexicon", "{bad}"], 2),
+        (["sim", "a#1", "b#1", "--store", "{bad}"], 2),
+        (["elicit", "--subject", "book", "--provider", "mock", "--fixtures", "{bad}"], 2),
+        (["induce", "{leaf}", "--config", "{bad}"], 5),
+    ],
+    ids=["ingest-corpus", "induce-corpus", "label-map", "lexicon", "store", "fixtures", "config"],
+)
+def test_non_utf8_file_exits_cleanly(argv, code, tmp_path, leaf_file) -> None:
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    argv = [a.format(bad=bad, leaf=leaf_file) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "sensekit", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "not UTF-8" in proc.stderr
 
 
 def test_induce_deterministic_across_hash_seeds(tmp_path) -> None:

@@ -4,7 +4,16 @@ import random
 
 import pytest
 
-from sensekit.corpus import AssertionSet, PropertyKey, parse_corpus
+from sensekit.corpus import (
+    NONSENSICAL,
+    SENSIBLE,
+    Assertion,
+    AssertionSet,
+    ConceptId,
+    PropertyKey,
+    check_consistency,
+    parse_corpus,
+)
 from sensekit.errors import (
     ConfigError,
     ConsistencyError,
@@ -25,7 +34,11 @@ from sensekit.hierarchy import (
 )
 
 from conftest import random_assertion_set
-from oracles import brute_force_hierarchy, brute_force_tolerant_hierarchy
+from oracles import (
+    brute_force_conflicts,
+    brute_force_hierarchy,
+    brute_force_tolerant_hierarchy,
+)
 
 # Expected covering relation for the leaf corpus, by characteristic property.
 LEAF_EDGES = {
@@ -152,6 +165,41 @@ def test_inconsistent_corpus_rejected() -> None:
         induce(parse_corpus("+ OLD trip\n- OLD trip\n"))
 
 
+def conflict_message(aset: AssertionSet) -> str:
+    conflicts = check_consistency(aset)
+    shown = ", ".join(f"({p.token}, {c.name})" for p, c in conflicts[:5])
+    return f"corpus is inconsistent ({len(conflicts)} conflicting pair(s)): {shown}"
+
+
+def test_conflicts_reported_in_token_order() -> None:
+    # A-B precedes A@agent as a token but follows it by (name, position).
+    aset = parse_corpus("+ A-B x\n- A-B x\n+ A@agent x\n- A@agent x\n+ A@object y\n")
+    with pytest.raises(ConsistencyError) as info:
+        induce(aset)
+    assert str(info.value) == (
+        "corpus is inconsistent (2 conflicting pair(s)): (A-B, x), (A@agent, x)"
+    )
+
+
+def test_conflict_message_matches_check_consistency() -> None:
+    rng = random.Random(31)
+    extra_props = [PropertyKey("A-B"), PropertyKey.from_token("A@agent"), PropertyKey("A")]
+    for _ in range(200):
+        aset = random_assertion_set(rng, max_properties=10)
+        flipped = [
+            Assertion(a.property, a.concept, NONSENSICAL if a.is_sensible else SENSIBLE)
+            for a in rng.sample(aset.assertions, min(len(aset.assertions), rng.randint(1, 9)))
+        ]
+        concept = ConceptId(f"c{rng.randint(0, 9)}")
+        for prop in rng.sample(extra_props, rng.randint(0, 3)):
+            flipped += [Assertion(prop, concept, SENSIBLE), Assertion(prop, concept, NONSENSICAL)]
+        conflicting = AssertionSet(aset.assertions + tuple(flipped))
+        assert check_consistency(conflicting) == brute_force_conflicts(conflicting)
+        with pytest.raises(ConsistencyError) as info:
+            induce(conflicting, InduceConfig(tau=rng.choice([0.0, 0.25])))
+        assert str(info.value) == conflict_message(conflicting)
+
+
 @pytest.mark.parametrize("tau", [-0.1, 1.5])
 def test_tau_out_of_range_rejected(tau: float, leaf_corpus) -> None:
     with pytest.raises(ConfigError):
@@ -182,6 +230,44 @@ def test_tolerant_mutual_inclusion_merges() -> None:
     merged = [n for n in dag.nodes if set(n.characteristic_properties) == {"P", "Q"}]
     assert len(merged) == 1
     assert merged[0].extent == frozenset({"a", "b", "c", "d", "e"})
+
+
+def assert_matches_tolerant_oracle(aset: AssertionSet, tau: float) -> TypeDag:
+    node_map, edges, root_extent = brute_force_tolerant_hierarchy(aset, tau)
+    dag = induce(aset, InduceConfig(tau=tau))
+    assert {n.extent: n.characteristic_properties for n in dag.nodes} == node_map
+    by_id = {n.id: n for n in dag.nodes}
+    assert {(by_id[p].extent, by_id[c].extent) for p, c in dag.edges} == edges
+    assert by_id[dag.root].extent == root_extent
+    return dag
+
+
+def test_merge_cascades_to_new_partner() -> None:
+    # P and Q include each other at tau = 0.25; R includes neither, but R and
+    # the union of P and Q include each other, so a second merge follows.
+    aset = parse_corpus(
+        "".join(f"+ P c{i}\n" for i in (1, 2, 3, 4))
+        + "".join(f"+ Q c{i}\n" for i in (1, 2, 3, 5))
+        + "".join(f"+ R c{i}\n" for i in (1, 2, 4, 5, 6))
+        + "+ S c7\n"
+    )
+    dag = assert_matches_tolerant_oracle(aset, 0.25)
+    assert [n.characteristic_properties for n in dag.nodes] == [(), ("P", "Q", "R"), ("S",)]
+    assert dag.nodes[1].extent == frozenset(f"c{i}" for i in range(1, 7))
+
+
+def test_first_pair_in_sort_order_merges_first() -> None:
+    # At tau = 0.25 R pairs with P and P with Q, but R and Q do not.  P sorts
+    # first (member list c1-c4), and its earliest partner is R (c1-c3, c5), so
+    # P and R merge; their union no longer pairs with Q.  Merging P with Q
+    # first would have left R alone instead.
+    aset = parse_corpus(
+        "".join(f"+ P c{i}\n" for i in (1, 2, 3, 4))
+        + "".join(f"+ R c{i}\n" for i in (1, 2, 3, 5))
+        + "".join(f"+ Q c{i}\n" for i in (1, 2, 4, 6))
+    )
+    dag = assert_matches_tolerant_oracle(aset, 0.25)
+    assert sorted(n.characteristic_properties for n in dag.nodes) == [(), ("P", "R"), ("Q",)]
 
 
 def test_synthetic_root_above_tolerantly_full_node() -> None:
@@ -232,6 +318,17 @@ def test_tolerant_oracle_equivalence_on_random_corpora(tau: float) -> None:
         by_id = {n.id: n for n in dag.nodes}
         assert {(by_id[p].extent, by_id[c].extent) for p, c in dag.edges} == edges
         assert by_id[dag.root].extent == root_extent
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.25, 0.5])
+def test_tolerant_oracle_equivalence_with_many_groups(tau: float) -> None:
+    # Up to 30 properties over 24 concepts.  At tau 0.25 and 0.5 a corpus
+    # sees up to 11 and 24 merges, so partner sets are updated many times.
+    rng = random.Random(int(tau * 1000))
+    for _ in range(40):
+        aset = random_assertion_set(rng, max_properties=30, max_concepts=24)
+        if any(a.is_sensible for a in aset.assertions):
+            assert_matches_tolerant_oracle(aset, tau)
 
 
 def test_antisymmetry_and_edge_soundness_at_tau_zero() -> None:
