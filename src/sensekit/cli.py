@@ -28,6 +28,7 @@ from .corpus import (
     corpus_from_json_text,
     corpus_to_json,
     corpus_to_json_text,
+    parse_corpus,
     scan_corpus,
 )
 from .elicitation import (
@@ -36,15 +37,10 @@ from .elicitation import (
     TEMPLATE_SETS,
     elicit,
 )
-from .errors import (
-    ConfigError,
-    ConsistencyError,
-    InputDataError,
-    ProviderError,
-    SensekitError,
-)
+from .errors import ConfigError, ConsistencyError, InputDataError, SensekitError
 from .hierarchy import InduceConfig, dag_to_json_text, export_dot, induce
 from .semantics import (
+    PrimitiveRelation,
     load_lexicon,
     load_meanings,
     meaning_record_to_json,
@@ -52,12 +48,6 @@ from .semantics import (
     resolve_relation,
 )
 from .similarity import concept_similarity
-
-EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_CONSISTENCY = 3
-EXIT_PROVIDER = 4
-EXIT_CONFIG = 5
 
 _EXIT_CODES_HELP = (
     "exit codes: 0 success, 2 input data error, 3 inconsistent corpus, "
@@ -67,7 +57,7 @@ _EXIT_CODES_HELP = (
 DEFAULT_CONFIG_FILE = "sensekit.json"
 
 
-class _UsageError(Exception):
+class _UsageError(ConfigError):
     pass
 
 
@@ -149,10 +139,12 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("sense_a", metavar="SENSE-A")
     p.add_argument("sense_b", metavar="SENSE-B")
-    p.add_argument("--store", metavar="FILE", default=None, help="meaning-store JSON file")
-    p.add_argument("--dims", default=None, help="comma-separated dimension names")
+    p.add_argument("--store", dest="meaning_store", metavar="FILE", help="meaning-store JSON file")
+    p.add_argument("--dims", type=_comma_list, help="comma-separated dimension names")
     p.add_argument(
         "--dim-weights",
+        dest="weights",
+        metavar="DIM_WEIGHTS",
         default=None,
         help="comma-separated weights matching --dims (default: all equal)",
     )
@@ -164,7 +156,12 @@ def _build_parser() -> _Parser:
         epilog=_EXIT_CODES_HELP,
     )
     p.add_argument("--subject", required=True, help="concept to elicit for (e.g. book)")
-    p.add_argument("--dims", default="hasProp,agentOf,objectOf", help="comma-separated dimensions")
+    p.add_argument(
+        "--dims",
+        type=_comma_list,
+        default="hasProp,agentOf,objectOf",
+        help="comma-separated dimensions",
+    )
     p.add_argument("-n", type=int, default=25, help="completions to request per dimension")
     p.add_argument("--provider", choices=("mock", "remote"), default="mock")
     p.add_argument("--fixtures", metavar="FILE", default=None, help="mock fixture JSON (default: shipped)")
@@ -179,20 +176,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--retries", type=int, default=None, help="remote retry budget")
 
     return parser
-
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        if not os.path.exists(DEFAULT_CONFIG_FILE):
-            return {}
-        path = DEFAULT_CONFIG_FILE
-    try:
-        data = jsonio.loads(_read_text(path, "config"), what=f"config {path}")
-    except InputDataError as exc:
-        raise ConfigError(str(exc)) from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path}: expected a JSON object")
-    return data
 
 
 def _read_text(path: str, what: str) -> str:
@@ -213,35 +196,171 @@ def _write_text(path: str, text: str, what: str) -> None:
         raise ConfigError(f"cannot write {what} {path}: {exc}") from exc
 
 
-def _corpus_path(args, cfg: dict) -> str:
-    path = args.corpus or cfg.get("corpus")
-    if not path:
-        raise ConfigError("no corpus file given (argument or config 'corpus')")
-    return path
+# --- settings ---------------------------------------------------------------------
+# Every config value, and every flag that stands in for one, is checked here
+# once.  A check takes the name to report and the raw value, and returns the
+# value to use or raises ConfigError; the handlers only read checked values.
+
+
+def _comma_list(text: str) -> list[str]:
+    return text.split(",")
+
+
+def _path(name: str, value) -> str:
+    # open() raises ValueError, not OSError, on an embedded NUL.
+    if not isinstance(value, str) or "\0" in value:
+        raise ConfigError(f"{name} must be a file path, got {value!r}")
+    return value
+
+
+def _text(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _number(name: str, value) -> float:
+    # bool is an int subclass, and float() of a huge int overflows.
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def _seconds(name: str, value) -> float:
+    seconds = _number(name, value)
+    if not 0.0 < seconds < math.inf:
+        raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
+    return seconds
+
+
+def _retries(name: str, value) -> int:
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        return value
+    raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+
+
+def _relations(name: str, names) -> tuple[PrimitiveRelation, ...]:
+    relations: list[PrimitiveRelation] = []
+    for dim in names:
+        try:
+            relation = resolve_relation(dim)
+        except InputDataError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
+        if relation in relations:
+            raise ConfigError(f"{name} names dimension {relation.value} twice")
+        relations.append(relation)
+    return tuple(relations)
+
+
+def _dims(name: str, value) -> tuple[PrimitiveRelation, ...]:
+    if not isinstance(value, list) or not all(isinstance(dim, str) for dim in value):
+        raise ConfigError(f"{name} must be a list of dimension names, got {value!r}")
+    names = [dim.strip() for dim in ",".join(value).split(",") if dim.strip()]
+    if not names:
+        raise ConfigError(f"{name}: dimension list is empty")
+    return _relations(name, names)
+
+
+def _dim_weights(name: str, value) -> dict[PrimitiveRelation, float]:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must map dimension names to numbers, got {value!r}")
+    weights = (_number(f"{name}[{dim!r}]", weight) for dim, weight in value.items())
+    return dict(zip(_relations(name, value), weights))
+
+
+#: One check per workspace config key; "provider.x" is key x of "provider".
+_CHECKS = {
+    "corpus": _path,
+    "lexicon": _path,
+    "meaning_store": _path,
+    "tau": _number,
+    "dims": _dims,
+    "dim_weights": _dim_weights,
+    "provider.endpoint": _text,
+    "provider.auth_env": _text,
+    "provider.timeout": _seconds,
+    "provider.retries": _retries,
+}
+
+
+def _load_config(path: str | None) -> dict:
+    """The checked values of the known keys; unknown keys are ignored."""
+    if path is None:
+        if not os.path.exists(DEFAULT_CONFIG_FILE):
+            return {}
+        path = DEFAULT_CONFIG_FILE
+    try:
+        data = jsonio.loads(_read_text(path, "config"), what=f"config {path}")
+    except InputDataError as exc:
+        raise ConfigError(str(exc)) from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path}: expected a JSON object")
+    sections = {"": data, "provider": data.get("provider", {})}
+    if not isinstance(sections["provider"], dict):
+        raise ConfigError(f"config 'provider' must be an object, got {sections['provider']!r}")
+    settings = {}
+    for key, check in _CHECKS.items():
+        section, _, field = key.rpartition(".")
+        if field in sections[section]:
+            settings[key] = check(f"config {key!r}", sections[section][field])
+    return settings
+
+
+def _weights_for(dims: tuple[PrimitiveRelation, ...], csv: str | None) -> dict:
+    if not csv:
+        return dict.fromkeys(dims, 1.0)
+    values = [v.strip() for v in csv.split(",") if v.strip()]
+    if len(values) != len(dims):
+        raise ConfigError(f"--dim-weights has {len(values)} value(s) for {len(dims)} dimension(s)")
+    try:
+        return {d: float(v) for d, v in zip(dims, values)}
+    except ValueError as exc:
+        raise ConfigError(f"bad --dim-weights: {exc}") from exc
+
+
+def _settings(args: argparse.Namespace) -> dict:
+    """The checked workspace config with every given flag in place of its key."""
+    settings = _load_config(args.config)
+    for key, check in _CHECKS.items():
+        flag = key.rpartition(".")[2]  # the dest of the flag that stands in for key
+        value = getattr(args, flag, None)
+        if value is not None:
+            settings[key] = check(f"--{flag}", value)
+    # Chosen dims (flag or config) are weighted by --dim-weights, all equal by
+    # default; config 'dim_weights' applies only when no dims are chosen.
+    if "dims" in settings:
+        settings["dim_weights"] = _weights_for(settings["dims"], getattr(args, "weights", None))
+    return settings
+
+
+def _required(settings: dict, key: str, flag: str):
+    """The flag, else the config value, else ConfigError."""
+    value = settings.get(key)
+    if not value:
+        raise ConfigError(f"no {key} given ({flag} or config {key!r})")
+    return value
+
+
+def _given(settings: dict, *keys: str) -> dict:
+    """Keyword arguments for the keys that are set, so unset ones keep the callee's defaults."""
+    return {key.rpartition(".")[2]: settings[key] for key in keys if key in settings}
 
 
 def _load_corpus(path: str) -> AssertionSet:
     text = _read_text(path, "corpus")
     if text.lstrip().startswith("{"):
         return corpus_from_json_text(text)
-    return AssertionSet(tuple(a for _, a in scan_corpus(text)))
-
-
-def _parse_dims(csv: str) -> list:
-    names = [name.strip() for name in csv.split(",") if name.strip()]
-    if not names:
-        raise ConfigError("dimension list is empty")
-    try:
-        return [resolve_relation(name) for name in names]
-    except InputDataError as exc:
-        raise ConfigError(str(exc)) from exc
+    return parse_corpus(text)
 
 
 def _emit(text: str) -> None:
     sys.stdout.write(text)
 
 
-def _cmd_ingest(args, cfg: dict) -> int:
+def _cmd_ingest(args, settings: dict) -> int:
     text = _read_text(args.corpus, "corpus")
     scanned = scan_corpus(text)
     aset = AssertionSet(tuple(a for _, a in scanned))
@@ -266,30 +385,16 @@ def _cmd_ingest(args, cfg: dict) -> int:
                 }
             )
         _emit(jsonio.dumps({"conflicts": payload}))
-        return EXIT_CONSISTENCY
+        return ConsistencyError.exit_code
     out = corpus_to_json_text(aset)
     if args.out:
         _write_text(args.out, out, "normalized corpus")
     _emit(out)
-    return EXIT_OK
+    return 0
 
 
-def _config_tau(cfg: dict) -> float:
-    value = cfg.get("tau", 0.0)
-    # bool is an int subclass, and float() of a huge int overflows.
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            tau = float(value)
-        except OverflowError:
-            tau = math.inf
-        if math.isfinite(tau):
-            return tau
-    raise ConfigError(f"config 'tau' must be a finite number, got {value!r}")
-
-
-def _cmd_induce(args, cfg: dict) -> int:
-    aset = _load_corpus(_corpus_path(args, cfg))
-    tau = args.tau if args.tau is not None else _config_tau(cfg)
+def _cmd_induce(args, settings: dict) -> int:
+    aset = _load_corpus(_required(settings, "corpus", "CORPUS-FILE"))
     labels: Mapping[str, str] | None = None
     if args.labels:
         raw = jsonio.loads(_read_text(args.labels, "label map"), what=f"label map {args.labels}")
@@ -298,7 +403,7 @@ def _cmd_induce(args, cfg: dict) -> int:
         ):
             raise InputDataError(f"label map {args.labels}: expected a string-to-string object")
         labels = raw
-    dag = induce(aset, InduceConfig(tau=tau))
+    dag = induce(aset, InduceConfig(**_given(settings, "tau")))
     for message in dag.diagnostics:
         print(f"diagnostic: {message}", file=sys.stderr)
     out = dag_to_json_text(dag)
@@ -307,14 +412,12 @@ def _cmd_induce(args, cfg: dict) -> int:
     if args.out:
         _write_text(args.out, out, "ontology JSON")
     _emit(out)
-    return EXIT_OK
+    return 0
 
 
-def _cmd_nominalize(args, cfg: dict) -> int:
-    aset = _load_corpus(_corpus_path(args, cfg))
-    lexicon_path = args.lexicon or cfg.get("lexicon")
-    if not lexicon_path:
-        raise ConfigError("no lexicon file given (--lexicon or config 'lexicon')")
+def _cmd_nominalize(args, settings: dict) -> int:
+    aset = _load_corpus(_required(settings, "corpus", "CORPUS-FILE"))
+    lexicon_path = _required(settings, "lexicon", "--lexicon")
     lexicon = load_lexicon(lexicon_path)
     triples = []
     missing: list[str] = []
@@ -333,70 +436,36 @@ def _cmd_nominalize(args, cfg: dict) -> int:
             f"lexicon {lexicon_path} lacks entries for: {', '.join(missing)}"
         )
     _emit(jsonio.dumps({"triples": [t.to_json() for t in triples]}))
-    return EXIT_OK
+    return 0
 
 
-def _cmd_sim(args, cfg: dict) -> int:
-    store_path = args.store or cfg.get("meaning_store")
-    if not store_path:
-        raise ConfigError("no meaning store given (--store or config 'meaning_store')")
-    if not os.path.exists(store_path):
-        raise ConfigError(f"meaning store {store_path} does not exist")
-    records = {r.sense: r for r in load_meanings(store_path)}
+def _cmd_sim(args, settings: dict) -> int:
+    records = {r.sense: r for r in load_meanings(_required(settings, "meaning_store", "--store"))}
     for sense in (args.sense_a, args.sense_b):
         if sense not in records:
             known = ", ".join(sorted(records)) or "(none)"
             raise InputDataError(f"sense {sense!r} not in store (available: {known})")
-
-    dims_csv = args.dims or (",".join(cfg["dims"]) if cfg.get("dims") else None)
-    weights = None
-    if dims_csv:
-        dims = _parse_dims(dims_csv)
-        if args.dim_weights:
-            values = [v.strip() for v in args.dim_weights.split(",") if v.strip()]
-            if len(values) != len(dims):
-                raise ConfigError(
-                    f"--dim-weights has {len(values)} value(s) for {len(dims)} dimension(s)"
-                )
-            try:
-                weights = {d: float(v) for d, v in zip(dims, values)}
-            except ValueError as exc:
-                raise ConfigError(f"bad --dim-weights: {exc}") from exc
-        else:
-            weights = {d: 1.0 for d in dims}
-    elif cfg.get("dim_weights"):
-        try:
-            weights = {resolve_relation(k): float(v) for k, v in cfg["dim_weights"].items()}
-        except (InputDataError, ValueError, AttributeError) as exc:
-            raise ConfigError(f"config 'dim_weights': {exc}") from exc
-
-    report = concept_similarity(records[args.sense_a], records[args.sense_b], weights)
+    report = concept_similarity(
+        records[args.sense_a], records[args.sense_b], settings.get("dim_weights") or None
+    )
     _emit(report.to_json_text())
-    return EXIT_OK
+    return 0
 
 
-def _cmd_elicit(args, cfg: dict) -> int:
+def _cmd_elicit(args, settings: dict) -> int:
     if args.n < 1:
         raise ConfigError(f"-n must be >= 1, got {args.n}")
-    dims = _parse_dims(args.dims)
-    provider_cfg = cfg.get("provider") or {}
     if args.provider == "mock":
         provider = MockProvider.from_file(args.fixtures)
     else:
-        endpoint = args.endpoint or provider_cfg.get("endpoint")
-        if not endpoint:
-            raise ConfigError("remote provider needs --endpoint or config provider.endpoint")
-        provider = RemoteProvider(
-            endpoint=endpoint,
-            auth_env=provider_cfg.get("auth_env", "SENSEKIT_PROVIDER_TOKEN"),
-            timeout=args.timeout if args.timeout is not None else provider_cfg.get("timeout", 10.0),
-            retries=args.retries if args.retries is not None else provider_cfg.get("retries", 2),
-        )
+        endpoint = _required(settings, "provider.endpoint", "--endpoint")
+        options = _given(settings, "provider.auth_env", "provider.timeout", "provider.retries")
+        provider = RemoteProvider(endpoint, **options)
     try:
         result = elicit(
             provider,
             args.subject,
-            dims,
+            settings["dims"],
             args.n,
             TEMPLATE_SETS[args.templates],
         )
@@ -415,7 +484,7 @@ def _cmd_elicit(args, cfg: dict) -> int:
             }
         )
     )
-    return EXIT_OK
+    return 0
 
 
 _HANDLERS = {
@@ -431,38 +500,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
+        if not getattr(args, "command", None):
+            parser.print_help(sys.stderr)
+            return ConfigError.exit_code
+        return _HANDLERS[args.command](args, _settings(args))
+    except SensekitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if not getattr(args, "command", None):
-        parser.print_help(sys.stderr)
-        return EXIT_CONFIG
-    try:
-        cfg = _load_config(args.config)
-        return _HANDLERS[args.command](args, cfg)
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSISTENCY
-    except ProviderError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROVIDER
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InputDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return exc.exit_code
     # Library loaders (lexicon, meaning store, mock fixtures) open their
     # files themselves; the CLI's own reads go through _read_text.
     except UnicodeDecodeError as exc:
         print(f"error: input is not UTF-8: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return InputDataError.exit_code
     except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SensekitError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

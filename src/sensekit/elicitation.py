@@ -18,8 +18,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence
 
-import requests
-
 from . import jsonio
 from .corpus import AGENT, OBJECT, Assertion, AssertionSet, ConceptId, PropertyKey, SENSIBLE
 from .errors import ElicitationError, InputDataError, ProviderError, TemplateError
@@ -229,7 +227,13 @@ class RemoteProvider:
         self.auth_env = auth_env
         self.timeout = float(timeout)
         self.retries = int(retries)
-        self._session = session if session is not None else requests
+        if session is None:
+            # Imported here: requests is most of the package's import time,
+            # and only a remote provider without an injected session needs it.
+            import requests
+
+            session = requests
+        self._session = session
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -248,7 +252,8 @@ class RemoteProvider:
                     headers=self._headers(),
                     timeout=self.timeout,
                 )
-            except requests.RequestException as exc:
+            # requests.RequestException subclasses OSError.
+            except OSError as exc:
                 last_error = f"request failed: {exc}"
                 continue
             status = getattr(response, "status_code", 0)

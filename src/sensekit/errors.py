@@ -1,7 +1,7 @@
 """Exception hierarchy for sensekit.
 
-The CLI maps each error family to a fixed process exit code, so new
-exceptions should subclass the family that matches their failure class
+Each error family carries the process exit code the CLI returns for it, so
+new exceptions should subclass the family that matches their failure class
 rather than SensekitError directly.
 """
 
@@ -11,21 +11,32 @@ from __future__ import annotations
 class SensekitError(Exception):
     """Base class for all errors raised by this package."""
 
+    #: The families below override this; the CLI contract has no exit 1.
+    exit_code = 1
+
 
 class InputDataError(SensekitError):
-    """An input file or value is malformed or violates an invariant (exit 2)."""
+    """An input file or value is malformed or violates an invariant."""
+
+    exit_code = 2
 
 
 class ConsistencyError(SensekitError):
-    """A corpus asserts both polarities for a property/concept pair (exit 3)."""
+    """A corpus asserts both polarities for a property/concept pair."""
+
+    exit_code = 3
 
 
 class ProviderError(SensekitError):
-    """A completion provider is unreachable or returned garbage (exit 4)."""
+    """A completion provider is unreachable or returned garbage."""
+
+    exit_code = 4
 
 
 class ConfigError(SensekitError):
-    """Configuration, flags, or paths are invalid (exit 5)."""
+    """Configuration, flags, or paths are invalid."""
+
+    exit_code = 5
 
 
 class CorpusSyntaxError(InputDataError):

@@ -74,21 +74,22 @@ DEFAULT_DIMS: tuple[PrimitiveRelation, ...] = (
 )
 
 
+_RELATION_NAMES: dict[str, PrimitiveRelation] = {
+    **{rel.value: rel for rel in PrimitiveRelation},
+    **RELATION_ALIASES,
+}
+# Names that differ only in case ("isA"/"IsA") name the same relation.
+_FOLDED_RELATION_NAMES = {name.casefold(): rel for name, rel in _RELATION_NAMES.items()}
+
+
 def resolve_relation(name: str) -> PrimitiveRelation:
     """Resolve a canonical name or alias (case-insensitively) to a relation."""
-    for rel in PrimitiveRelation:
-        if rel.value == name:
-            return rel
-    if name in RELATION_ALIASES:
-        return RELATION_ALIASES[name]
-    folded = name.casefold()
-    for rel in PrimitiveRelation:
-        if rel.value.casefold() == folded:
-            return rel
-    for alias, rel in RELATION_ALIASES.items():
-        if alias.casefold() == folded:
-            return rel
-    raise InputDataError(f"unknown primitive relation {name!r}")
+    relation = _RELATION_NAMES.get(name)
+    if relation is None:
+        relation = _FOLDED_RELATION_NAMES.get(name.casefold())
+    if relation is None:
+        raise InputDataError(f"unknown primitive relation {name!r}")
+    return relation
 
 
 # --- nominalization lexicon ---------------------------------------------------

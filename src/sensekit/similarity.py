@@ -73,14 +73,21 @@ def feature_sim(left: WeightedProperty, right: WeightedProperty) -> float:
 def dimension_similarity(
     a: MeaningRecord, b: MeaningRecord, dim: PrimitiveRelation
 ) -> float:
-    """Mean feature similarity over the join; 0.0 when the join is empty."""
-    pairs = sorted(dimension_join(a, b, dim), key=lambda p: p.token)
-    if not pairs:
+    """Mean feature similarity over the join, in token order; 0.0 when empty.
+
+    Joins on a dict intersection instead of building dimension_join's
+    MatchedPair set, which costs more than the scoring; the result is the
+    same to the bit.
+    """
+    left = {token: weight for weight, token in a.dimension(dim)}
+    right = {token: weight for weight, token in b.dimension(dim)}
+    shared = sorted(left.keys() & right.keys())
+    if not shared:
         return 0.0
     total = 0.0
-    for pair in pairs:
-        total += feature_sim(pair.left, pair.right)
-    return total / len(pairs)
+    for token in shared:
+        total += feature_sim((left[token], token), (right[token], token))
+    return total / len(shared)
 
 
 DimWeights = Mapping[PrimitiveRelation, float]
@@ -122,7 +129,8 @@ def concept_similarity(
 
     With the default all-equal weights this is the plain arithmetic mean over
     the standard dimensions.  Weights must be non-negative with at least one
-    positive entry; non-finite weights are rejected.
+    positive entry; non-finite weights, and weights whose sum overflows, are
+    rejected.
     """
     if weights is None:
         weights = equal_weights()
@@ -146,6 +154,10 @@ def concept_similarity(
         w = float(weights[rel])
         numerator += w * per_dim[rel]
         denominator += w
+    # Each numerator term is at most its weight, so a finite denominator
+    # keeps the numerator finite too.
+    if not math.isfinite(denominator):
+        raise InputDataError("dimension weights sum to a value that is not finite")
     return SimilarityReport(
         a=a.sense,
         b=b.sense,

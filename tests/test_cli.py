@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sensekit.cli import main
 
@@ -538,3 +541,176 @@ def test_elicit_output_chains_into_induce(tmp_path, capsys) -> None:
     assert code == 0
     onto = json.loads(out)
     assert onto["nodes"][onto["root"]]["extent"] == ["game"]
+
+
+# --- settings: every flag and config value is checked once -------------------------------
+
+REMOTE = [
+    "elicit", "--subject", "game", "--dims", "hasProp", "-n", "3",
+    "--provider", "remote", "--endpoint", "http://127.0.0.1:1/complete",
+]
+
+
+@pytest.mark.parametrize(
+    ("config", "argv"),
+    [
+        ({"dims": 5}, ["sim", "book#1", "publication#3", "--store", "{store}"]),
+        ({"dims": [5]}, ["sim", "book#1", "publication#3", "--store", "{store}"]),
+        (
+            {"dim_weights": {"hasProp": None}},
+            ["sim", "book#1", "publication#3", "--store", "{store}"],
+        ),
+        ({"corpus": ["a"]}, ["induce"]),
+        ({"corpus": 0}, ["induce"]),
+        ({"corpus": 1}, ["induce"]),  # an int path is a file descriptor to open()
+        ({"lexicon": ["x"]}, ["nominalize", "{leaf}"]),
+        ({"provider": "x"}, REMOTE),
+        ({"provider": {"timeout": "x"}}, REMOTE),
+        ({"provider": {"retries": "x"}}, REMOTE),
+        ({"provider": {"retries": -1}}, REMOTE),
+        ({}, [*REMOTE, "--retries", "-5"]),
+        (
+            {},
+            [
+                "sim", "book#1", "publication#3", "--store", "{store}",
+                "--dims", "hasProp,HASPROP", "--dim-weights", "0,1",
+            ],
+        ),
+        ("{\"tau\": 1" + "0" * 5000 + "}", ["induce", "{leaf}"]),
+        ("{\"tau\": " + "[" * 100_000 + "]" * 100_000 + "}", ["induce", "{leaf}"]),
+    ],
+    ids=[
+        "dims-int", "dims-int-list", "dim-weight-null", "corpus-list", "corpus-zero",
+        "corpus-one", "lexicon-list", "provider-string", "timeout-string", "retries-string",
+        "retries-negative", "retries-flag-negative", "dims-named-twice",
+        "config-int-over-digit-limit", "config-nested-too-deep",
+    ],
+)
+def test_bad_setting_exit_5(config, argv, tmp_path, leaf_file, store_file, capsys) -> None:
+    cfg = tmp_path / "ws.json"
+    cfg.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
+    argv = [a.format(leaf=leaf_file, store=store_file) for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 5
+    assert out == ""
+    assert "Traceback" not in err
+
+
+SAME_AND_DIFFERENT = [
+    {"sense": sense, "gloss": "", "dims": {"hasProp": [[1.0, "red"]], "agentOf": [[1.0, verb]]}}
+    for sense, verb in (("a#1", "eats"), ("b#1", "eats"), ("c#1", "runs"))
+]
+
+
+@pytest.mark.parametrize("other", ["b#1", "c#1"], ids=["equal-scores", "different-scores"])
+def test_sim_weights_summing_past_float_max_exit_2(other, tmp_path, capsys) -> None:
+    store = tmp_path / "store.json"
+    store.write_text(json.dumps(SAME_AND_DIFFERENT), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys,
+        "sim", "a#1", other,
+        "--store", str(store),
+        "--dims", "hasProp,agentOf",
+        "--dim-weights", "1e308,1e308",
+    )
+    assert code == 2
+    assert out == ""
+    assert "not finite" in err
+
+
+def test_import_leaves_requests_unloaded() -> None:
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sensekit.cli; print('requests' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+_DIM_NAMES = st.sampled_from(["hasProp", "HASPROP", "agentOf", "isa", "IsA", "hasVibes", ""])
+_ANY_VALUE = st.recursive(
+    st.one_of(
+        st.text(max_size=8),
+        st.integers(),
+        st.sampled_from([10**400, -(10**400)]),
+        st.floats(),  # NaN and infinities included
+        st.booleans(),
+        st.none(),
+        _DIM_NAMES,
+    ),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8) | _DIM_NAMES, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _config_values(paths: dict) -> st.SearchStrategy:
+    """Workspace configs whose keys hold any JSON value, or a plausible one."""
+    plausible = {
+        "corpus": st.just(paths["corpus"]),
+        "lexicon": st.just(paths["lexicon"]),
+        "meaning_store": st.just(paths["store"]),
+        "tau": st.floats(min_value=0.0, max_value=1.0),
+        "dims": st.lists(_DIM_NAMES, max_size=3),
+        "dim_weights": st.dictionaries(_DIM_NAMES, st.integers(0, 3) | st.floats(0, 2), max_size=3),
+    }
+    provider = st.fixed_dictionaries(
+        {},
+        optional={
+            "endpoint": _ANY_VALUE,
+            "auth_env": _ANY_VALUE,
+            "timeout": _ANY_VALUE,
+            "retries": _ANY_VALUE,
+        },
+    )
+    return st.fixed_dictionaries(
+        {},
+        optional={
+            **{key: value | _ANY_VALUE for key, value in plausible.items()},
+            "provider": provider | _ANY_VALUE,
+            "unknown": _ANY_VALUE,
+        },
+    )
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory) -> dict:
+    root = tmp_path_factory.mktemp("workspace")
+    paths = {
+        "corpus": root / "leaf.sense",
+        "lexicon": root / "lex.json",
+        "store": root / "meanings.json",
+        "config": root / "ws.json",
+    }
+    paths["corpus"].write_text(LEAF, encoding="utf-8")
+    paths["lexicon"].write_text(json.dumps(LEXICON), encoding="utf-8")
+    paths["store"].write_text(STORE, encoding="utf-8")
+    return {key: str(path) for key, path in paths.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_config_value_exits_cleanly(workspace, data) -> None:
+    config = data.draw(_config_values(workspace), label="config")
+    argv = data.draw(
+        st.sampled_from(
+            [
+                ["induce"],
+                ["nominalize"],
+                ["sim", "book#1", "publication#3"],
+                ["elicit", "--subject", "book", "--provider", "mock"],
+            ]
+        ),
+        label="argv",
+    )
+    with open(workspace["config"], "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--config", workspace["config"]])
+    assert code in (0, 2, 3, 4, 5)
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=pytest.fail)

@@ -67,6 +67,13 @@ def test_resolution_is_case_insensitive() -> None:
     assert resolve_relation("HASAGENT") is REL.AGENT_OF
 
 
+def test_every_name_resolves_in_any_case() -> None:
+    for name in [rel.value for rel in PrimitiveRelation] + list(RELATION_ALIASES):
+        target = resolve_relation(name)
+        assert resolve_relation(name.upper()) is target
+        assert resolve_relation(name.lower()) is target
+
+
 def test_unknown_relation_rejected() -> None:
     with pytest.raises(InputDataError):
         resolve_relation("hasVibes")

@@ -169,6 +169,9 @@ def test_concept_similarity_rejects_bad_weights() -> None:
         concept_similarity(BOOK, PUBLICATION, {REL.HAS_PROP: 0.0})
     with pytest.raises(InputDataError):
         concept_similarity(BOOK, PUBLICATION, {REL.HAS_PROP: -1.0})
+    with pytest.raises(InputDataError, match="not finite"):
+        # each weight is finite, their sum is not
+        concept_similarity(BOOK, PUBLICATION, {REL.HAS_PROP: 1e308, REL.AGENT_OF: 1e308})
 
 
 def test_report_json_shape() -> None:
@@ -209,6 +212,33 @@ def test_symmetry_range_and_oracle_over_random_records() -> None:
             assert value == dimension_similarity(b, a, dim)
             assert 0.0 <= value <= 1.0
             assert value == brute_force_dimension_similarity(a, b, dim)
+
+
+def test_dimension_similarity_is_mean_of_feature_sim_over_join() -> None:
+    rng = random.Random(2024)
+    vocabulary = [f"t{i}" for i in range(30)]
+    for _ in range(300):
+        records = []
+        for sense in ("a", "b"):
+            dims = {
+                dim: tuple(
+                    (rng.uniform(0.01, 1.0), token)
+                    for token in rng.sample(vocabulary, rng.randint(1, 20))
+                )
+                for dim in DEFAULT_DIMS
+                if rng.random() < 0.8
+            }
+            records.append(MeaningRecord(sense, "", dims))
+        a, b = records
+        for dim in DEFAULT_DIMS:
+            pairs = sorted(dimension_join(a, b, dim), key=lambda p: p.token)
+            expected = 0.0
+            if pairs:
+                total = 0.0
+                for pair in pairs:
+                    total += feature_sim(pair.left, pair.right)
+                expected = total / len(pairs)
+            assert dimension_similarity(a, b, dim) == expected  # bit-identical
 
 
 def test_perturbation_bound_over_random_records() -> None:
