@@ -15,6 +15,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -23,6 +24,7 @@ from typing import Mapping, Sequence
 from . import __version__, jsonio
 from .corpus import (
     AssertionSet,
+    ConceptId,
     check_consistency,
     conflict_line_numbers,
     corpus_from_json_text,
@@ -178,16 +180,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_text(path: str, what: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputDataError(f"{what} {path} is not UTF-8: {exc}") from exc
-
-
 def _write_text(path: str, text: str, what: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -293,7 +285,7 @@ def _load_config(path: str | None) -> dict:
             return {}
         path = DEFAULT_CONFIG_FILE
     try:
-        data = jsonio.loads(_read_text(path, "config"), what=f"config {path}")
+        data = jsonio.loads(jsonio.read_text(path, "config"), what=f"config {path}")
     except InputDataError as exc:
         raise ConfigError(str(exc)) from exc
     if not isinstance(data, dict):
@@ -331,8 +323,11 @@ def _settings(args: argparse.Namespace) -> dict:
             settings[key] = check(f"--{flag}", value)
     # Chosen dims (flag or config) are weighted by --dim-weights, all equal by
     # default; config 'dim_weights' applies only when no dims are chosen.
+    weights = getattr(args, "weights", None)
     if "dims" in settings:
-        settings["dim_weights"] = _weights_for(settings["dims"], getattr(args, "weights", None))
+        settings["dim_weights"] = _weights_for(settings["dims"], weights)
+    elif weights is not None:
+        raise ConfigError("--dim-weights given without dimensions (--dims or config 'dims')")
     return settings
 
 
@@ -350,18 +345,26 @@ def _given(settings: dict, *keys: str) -> dict:
 
 
 def _load_corpus(path: str) -> AssertionSet:
-    text = _read_text(path, "corpus")
+    text = jsonio.read_text(path, "corpus")
     if text.lstrip().startswith("{"):
         return corpus_from_json_text(text)
     return parse_corpus(text)
 
 
 def _emit(text: str) -> None:
-    sys.stdout.write(text)
+    """Write the one JSON document to stdout; a stdout that cannot take it is a ConfigError."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except (OSError, UnicodeEncodeError) as exc:
+        if isinstance(exc, OSError):  # drop the bytes kept, or the shutdown flush fails (exit 120)
+            with contextlib.suppress(OSError, ValueError):  # a StringIO has no fileno
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 def _cmd_ingest(args, settings: dict) -> int:
-    text = _read_text(args.corpus, "corpus")
+    text = jsonio.read_text(args.corpus, "corpus")
     scanned = scan_corpus(text)
     aset = AssertionSet(tuple(a for _, a in scanned))
     conflicts = check_consistency(aset)
@@ -397,7 +400,8 @@ def _cmd_induce(args, settings: dict) -> int:
     aset = _load_corpus(_required(settings, "corpus", "CORPUS-FILE"))
     labels: Mapping[str, str] | None = None
     if args.labels:
-        raw = jsonio.loads(_read_text(args.labels, "label map"), what=f"label map {args.labels}")
+        text = jsonio.read_text(args.labels, "label map")
+        raw = jsonio.loads(text, what=f"label map {args.labels}")
         if not isinstance(raw, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in raw.items()
         ):
@@ -419,22 +423,16 @@ def _cmd_nominalize(args, settings: dict) -> int:
     aset = _load_corpus(_required(settings, "corpus", "CORPUS-FILE"))
     lexicon_path = _required(settings, "lexicon", "--lexicon")
     lexicon = load_lexicon(lexicon_path)
-    triples = []
-    missing: list[str] = []
-    for assertion in aset.assertions:
-        if not assertion.is_sensible:
-            continue
-        if assertion.property.arity == 1 and lexicon.get(assertion.property.name) is None:
-            if assertion.property.name not in missing:
-                missing.append(assertion.property.name)
-            continue
-        triples.append(nominalize_assertion(assertion, lexicon))
+    sensible = [a for a in aset.assertions if a.is_sensible]
+    # Report every missing unary entry at once, not just the first one
+    # nominalize_assertion would raise for.
+    unary = {a.property.name for a in sensible if a.property.arity == 1}
+    missing = sorted(unary - lexicon.entries.keys())
     if missing:
         for name in missing:
             print(f"missing lexicon entry: {name}", file=sys.stderr)
-        raise InputDataError(
-            f"lexicon {lexicon_path} lacks entries for: {', '.join(missing)}"
-        )
+        raise InputDataError(f"lexicon {lexicon_path} lacks entries for: {', '.join(missing)}")
+    triples = [nominalize_assertion(a, lexicon) for a in sensible]
     _emit(jsonio.dumps({"triples": [t.to_json() for t in triples]}))
     return 0
 
@@ -462,15 +460,10 @@ def _cmd_elicit(args, settings: dict) -> int:
         options = _given(settings, "provider.auth_env", "provider.timeout", "provider.retries")
         provider = RemoteProvider(endpoint, **options)
     try:
-        result = elicit(
-            provider,
-            args.subject,
-            settings["dims"],
-            args.n,
-            TEMPLATE_SETS[args.templates],
-        )
+        ConceptId(args.subject)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    result = elicit(provider, args.subject, settings["dims"], args.n, TEMPLATE_SETS[args.templates])
     for dimension, reason in result.failures.items():
         print(f"dimension {dimension.value} failed: {reason}", file=sys.stderr)
     for warning in result.warnings:
@@ -507,14 +500,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SensekitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    # Library loaders (lexicon, meaning store, mock fixtures) open their
-    # files themselves; the CLI's own reads go through _read_text.
-    except UnicodeDecodeError as exc:
-        print(f"error: input is not UTF-8: {exc}", file=sys.stderr)
-        return InputDataError.exit_code
-    except OSError as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return ConfigError.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

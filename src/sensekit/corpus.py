@@ -165,12 +165,6 @@ class AssertionSet:
         object.__setattr__(self, "assertions", ordered)
         object.__setattr__(self, "concepts", frozenset(a.concept for a in ordered))
 
-    @property
-    def properties(self) -> tuple[PropertyKey, ...]:
-        """All distinct property keys mentioned, in token order."""
-        seen = {a.property.token: a.property for a in self.assertions}
-        return tuple(seen[t] for t in sorted(seen))
-
     def sensible_properties(self) -> tuple[PropertyKey, ...]:
         seen = {a.property.token: a.property for a in self.assertions if a.is_sensible}
         return tuple(seen[t] for t in sorted(seen))

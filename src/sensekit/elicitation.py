@@ -163,8 +163,12 @@ class MockProvider:
         prompts: dict[str, tuple[str, ...]] = {}
         for subject in sorted(fixture):
             per_dim = fixture[subject]
+            if not isinstance(per_dim, Mapping):
+                raise InputDataError(f"completion fixture: {subject!r} must map dimensions to lists")
             for dim_name in sorted(per_dim):
                 dimension = resolve_relation(dim_name)
+                if not isinstance(per_dim[dim_name], (list, tuple)):
+                    raise InputDataError(f"completion fixture: {subject!r} {dim_name!r} is not a list")
                 tokens = tuple(str(t) for t in per_dim[dim_name])
                 for templates in template_sets:
                     template = templates.get(dimension)
@@ -189,8 +193,7 @@ class MockProvider:
                 .read_text(encoding="utf-8")
             )
         else:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
+            text = jsonio.read_text(path, "completion fixture")
         data = jsonio.loads(text, what="completion fixture")
         if not isinstance(data, dict):
             raise InputDataError("completion fixture must map subjects to dimensions")
@@ -252,8 +255,9 @@ class RemoteProvider:
                     headers=self._headers(),
                     timeout=self.timeout,
                 )
-            # requests.RequestException subclasses OSError.
-            except OSError as exc:
+            # requests.RequestException subclasses OSError; urllib3 lets a
+            # ValueError through for some malformed host names.
+            except (OSError, ValueError) as exc:
                 last_error = f"request failed: {exc}"
                 continue
             status = getattr(response, "status_code", 0)

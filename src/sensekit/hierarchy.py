@@ -83,16 +83,21 @@ class VerifyResult:
 
 @dataclass(frozen=True)
 class TypeDag:
+    """Type nodes, covering edges (parent id, child id) and the root; nodes[i].id == i."""
+
     nodes: tuple[TypeNode, ...]
     edges: tuple[tuple[int, int], ...]
     root: int
     diagnostics: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        if any(node.id != i for i, node in enumerate(self.nodes)):
+            raise ValueError("TypeDag nodes must be numbered by position: nodes[i].id == i")
+
     def node_by_id(self, node_id: int) -> TypeNode:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        raise UnknownTypeError(f"no node with id {node_id}")
+        if not 0 <= node_id < len(self.nodes):
+            raise UnknownTypeError(f"no node with id {node_id}")
+        return self.nodes[node_id]
 
     def children(self, node_id: int) -> tuple[int, ...]:
         return tuple(c for p, c in self.edges if p == node_id)
@@ -209,12 +214,11 @@ def _members(bits: int, names: Sequence[str]) -> frozenset[str]:
 
 def _diagnostics(nodes: Sequence[TypeNode], edges: Sequence[tuple[int, int]]) -> tuple[str, ...]:
     """Flag every node with more than two parents."""
-    by_id = {n.id: n for n in nodes}
     parent_count: dict[int, int] = {}
     for _, child in edges:
         parent_count[child] = parent_count.get(child, 0) + 1
     return tuple(
-        f"node {i} ({', '.join(by_id[i].characteristic_properties) or ROOT_LABEL}) "
+        f"node {i} ({', '.join(nodes[i].characteristic_properties) or ROOT_LABEL}) "
         f"has {parent_count[i]} parents"
         for i in sorted(parent_count)
         if parent_count[i] > 2
@@ -328,7 +332,7 @@ def node_label(node: TypeNode, labels: Mapping[str, str] | None = None) -> str |
 def export_dot(dag: TypeDag, labels: Mapping[str, str] | None = None) -> str:
     """Render the DAG as a DOT digraph with deterministic ordering."""
     lines = ["digraph concept_hierarchy {", "  node [shape=box];"]
-    for node in sorted(dag.nodes, key=lambda n: n.id):
+    for node in dag.nodes:
         caption: list[str] = []
         name = node_label(node, labels)
         if name:
@@ -353,7 +357,7 @@ def dag_to_json(dag: TypeDag) -> dict:
                 "props": list(n.characteristic_properties),
                 "members": sorted(n.direct_members),
             }
-            for n in sorted(dag.nodes, key=lambda n: n.id)
+            for n in dag.nodes
         ],
         "edges": [list(e) for e in sorted(dag.edges)],
         "root": dag.root,
@@ -373,7 +377,7 @@ def dag_from_json(data: object) -> TypeDag:
         root = int(data["root"])
     except (KeyError, TypeError, ValueError) as exc:
         raise OntologyError(f"ontology JSON is missing nodes/edges/root: {exc}") from exc
-    by_id: dict[int, TypeNode] = {}
+    nodes: list[TypeNode] = []
     for i, raw in enumerate(raw_nodes):
         try:
             node = TypeNode(
@@ -384,12 +388,12 @@ def dag_from_json(data: object) -> TypeDag:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise OntologyError(f"ontology JSON: node {i}: {exc}") from exc
-        if node.id in by_id:
-            raise OntologyError(f"ontology JSON: duplicate node id {node.id}")
+        if node.id != i:
+            raise OntologyError(f"ontology JSON: node {i} has id {node.id}, not {i}")
         if not node.direct_members <= node.extent:
             raise OntologyError(f"ontology JSON: node {node.id}: members not within extent")
-        by_id[node.id] = node
-    if root not in by_id:
+        nodes.append(node)
+    if not 0 <= root < len(nodes):
         raise OntologyError(f"ontology JSON: root {root} is not a node id")
     edges = []
     for i, raw in enumerate(raw_edges):
@@ -397,18 +401,17 @@ def dag_from_json(data: object) -> TypeDag:
             parent, child = (int(raw[0]), int(raw[1]))
         except (TypeError, ValueError, IndexError) as exc:
             raise OntologyError(f"ontology JSON: edge {i}: {exc}") from exc
-        if parent not in by_id or child not in by_id:
+        if not (0 <= parent < len(nodes) and 0 <= child < len(nodes)):
             raise OntologyError(f"ontology JSON: edge {i} references unknown node")
         # Every induced edge, tolerant ones included, strictly shrinks the
         # extent; this also rules out self-loops and cycles.
-        if len(by_id[child].extent) >= len(by_id[parent].extent):
+        if len(nodes[child].extent) >= len(nodes[parent].extent):
             raise OntologyError(
                 f"ontology JSON: edge {i}: child {child} is not smaller than parent {parent}"
             )
         edges.append((parent, child))
-    nodes = tuple(sorted(by_id.values(), key=lambda n: n.id))
     return TypeDag(
-        nodes=nodes,
+        nodes=tuple(nodes),
         edges=tuple(sorted(edges)),
         root=root,
         diagnostics=_diagnostics(nodes, edges),

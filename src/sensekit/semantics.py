@@ -166,8 +166,7 @@ def lexicon_to_json(lexicon: NominalizationLexicon) -> dict:
 
 
 def load_lexicon(path: str) -> NominalizationLexicon:
-    with open(path, encoding="utf-8") as fh:
-        return lexicon_from_json(jsonio.loads(fh.read(), what=f"lexicon {path}"))
+    return lexicon_from_json(jsonio.loads(jsonio.read_text(path, "lexicon"), what=f"lexicon {path}"))
 
 
 # --- morphology helpers -------------------------------------------------------
@@ -522,5 +521,4 @@ def save_meanings(records: Iterable[MeaningRecord], path: str) -> None:
 
 
 def load_meanings(path: str) -> tuple[MeaningRecord, ...]:
-    with open(path, encoding="utf-8") as fh:
-        return meanings_from_json_text(fh.read(), what=f"meaning store {path}")
+    return meanings_from_json_text(jsonio.read_text(path, "meaning store"), what=f"meaning store {path}")

@@ -3,12 +3,13 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sensekit.cli import main
 
@@ -200,20 +201,34 @@ def test_nominalize_missing_entry_exit_2(tmp_path, leaf_file, capsys) -> None:
     assert "HUNGRY" in err
 
 
+def test_nominalize_missing_entries_reported_before_a_bad_category(
+    tmp_path, leaf_file, capsys
+) -> None:
+    lex = tmp_path / "lex.json"
+    lex.write_text(json.dumps({"OLD": {"trope": "oldness", "cat": "activity"}}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "nominalize", leaf_file, "--lexicon", str(lex))
+    assert code == 2
+    assert out == ""
+    assert "lacks entries for: ARTICULATE, HEAVY, HUNGRY, IMMINENT" in err
+
+
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "what"),
     [
-        ["nominalize", "{leaf}", "--lexicon", "{absent}"],
-        ["elicit", "--subject", "book", "--provider", "mock", "--fixtures", "{absent}"],
+        (["nominalize", "{leaf}", "--lexicon", "{absent}"], "lexicon"),
+        (
+            ["elicit", "--subject", "book", "--provider", "mock", "--fixtures", "{absent}"],
+            "completion fixture",
+        ),
     ],
     ids=["lexicon", "fixtures"],
 )
-def test_missing_loader_file_exit_5(argv, tmp_path, leaf_file, capsys) -> None:
+def test_missing_loader_file_exit_5(argv, what, tmp_path, leaf_file, capsys) -> None:
     absent = str(tmp_path / "absent.json")
     code, out, err = run_cli(capsys, *[a.format(leaf=leaf_file, absent=absent) for a in argv])
     assert code == 5
     assert out == ""
-    assert "cannot read input" in err and "absent.json" in err
+    assert f"cannot read {what} {absent}" in err
 
 
 def test_nominalize_requires_lexicon(tmp_path, leaf_file, capsys, monkeypatch) -> None:
@@ -281,6 +296,24 @@ def test_sim_non_finite_weight_exit_2(weight: str, store_file, capsys) -> None:
     assert "not finite" in err
     if out:
         json.loads(out, parse_constant=pytest.fail)
+
+
+@pytest.mark.parametrize(
+    "config", [{}, {"dim_weights": {"hasProp": 2}}], ids=["no-config", "config-weights"]
+)
+def test_sim_weights_without_dims_exit_5(config, tmp_path, store_file, capsys) -> None:
+    cfg = tmp_path / "ws.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys,
+        "sim", "book#1", "publication#3",
+        "--store", store_file,
+        "--dim-weights", "5,1",
+        "--config", str(cfg),
+    )
+    assert code == 5
+    assert out == ""
+    assert "--dim-weights given without dimensions" in err
 
 
 def test_sim_unknown_sense_exit_2(store_file, capsys) -> None:
@@ -481,6 +514,44 @@ def test_non_utf8_file_exits_cleanly(argv, code, tmp_path, leaf_file) -> None:
     assert "not UTF-8" in proc.stderr
 
 
+def test_closed_stdout_exits_5(leaf_file) -> None:
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sensekit", "ingest", leaf_file],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 5
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert "error: cannot write output:" in proc.stderr
+
+
+def test_stdout_that_cannot_encode_the_output_exits_5(tmp_path) -> None:
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps({"book": {"hasProp": ["café", "old"]}}), encoding="utf-8")
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "sensekit", "elicit", "--subject", "book",
+            "--dims", "hasProp", "--fixtures", str(fixture), "-n", "2",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONIOENCODING": "ascii"},
+    )
+    assert proc.returncode == 5
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error: cannot write output:" in proc.stderr
+
+
 def test_induce_deterministic_across_hash_seeds(tmp_path) -> None:
     corpus = tmp_path / "mixed.sense"
     corpus.write_text(LEAF + "+ SHINY car\n+ SHINY bike\n+ SHINY rock\n", encoding="utf-8")
@@ -491,7 +562,7 @@ def test_induce_deterministic_across_hash_seeds(tmp_path) -> None:
             capture_output=True,
             text=True,
             timeout=60,
-            env={**__import__("os").environ, "PYTHONHASHSEED": seed},
+            env={**os.environ, "PYTHONHASHSEED": seed},
         )
         assert proc.returncode == 0
         outputs.append(proc.stdout)
@@ -683,10 +754,25 @@ def workspace(tmp_path_factory) -> dict:
         "lexicon": root / "lex.json",
         "store": root / "meanings.json",
         "config": root / "ws.json",
+        "conflict": root / "conflict.sense",
+        "empty_config": root / "empty.json",
+        "labels": root / "labels.json",
+        "fixture": root / "fixture.json",
+        "out": root / "out.json",
+        "missing": root / "missing.json",
+        "no_dir": root / "no-such-dir" / "out.json",
+        "dir": root,
     }
     paths["corpus"].write_text(LEAF, encoding="utf-8")
     paths["lexicon"].write_text(json.dumps(LEXICON), encoding="utf-8")
     paths["store"].write_text(STORE, encoding="utf-8")
+    paths["conflict"].write_text("+ OLD trip\n- OLD trip\n", encoding="utf-8")
+    paths["empty_config"].write_text("{}", encoding="utf-8")
+    paths["labels"].write_text(json.dumps({"OLD": "old", "HUNGRY": "eater"}), encoding="utf-8")
+    paths["fixture"].write_text(
+        json.dumps({"book": {"hasProp": ["café", "old", "old"], "agentOf": ["read"]}}),
+        encoding="utf-8",
+    )
     return {key: str(path) for key, path in paths.items()}
 
 
@@ -710,6 +796,91 @@ def test_any_config_value_exits_cleanly(workspace, data) -> None:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*argv, "--config", workspace["config"]])
+    assert code in (0, 2, 3, 4, 5)
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=pytest.fail)
+
+
+# Flag values a user might type: odd numbers, odd dimension lists, non-ASCII
+# text.  Values may be negative numbers, which argparse takes as values
+# because no flag looks like a number; none starts with "--" or with "-" and
+# a letter (argparse would take it for a flag, and "--h" abbreviates --help),
+# and none holds NUL, which a real argv cannot.
+# Output flags only ever name files in the workspace or paths that cannot be
+# written, so relative input names such as "x" stay missing.
+_ODD = ["", "nan", "inf", "1e400", "-1", "0", "9" * 5000, "x", "café", "книга#1", "hasVibes"]
+
+
+def _argv(paths: dict) -> st.SearchStrategy:
+    """Mostly well-formed argv for every command, then the empty config."""
+    files = [paths[k] for k in ("corpus", "lexicon", "store", "labels", "fixture")]
+    odd_paths = [paths[k] for k in ("missing", "no_dir", "dir")]
+
+    def value(*usual: str) -> st.SearchStrategy:
+        """A usual value seven times in eight, else an odd value, path or file."""
+        return st.sampled_from([True] * 7 + [False]).flatmap(
+            lambda ok: st.sampled_from(usual if ok else [*_ODD, *odd_paths, *files])
+        )
+
+    out = st.sampled_from([paths["out"], paths["out"], paths["no_dir"], paths["dir"], ""])
+    flags = {
+        "ingest": {"--out": out, "--seed": value("0", "7")},
+        "induce": {
+            "--tau": value("0", "0.1", "0.5", "1"),
+            "--labels": value(paths["labels"]),
+            "--dot": out,
+            "--out": out,
+        },
+        "nominalize": {"--lexicon": value(paths["lexicon"]), "--seed": value("7")},
+        "sim": {
+            "--dims": value("hasProp", "hasProp,agentOf", "inState,partOf", "HASPROP,hasprop"),
+            "--dim-weights": value("1", "3,1", "1,0,2", "1e308,1e308"),
+        },
+        "elicit": {
+            "--dims": value("hasProp", "agentOf,objectOf", "hasProp,hasProp", "inState"),
+            "-n": value("1", "3", "25"),
+            "--provider": st.just("mock"),
+            "--fixtures": value(paths["fixture"]),
+            "--templates": value("default", "book-fixture"),
+            "--endpoint": value("http://127.0.0.1:1/complete"),
+            "--timeout": value("10", "0.5"),
+            "--retries": value("0", "2"),
+        },
+    }
+    corpus = value(paths["corpus"], paths["corpus"], paths["conflict"])
+    sense = value("book#1", "publication#3", "ghost#9")
+    # What each command needs: its positionals and the flags that name its inputs.
+    required = {
+        "ingest": st.tuples(corpus),
+        "induce": st.tuples(corpus),
+        "nominalize": st.tuples(corpus, st.just("--lexicon"), value(paths["lexicon"])),
+        "sim": st.tuples(sense, sense, st.just("--store"), value(paths["store"])),
+        "elicit": st.tuples(st.just("--subject"), value("book", "apple", "Book", "book#0")),
+    }
+
+    @st.composite
+    def build(draw) -> list[str]:
+        command = draw(st.sampled_from(sorted(flags)))
+        argv = [command, *draw(required[command])]
+        for flag in draw(st.lists(st.sampled_from(sorted(flags[command])), max_size=4)):
+            argv += [flag, draw(flags[command][flag])]
+        return [*argv, "--config", paths["empty_config"]]
+
+    return build()
+
+
+# chdir once per test, not per example, so the function-scoped fixture is safe.
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_any_argv_exits_cleanly(workspace, monkeypatch, data) -> None:
+    monkeypatch.chdir(workspace["dir"])
+    argv = data.draw(_argv(workspace), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in (0, 2, 3, 4, 5)
     assert "Traceback" not in err.getvalue()
     if out.getvalue():

@@ -237,7 +237,7 @@ def test_prop_round_trip_identity(aset: AssertionSet) -> None:
 
 @given(_assertion_sets)
 def test_prop_extents_within_concepts(aset: AssertionSet) -> None:
-    for prop in aset.properties:
+    for prop in {a.property for a in aset.assertions}:
         assert extent(aset, prop) <= aset.concepts
 
 

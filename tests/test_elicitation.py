@@ -269,6 +269,14 @@ def test_remote_provider_sends_bearer_token(monkeypatch) -> None:
     assert session.calls[0]["headers"]["Authorization"] == "Bearer hunter2"
 
 
+def test_remote_provider_value_error_is_a_request_failure() -> None:
+    # urllib3 raises LocationParseError, a ValueError, for a host with an empty label
+    session = _FakeSession([ValueError("Failed to parse: 'a..b', label empty or too long")])
+    provider = RemoteProvider("http://a..b/", session=session, retries=0)
+    with pytest.raises(ProviderError, match="request failed: .*label empty"):
+        provider.complete("p [MASK]", 1)
+
+
 def test_remote_provider_retries_then_fails(monkeypatch) -> None:
     monkeypatch.delenv("SENSEKIT_PROVIDER_TOKEN", raising=False)
     session = _FakeSession(
@@ -322,6 +330,22 @@ def test_mock_provider_rejects_colliding_fixture_entries() -> None:
         "book#2": {"hasProp": ["heavy"]},
     }
     with pytest.raises(InputDataError):
+        MockProvider(fixture)
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [
+        {"book": 5},
+        {"book": ["hasProp"]},
+        {"book": {"hasProp": 5}},
+        {"book": {"hasProp": "heavy"}},
+        {"book": {"hasProp": {"heavy": 1}}},
+    ],
+    ids=["subject-int", "subject-list", "tokens-int", "tokens-string", "tokens-object"],
+)
+def test_mock_provider_rejects_malformed_fixture(fixture) -> None:
+    with pytest.raises(InputDataError, match="completion fixture"):
         MockProvider(fixture)
 
 

@@ -457,6 +457,13 @@ def test_ontology_json_shape(branch_corpus) -> None:
     assert all(set(n) == {"id", "extent", "props", "members"} for n in data["nodes"])
 
 
+def _renumber_last_node(data: dict) -> None:
+    """Move the last node from id n - 1 to id n, edges included: a gap in the ids."""
+    last = len(data["nodes"]) - 1
+    data["nodes"][last]["id"] = last + 1
+    data["edges"] = [[last + 1 if x == last else x for x in e] for e in data["edges"]]
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -466,6 +473,13 @@ def test_ontology_json_shape(branch_corpus) -> None:
         lambda d: d["nodes"][0]["members"].append("ghost"),
         lambda d: d["edges"].append([1, 0]),
         lambda d: d["edges"].append([1, 1]),
+        _renumber_last_node,
+        lambda d: d["nodes"].reverse(),
+        lambda d: d["nodes"][0].__setitem__("id", -1),
+        lambda d: d.__setitem__("root", -1),
+        lambda d: d.__setitem__("root", len(d["nodes"])),
+        lambda d: d["edges"].append([0, -1]),
+        lambda d: d["edges"].append([0, len(d["nodes"])]),
     ],
 )
 def test_ontology_json_validation(mutate, leaf_corpus) -> None:
@@ -475,6 +489,21 @@ def test_ontology_json_validation(mutate, leaf_corpus) -> None:
 
     with pytest.raises(OntologyError):
         dag_from_json_text(json.dumps(data))
+
+
+def test_node_by_id_is_the_list_position(leaf_corpus) -> None:
+    dag = dag_from_json_text(dag_to_json_text(induce(leaf_corpus)))
+    assert [dag.node_by_id(i) for i in range(len(dag.nodes))] == list(dag.nodes)
+    for node_id in (-1, len(dag.nodes)):
+        with pytest.raises(UnknownTypeError):
+            dag.node_by_id(node_id)
+
+
+def test_hand_built_dag_must_number_nodes_by_position(leaf_corpus) -> None:
+    dag = induce(leaf_corpus)
+    shuffled = (dag.nodes[-1], *dag.nodes[:-1])
+    with pytest.raises(ValueError, match="numbered by position"):
+        TypeDag(nodes=shuffled, edges=dag.edges, root=dag.root)
 
 
 def test_node_ids_follow_size_then_member_order() -> None:

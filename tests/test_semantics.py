@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from sensekit.corpus import Assertion, ConceptId, PropertyKey, NONSENSICAL, SENSIBLE
-from sensekit.errors import InputDataError, LexiconError, MeaningStoreError
+from sensekit.elicitation import MockProvider
+from sensekit.errors import ConfigError, InputDataError, LexiconError, MeaningStoreError
 from sensekit.semantics import (
     DEFAULT_DIMS,
     RELATION_ALIASES,
@@ -21,6 +23,7 @@ from sensekit.semantics import (
     gerund,
     lexicon_from_json,
     lexicon_to_json,
+    load_lexicon,
     load_meanings,
     meaning_record_from_json,
     meaning_record_to_json,
@@ -343,6 +346,25 @@ def test_store_save_load_round_trip(tmp_path) -> None:
     save_meanings(records, path)
     loaded = load_meanings(path)
     assert list(loaded) == sorted(records, key=lambda r: r.sense)
+
+
+@pytest.mark.parametrize(
+    ("load", "what"),
+    [
+        (load_lexicon, "lexicon"),
+        (load_meanings, "meaning store"),
+        (MockProvider.from_file, "completion fixture"),
+    ],
+    ids=["lexicon", "meaning-store", "completion-fixture"],
+)
+def test_loaders_raise_error_families_for_unreadable_files(load, what, tmp_path) -> None:
+    absent = str(tmp_path / "absent.json")
+    with pytest.raises(ConfigError, match=re.escape(f"cannot read {what} {absent}")):
+        load(absent)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"caf\xe9": {}}')
+    with pytest.raises(InputDataError, match=re.escape(f"{what} {latin1} is not UTF-8")):
+        load(str(latin1))
 
 
 def test_store_serialize_parse_serialize_identical() -> None:
