@@ -186,6 +186,10 @@ def _write_text(path: str, text: str, what: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {what} {path}: {exc}") from exc
+    # open() rejects a path with an embedded NUL, and UTF-8 cannot hold a lone
+    # surrogate (a label map may carry one); both are ValueErrors.
+    except ValueError as exc:
+        raise ConfigError(f"cannot write {what} {path!r}: {exc}") from exc
 
 
 # --- settings ---------------------------------------------------------------------

@@ -25,6 +25,7 @@ Absence of an assertion means "unknown", which extent() treats as
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -147,6 +148,11 @@ def _assertion_key(a: Assertion) -> tuple[str, str, str, str]:
     return (a.property.name, a.property.position or "", a.concept.name, a.polarity)
 
 
+def _property_key(a: Assertion) -> tuple[str, str]:
+    """The prefix of _assertion_key that identifies the property."""
+    return (a.property.name, a.property.position or "")
+
+
 @dataclass(frozen=True)
 class AssertionSet:
     """A normalized collection of assertions.
@@ -248,11 +254,14 @@ def extent(aset: AssertionSet, prop: PropertyKey) -> frozenset[ConceptId]:
     """Concepts with a sensible assertion for prop (closed world).
 
     Nonsensical assertions never contribute; an unknown property yields the
-    empty set rather than an error.
+    empty set rather than an error.  AssertionSet sorts by _assertion_key,
+    whose first two fields identify the property, so prop's assertions are
+    one contiguous run, found by binary search.
     """
-    return frozenset(
-        a.concept for a in aset.assertions if a.is_sensible and a.property == prop
-    )
+    run = (prop.name, prop.position or "")
+    lo = bisect.bisect_left(aset.assertions, run, key=_property_key)
+    hi = bisect.bisect_right(aset.assertions, run, lo=lo, key=_property_key)
+    return frozenset(a.concept for a in aset.assertions[lo:hi] if a.is_sensible)
 
 
 def check_consistency(aset: AssertionSet) -> list[tuple[PropertyKey, ConceptId]]:
@@ -324,7 +333,7 @@ def corpus_from_json(data: object) -> AssertionSet:
             )
             concept = ConceptId(str(entry["concept"]))
             assertions.append(Assertion(prop, concept, str(entry["polarity"])))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputDataError(f"corpus JSON: assertion {i}: {exc}") from exc
     return AssertionSet(tuple(assertions))
 

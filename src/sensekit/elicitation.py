@@ -174,7 +174,10 @@ class MockProvider:
                     template = templates.get(dimension)
                     if template is None:
                         continue
-                    prompt = render(template, subject)
+                    try:
+                        prompt = render(template, subject)
+                    except ValueError as exc:
+                        raise InputDataError(f"completion fixture: {exc}") from exc
                     existing = prompts.get(prompt)
                     if existing is not None and existing != tokens:
                         raise InputDataError(

@@ -99,9 +99,6 @@ class TypeDag:
             raise UnknownTypeError(f"no node with id {node_id}")
         return self.nodes[node_id]
 
-    def children(self, node_id: int) -> tuple[int, ...]:
-        return tuple(c for p, c in self.edges if p == node_id)
-
     def parents(self, node_id: int) -> tuple[int, ...]:
         return tuple(p for p, c in self.edges if c == node_id)
 
@@ -375,8 +372,11 @@ def dag_from_json(data: object) -> TypeDag:
         raw_nodes = data["nodes"]
         raw_edges = data["edges"]
         root = int(data["root"])
-    except (KeyError, TypeError, ValueError) as exc:
+    # int() raises OverflowError for an infinite root.
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise OntologyError(f"ontology JSON is missing nodes/edges/root: {exc}") from exc
+    if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
+        raise OntologyError("ontology JSON: 'nodes' and 'edges' must be lists")
     nodes: list[TypeNode] = []
     for i, raw in enumerate(raw_nodes):
         try:
@@ -386,7 +386,7 @@ def dag_from_json(data: object) -> TypeDag:
                 characteristic_properties=tuple(str(p) for p in raw["props"]),
                 direct_members=frozenset(str(x) for x in raw["members"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise OntologyError(f"ontology JSON: node {i}: {exc}") from exc
         if node.id != i:
             raise OntologyError(f"ontology JSON: node {i} has id {node.id}, not {i}")
@@ -399,7 +399,7 @@ def dag_from_json(data: object) -> TypeDag:
     for i, raw in enumerate(raw_edges):
         try:
             parent, child = (int(raw[0]), int(raw[1]))
-        except (TypeError, ValueError, IndexError) as exc:
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
             raise OntologyError(f"ontology JSON: edge {i}: {exc}") from exc
         if not (0 <= parent < len(nodes) and 0 <= child < len(nodes)):
             raise OntologyError(f"ontology JSON: edge {i} references unknown node")

@@ -469,7 +469,7 @@ def meaning_record_from_json(data: object, *, where: str = "meaning record") -> 
         for raw in raw_pairs:
             try:
                 weight, token = float(raw[0]), str(raw[1])
-            except (TypeError, ValueError, IndexError) as exc:
+            except (LookupError, TypeError, ValueError, OverflowError) as exc:
                 raise MeaningStoreError(
                     f"{where}, dimension {rel_name!r}: malformed pair {raw!r}"
                 ) from exc

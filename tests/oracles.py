@@ -1,16 +1,21 @@
 """Independent brute-force reference implementations used as test oracles.
 
-These deliberately avoid the production code paths: the conflict oracle
-ignores assertion order, the hierarchy oracles work directly on the
-(tolerant) inclusion relation between extents, and the similarity oracle
-enumerates all cross-pairs instead of joining on a token index.  All are
-slow and obviously correct.
+These deliberately avoid the production code paths: extents come from a
+full scan of the assertions, the conflict oracle ignores assertion order,
+the hierarchy oracles work directly on the (tolerant) inclusion relation
+between extents, and the similarity oracle enumerates all cross-pairs
+instead of joining on a token index.  All are slow and obviously correct.
 """
 
 from __future__ import annotations
 
-from sensekit.corpus import AssertionSet, extent
+from sensekit.corpus import AssertionSet, ConceptId, PropertyKey
 from sensekit.semantics import MeaningRecord, PrimitiveRelation
+
+
+def full_scan_extent(aset: AssertionSet, prop: PropertyKey) -> frozenset[ConceptId]:
+    """Concepts with a sensible assertion for prop, found by reading every assertion."""
+    return frozenset(a.concept for a in aset.assertions if a.is_sensible and a.property == prop)
 
 
 def brute_force_conflicts(aset: AssertionSet):
@@ -35,7 +40,7 @@ def brute_force_hierarchy(aset: AssertionSet):
     """
     nodes: dict[frozenset, list[str]] = {}
     for prop in aset.sensible_properties():
-        members = frozenset(c.name for c in extent(aset, prop))
+        members = frozenset(c.name for c in full_scan_extent(aset, prop))
         if members:
             nodes.setdefault(members, []).append(prop.token)
     node_map = {ext: tuple(sorted(props)) for ext, props in nodes.items()}
@@ -77,7 +82,7 @@ def brute_force_tolerant_hierarchy(aset: AssertionSet, tau: float):
 
     by_extent: dict[frozenset, list[str]] = {}
     for prop in aset.sensible_properties():
-        members = frozenset(c.name for c in extent(aset, prop))
+        members = frozenset(c.name for c in full_scan_extent(aset, prop))
         if members:
             by_extent.setdefault(members, []).append(prop.token)
     groups = [(ext, tuple(sorted(props))) for ext, props in by_extent.items()]

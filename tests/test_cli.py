@@ -514,6 +514,53 @@ def test_non_utf8_file_exits_cleanly(argv, code, tmp_path, leaf_file) -> None:
     assert "not UTF-8" in proc.stderr
 
 
+def test_non_finite_json_input_exits_2(tmp_path) -> None:
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(
+        '{"assertions": [{"prop": "OLD", "arity": Infinity, "concept": "trip",'
+        ' "polarity": "sensible"}]}',
+        encoding="utf-8",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "sensekit", "induce", str(corpus)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "Infinity is not valid JSON" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["induce", "{leaf}", "--labels", "a\0b"],
+        ["induce", "{leaf}", "--dot", "a\0b"],
+        ["ingest", "{leaf}", "--out", "a\0b"],
+    ],
+    ids=["labels", "dot", "out"],
+)
+def test_path_with_nul_exit_5(argv, leaf_file, capsys) -> None:
+    code, out, err = run_cli(capsys, *[a.format(leaf=leaf_file) for a in argv])
+    assert code == 5
+    assert out == ""
+    assert "embedded null byte" in err
+
+
+def test_dot_label_utf8_cannot_hold_exit_5(tmp_path, leaf_file, capsys) -> None:
+    labels = tmp_path / "labels.json"
+    labels.write_text('{"OLD": "\\ud800"}', encoding="utf-8")
+    dot = tmp_path / "out.dot"
+    code, out, err = run_cli(
+        capsys, "induce", leaf_file, "--labels", str(labels), "--dot", str(dot)
+    )
+    assert code == 5
+    assert out == ""
+    assert "cannot write DOT file" in err
+
+
 def test_closed_stdout_exits_5(leaf_file) -> None:
     read_end, write_end = os.pipe()
     os.close(read_end)

@@ -27,6 +27,7 @@ from sensekit.corpus import (
 from sensekit.errors import CorpusSyntaxError
 
 from conftest import random_assertion_set
+from oracles import full_scan_extent
 
 
 # --- domain type validation ---------------------------------------------------
@@ -249,6 +250,32 @@ def test_prop_extent_monotonicity(aset: AssertionSet, extra: Assertion) -> None:
         assert before <= after
     else:
         assert after <= before
+
+
+# Names whose (name, position) order differs from their token order: A-B
+# precedes A@agent as a token but follows it by name.
+_neighbour_props = st.sampled_from(
+    [PropertyKey("A"), PropertyKey("A-B"), PropertyKey("A0"), PropertyKey("AB")]
+    + [PropertyKey(n, arity=2, position=p) for n in ("A", "A-B") for p in (AGENT, OBJECT)]
+)
+
+
+@given(
+    st.lists(
+        st.builds(
+            Assertion,
+            property=st.one_of(_neighbour_props, _unary, _binary),
+            concept=_concepts.map(ConceptId),
+            polarity=st.sampled_from([SENSIBLE, NONSENSICAL]),
+        ),
+        max_size=60,
+    ),
+    st.lists(st.one_of(_neighbour_props, _unary, _binary), min_size=1, max_size=6),
+)
+def test_prop_extent_equals_full_scan(items: list[Assertion], props: list[PropertyKey]) -> None:
+    aset = AssertionSet(tuple(items))
+    for prop in props:
+        assert extent(aset, prop) == full_scan_extent(aset, prop)
 
 
 @given(st.sampled_from(["MAKE", "RIDE"]), _concepts, _concepts)

@@ -341,8 +341,12 @@ def test_mock_provider_rejects_colliding_fixture_entries() -> None:
         {"book": {"hasProp": 5}},
         {"book": {"hasProp": "heavy"}},
         {"book": {"hasProp": {"heavy": 1}}},
+        {"x y": {"hasProp": ["heavy"]}},
     ],
-    ids=["subject-int", "subject-list", "tokens-int", "tokens-string", "tokens-object"],
+    ids=[
+        "subject-int", "subject-list", "tokens-int", "tokens-string", "tokens-object",
+        "subject-not-a-concept",
+    ],
 )
 def test_mock_provider_rejects_malformed_fixture(fixture) -> None:
     with pytest.raises(InputDataError, match="completion fixture"):

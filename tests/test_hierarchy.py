@@ -480,6 +480,9 @@ def _renumber_last_node(data: dict) -> None:
         lambda d: d.__setitem__("root", len(d["nodes"])),
         lambda d: d["edges"].append([0, -1]),
         lambda d: d["edges"].append([0, len(d["nodes"])]),
+        lambda d: d.__setitem__("nodes", 5),
+        lambda d: d.__setitem__("edges", {"0": 1}),
+        lambda d: d["edges"].append({"x": 1}),
     ],
 )
 def test_ontology_json_validation(mutate, leaf_corpus) -> None:
