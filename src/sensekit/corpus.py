@@ -48,6 +48,7 @@ _UNARY_LINE_RE = re.compile(
 _BINARY_LINE_RE = re.compile(
     r"^([+-])\s+([A-Z][A-Z0-9_-]*)\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)$"
 )
+_COMMENT_RE = re.compile(r"(?:^|(?<=\s))#")  # for str patterns, \s is str.isspace
 
 
 @dataclass(frozen=True)
@@ -167,68 +168,64 @@ class AssertionSet:
     concepts: frozenset[ConceptId] = field(init=False)
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(set(self.assertions), key=_assertion_key))
+        # The key is injective on valid assertions (arity follows from position).
+        by_key = {_assertion_key(a): a for a in self.assertions}
+        ordered = tuple(by_key[k] for k in sorted(by_key))
         object.__setattr__(self, "assertions", ordered)
-        object.__setattr__(self, "concepts", frozenset(a.concept for a in ordered))
-
-    def sensible_properties(self) -> tuple[PropertyKey, ...]:
-        seen = {a.property.token: a.property for a in self.assertions if a.is_sensible}
-        return tuple(seen[t] for t in sorted(seen))
+        concepts = {a.concept.name: a.concept for a in ordered}
+        object.__setattr__(self, "concepts", frozenset(concepts.values()))
 
     def __len__(self) -> int:
         return len(self.assertions)
 
 
-def _strip_comment(raw: str) -> str:
-    # '#' opens a comment only at the start of the line or after whitespace,
-    # so sense suffixes like book#1 survive.
-    for i, ch in enumerate(raw):
-        if ch == "#" and (i == 0 or raw[i - 1].isspace()):
-            return raw[:i]
-    return raw
+def _interned(memo: dict, make, *fields):
+    """make(*fields), built and validated once per memo.  A constructor that raises
+    stores nothing, and unhashable fields skip the memo to reach its check."""
+    key = (make, *fields)
+    try:
+        return memo[key]
+    except KeyError:
+        made = memo[key] = make(*fields)
+    except TypeError:
+        made = make(*fields)
+    return made
 
 
 def scan_corpus(text: str) -> list[tuple[int, Assertion]]:
     """Parse corpus text into (line number, assertion) pairs.
 
-    Binary lines contribute two entries with the same line number.  Raises
+    Binary lines contribute two entries with the same line number.  Equal
+    tokens share one object, and so do repeated facts.  Raises
     CorpusSyntaxError with the offending line number on any malformed line.
     """
     out: list[tuple[int, Assertion]] = []
+    memo: dict = {}  # (sign, prop token, concept token) -> Assertion, and _interned's keys
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = (_COMMENT_RE.split(raw, 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
-        m = _BINARY_LINE_RE.match(line)
-        if m:
-            sign, name, agent_tok, object_tok = m.groups()
-            polarity = SENSIBLE if sign == "+" else NONSENSICAL
-            try:
-                agent_c = ConceptId(agent_tok)
-                object_c = ConceptId(object_tok)
-                agent_p = PropertyKey(name, arity=2, position=AGENT)
-                object_p = PropertyKey(name, arity=2, position=OBJECT)
-            except ValueError as exc:
-                raise CorpusSyntaxError(lineno, str(exc)) from exc
-            out.append((lineno, Assertion(agent_p, agent_c, polarity)))
-            out.append((lineno, Assertion(object_p, object_c, polarity)))
-            continue
-        m = _UNARY_LINE_RE.match(line)
-        if m:
-            sign, prop_tok, concept_tok = m.groups()
-            polarity = SENSIBLE if sign == "+" else NONSENSICAL
-            try:
-                prop = PropertyKey.from_token(prop_tok)
-                concept = ConceptId(concept_tok)
-            except ValueError as exc:
-                raise CorpusSyntaxError(lineno, str(exc)) from exc
-            out.append((lineno, Assertion(prop, concept, polarity)))
-            continue
-        raise CorpusSyntaxError(
-            lineno,
-            f"cannot parse {line!r}: expected '+ PROP concept', '- PROP concept', "
-            "'+ REL(a, b)', or '- REL(a, b)'",
-        )
+        m = _UNARY_LINE_RE.match(line) or _BINARY_LINE_RE.match(line)
+        if m is None:
+            raise CorpusSyntaxError(lineno, f"cannot parse {line!r}: expected '+ PROP concept', "
+                                    "'- PROP concept', '+ REL(a, b)', or '- REL(a, b)'")
+        facts = (m.groups(),)
+        if m.re is _BINARY_LINE_RE:
+            sign, name, agent_tok, object_tok = facts[0]
+            facts = ((sign, f"{name}@{AGENT}", agent_tok), (sign, f"{name}@{OBJECT}", object_tok))
+        for fact in facts:
+            a = memo.get(fact)
+            if a is None:
+                sign, prop_tok, concept_tok = fact
+                try:
+                    a = memo[fact] = Assertion(
+                        _interned(memo, PropertyKey.from_token, prop_tok),
+                        _interned(memo, ConceptId, concept_tok),
+                        SENSIBLE if sign == "+" else NONSENSICAL,
+                    )
+                except ValueError as exc:
+                    raise CorpusSyntaxError(lineno, str(exc)) from exc
+            out.append((lineno, a))
     return out
 
 
@@ -322,18 +319,19 @@ def corpus_from_json(data: object) -> AssertionSet:
     if not isinstance(data, dict) or not isinstance(data.get("assertions"), list):
         raise InputDataError("corpus JSON must be an object with an 'assertions' list")
     assertions = []
+    memo: dict = {}
     for i, entry in enumerate(data["assertions"]):
         if not isinstance(entry, dict):
             raise InputDataError(f"corpus JSON: assertion {i} is not an object")
         try:
-            prop = PropertyKey(
-                str(entry["prop"]),
-                arity=int(entry.get("arity", 1)),
-                position=entry.get("position"),
-            )
-            concept = ConceptId(str(entry["concept"]))
+            name = str(entry["prop"])
+            arity = entry.get("arity", 1)
+            if type(arity) is not int:  # PropertyKey rejects other ints after the name
+                raise ValueError(f"arity must be 1 or 2, got {arity!r}")
+            prop = _interned(memo, PropertyKey, name, arity, entry.get("position"))
+            concept = _interned(memo, ConceptId, str(entry["concept"]))
             assertions.append(Assertion(prop, concept, str(entry["polarity"])))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputDataError(f"corpus JSON: assertion {i}: {exc}") from exc
     return AssertionSet(tuple(assertions))
 

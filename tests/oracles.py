@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations used as test oracles.
 
-These deliberately avoid the production code paths: extents come from a
-full scan of the assertions, the conflict oracle ignores assertion order,
+These deliberately avoid the production code paths: normalization hashes
+the assertion dataclasses, extents and sensible properties come from a full
+scan of the assertions, the conflict oracle ignores assertion order,
 the hierarchy oracles work directly on the (tolerant) inclusion relation
 between extents, and the similarity oracle enumerates all cross-pairs
 instead of joining on a token index.  All are slow and obviously correct.
@@ -9,8 +10,27 @@ instead of joining on a token index.  All are slow and obviously correct.
 
 from __future__ import annotations
 
-from sensekit.corpus import AssertionSet, ConceptId, PropertyKey
+from typing import Iterable
+
+from sensekit.corpus import Assertion, AssertionSet, ConceptId, PropertyKey
 from sensekit.semantics import MeaningRecord, PrimitiveRelation
+
+
+def reference_normalize(
+    assertions: Iterable[Assertion],
+) -> tuple[tuple[Assertion, ...], frozenset[ConceptId]]:
+    """AssertionSet's (assertions, concepts): dedupe by dataclass hash, sort by fields."""
+    ordered = tuple(sorted(
+        set(assertions),
+        key=lambda a: (a.property.name, a.property.position or "", a.concept.name, a.polarity),
+    ))
+    return ordered, frozenset(a.concept for a in ordered)
+
+
+def sensible_properties(aset: AssertionSet) -> list[PropertyKey]:
+    """Every property with a sensible assertion, sorted by token, from a full scan."""
+    seen = {a.property.token: a.property for a in aset.assertions if a.is_sensible}
+    return [seen[t] for t in sorted(seen)]
 
 
 def full_scan_extent(aset: AssertionSet, prop: PropertyKey) -> frozenset[ConceptId]:
@@ -39,7 +59,7 @@ def brute_force_hierarchy(aset: AssertionSet):
     concept set.
     """
     nodes: dict[frozenset, list[str]] = {}
-    for prop in aset.sensible_properties():
+    for prop in sensible_properties(aset):
         members = frozenset(c.name for c in full_scan_extent(aset, prop))
         if members:
             nodes.setdefault(members, []).append(prop.token)
@@ -81,7 +101,7 @@ def brute_force_tolerant_hierarchy(aset: AssertionSet, tau: float):
         return len(a - b) <= tau * len(a)
 
     by_extent: dict[frozenset, list[str]] = {}
-    for prop in aset.sensible_properties():
+    for prop in sensible_properties(aset):
         members = frozenset(c.name for c in full_scan_extent(aset, prop))
         if members:
             by_extent.setdefault(members, []).append(prop.token)

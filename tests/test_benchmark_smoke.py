@@ -9,10 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_one_second_benchmark_run_is_correct(tmp_path) -> None:
+# corpus_narrow drives the corpus scan, hierarchy_wide induction, meaning_store the store.
+@pytest.mark.parametrize("workload", ["corpus_narrow", "hierarchy_wide", "meaning_store"])
+def test_one_second_benchmark_run_is_correct(workload: str, tmp_path) -> None:
     # A copy, so the run leaves the checkout's perfbench/_run alone.
     skip = shutil.ignore_patterns("_run", "__pycache__", "*.egg-info")
     for tree in ("src", "perfbench"):
@@ -22,7 +26,7 @@ def test_one_second_benchmark_run_is_correct(tmp_path) -> None:
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
 
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "meaning_store",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "7", "--seconds", "1"],
         cwd=tmp_path,
         capture_output=True,

@@ -533,6 +533,25 @@ def test_non_finite_json_input_exits_2(tmp_path) -> None:
     assert "Infinity is not valid JSON" in proc.stderr
 
 
+def test_fractional_arity_exits_2(tmp_path) -> None:
+    corpus = tmp_path / "c.json"
+    corpus.write_text(
+        '{"assertions": [{"prop": "OLD", "arity": 1.9, "concept": "trip",'
+        ' "polarity": "sensible"}]}',
+        encoding="utf-8",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "sensekit", "induce", str(corpus)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "arity must be 1 or 2, got 1.9" in proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from sensekit.corpus import (
     PropertyKey,
     check_consistency,
     conflict_line_numbers,
+    corpus_from_json,
     corpus_from_json_text,
     corpus_to_json,
     corpus_to_json_text,
@@ -24,10 +26,10 @@ from sensekit.corpus import (
     scan_corpus,
     serialize_corpus,
 )
-from sensekit.errors import CorpusSyntaxError
+from sensekit.errors import CorpusSyntaxError, InputDataError
 
 from conftest import random_assertion_set
-from oracles import full_scan_extent
+from oracles import full_scan_extent, reference_normalize
 
 
 # --- domain type validation ---------------------------------------------------
@@ -132,6 +134,79 @@ def test_conflicting_duplicate_line_numbers_reported() -> None:
     assert lines == {(PropertyKey("OLD"), ConceptId("trip")): (1, 3)}
 
 
+def _strip_comment_by_char(raw: str) -> str:
+    """The comment rule as a character loop: '#' at the start or after isspace()."""
+    for i, ch in enumerate(raw):
+        if ch == "#" and (i == 0 or raw[i - 1].isspace()):
+            return raw[:i]
+    return raw
+
+
+# Every whitespace character that can sit inside a line: \t, \x1f, U+00A0, U+3000, ...
+_IN_LINE_SPACES = [
+    c for c in map(chr, range(sys.maxunicode + 1))
+    if c.isspace() and len(f"a{c}b".splitlines()) == 1
+]
+
+
+@pytest.mark.parametrize("space", _IN_LINE_SPACES, ids=lambda c: f"U+{ord(c):04X}")
+def test_comment_after_any_in_line_whitespace(space: str) -> None:
+    lines = [
+        f"+ OLD trip{space}#{space}note",
+        f"+ POPULAR book#1{space}# a#b",
+        f"{space}# only a comment",
+        f"#{space}leading",
+        f"+ RIDE(human,{space}bike){space}#",
+        "+ NEW x#2",
+    ]
+    stripped = "\n".join(_strip_comment_by_char(line) for line in lines)
+    assert scan_corpus("\n".join(lines)) == scan_corpus(stripped)
+    assert len(scan_corpus(stripped)) == 5
+
+
+def test_in_line_spaces_cover_the_known_cases() -> None:
+    assert {"\t", " ", "\x1f", "\u00a0", "\u3000"} <= set(_IN_LINE_SPACES)
+    assert not {"\n", "\r", "\x0b", "\x85", "\u2028"} & set(_IN_LINE_SPACES)
+
+
+def test_scan_shares_equal_tokens_and_repeated_facts() -> None:
+    scanned = scan_corpus(
+        "+ OLD trip\n+ HEAVY trip\n+ OLD trip\n+ RIDE(trip, human)\n+ RIDE@agent trip\n"
+    )
+    old, heavy, again, agent, obj, written = (a for _, a in scanned)
+    assert old.concept is heavy.concept is again.concept is agent.concept
+    assert again is old
+    assert written is agent
+    assert agent.property.token == "RIDE@agent" and obj.property.token == "RIDE@object"
+
+
+def test_json_shares_equal_tokens() -> None:
+    entry = {"prop": "RIDE", "arity": 2, "position": "agent", "polarity": "sensible"}
+    rows = [{**entry, "concept": "bike"}, {**entry, "concept": "car"},
+            {**entry, "concept": "bike", "polarity": "nonsensical"}]
+    aset = corpus_from_json({"assertions": rows})
+    props = {id(a.property) for a in aset.assertions}
+    concepts = {id(a.concept) for a in aset.assertions}
+    assert len(props) == 1 and len(concepts) == 2
+
+
+@pytest.mark.parametrize(
+    ("bad_line", "message"),
+    [
+        ("+ OLD Trip", "invalid concept id 'Trip'"),
+        ("+ RIDE(trip, Bike)", "invalid concept id 'Bike'"),
+        ("+ RIDE(Bike, trip)", "invalid concept id 'Bike'"),
+        ("+ OLD trip#0", "invalid concept id 'trip#0'"),
+    ],
+)
+def test_bad_token_on_a_late_line_reports_that_line(bad_line: str, message: str) -> None:
+    good = "+ OLD trip\n+ RIDE(trip, bike)\n# gap\n\n- HEAVY trip\n"
+    with pytest.raises(CorpusSyntaxError) as err:
+        scan_corpus(good + bad_line + "\n" + bad_line + "\n")
+    assert err.value.line == 6
+    assert message in str(err.value)
+
+
 # --- extents ---------------------------------------------------------------------
 
 def test_extent_excludes_nonsensical() -> None:
@@ -213,6 +288,43 @@ def test_json_shape() -> None:
     ]
 
 
+def test_json_missing_arity_means_unary() -> None:
+    entry = {"prop": "OLD", "concept": "trip", "polarity": "sensible"}
+    aset = corpus_from_json({"assertions": [entry]})
+    assert aset.assertions[0].property == PropertyKey("OLD")
+
+
+@pytest.mark.parametrize("arity", [1.9, 2.7, 1.0, "1", True, False, None, [1], 0, 3, 10**30])
+def test_json_arity_must_be_the_integer_1_or_2(arity) -> None:
+    entry = {"prop": "OLD", "arity": arity, "concept": "trip", "polarity": "sensible"}
+    with pytest.raises(InputDataError, match=r"assertion 0: arity must be 1 or 2, got"):
+        corpus_from_json({"assertions": [entry]})
+
+
+@pytest.mark.parametrize(
+    ("entries", "message"),
+    [
+        ([{"prop": "RIDE", "position": ["agent"]}],
+         "corpus JSON: assertion 0: arity-1 properties take no position"),
+        ([{"prop": "RIDE", "arity": 2, "position": ["agent"]}],
+         "corpus JSON: assertion 0: arity-2 properties need position 'agent' or 'object', "
+         "got ['agent']"),
+        ([{"prop": "RIDE", "arity": 2, "position": "agent"},
+          {"prop": "RIDE", "arity": 2, "position": ["agent"]}],
+         "corpus JSON: assertion 1: arity-2 properties need position 'agent' or 'object', "
+         "got ['agent']"),
+        ([{"prop": "bad", "arity": 3}],
+         "corpus JSON: assertion 0: invalid property name 'bad': expected an uppercase token"),
+        ([{"prop": "RIDE", "arity": 3}], "corpus JSON: assertion 0: arity must be 1 or 2, got 3"),
+    ],
+)
+def test_json_property_errors_keep_their_message(entries: list[dict], message: str) -> None:
+    rows = [{"concept": "book", "polarity": "sensible", **e} for e in entries]
+    with pytest.raises(InputDataError) as err:
+        corpus_from_json({"assertions": rows})
+    assert str(err.value) == message
+
+
 # --- property-based invariants --------------------------------------------------------
 
 _concepts = st.sampled_from([f"c{i}" for i in range(6)])
@@ -258,24 +370,42 @@ _neighbour_props = st.sampled_from(
     [PropertyKey("A"), PropertyKey("A-B"), PropertyKey("A0"), PropertyKey("AB")]
     + [PropertyKey(n, arity=2, position=p) for n in ("A", "A-B") for p in (AGENT, OBJECT)]
 )
+_neighbour_lists = st.lists(
+    st.builds(
+        Assertion,
+        property=st.one_of(_neighbour_props, _unary, _binary),
+        concept=(_concepts | st.sampled_from(["c0#1", "c0#2"])).map(ConceptId),
+        polarity=st.sampled_from([SENSIBLE, NONSENSICAL]),
+    ),
+    max_size=60,
+)
 
 
 @given(
-    st.lists(
-        st.builds(
-            Assertion,
-            property=st.one_of(_neighbour_props, _unary, _binary),
-            concept=_concepts.map(ConceptId),
-            polarity=st.sampled_from([SENSIBLE, NONSENSICAL]),
-        ),
-        max_size=60,
-    ),
+    _neighbour_lists,
     st.lists(st.one_of(_neighbour_props, _unary, _binary), min_size=1, max_size=6),
 )
 def test_prop_extent_equals_full_scan(items: list[Assertion], props: list[PropertyKey]) -> None:
     aset = AssertionSet(tuple(items))
     for prop in props:
         assert extent(aset, prop) == full_scan_extent(aset, prop)
+
+
+@given(
+    _neighbour_lists,
+    st.randoms(use_true_random=False),
+)
+def test_prop_normalize_equals_reference(items: list[Assertion], rng: random.Random) -> None:
+    # Equal-but-distinct copies of some items, and some items twice.
+    copies = [
+        Assertion(PropertyKey(a.property.name, a.property.arity, a.property.position),
+                  ConceptId(a.concept.name), a.polarity)
+        for a in items if rng.random() < 0.3
+    ]
+    mixed = items + copies + [a for a in items if rng.random() < 0.2]
+    rng.shuffle(mixed)
+    aset = AssertionSet(tuple(mixed))
+    assert (aset.assertions, aset.concepts) == reference_normalize(mixed)
 
 
 @given(st.sampled_from(["MAKE", "RIDE"]), _concepts, _concepts)

@@ -1,0 +1,51 @@
+"""Byte-identity guard: the sha256 of `ingest` and `induce` stdout, and of
+serialize_corpus, for every corpus in tests/data.
+
+A change to any digest is a change to sensekit's output format and must be
+deliberate; record the new digest together with the reason."""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from sensekit.cli import main
+from sensekit.corpus import parse_corpus, serialize_corpus
+
+DATA_DIR = Path(__file__).parent / "data"
+
+DIGESTS = {
+    "branch_split.sense": {
+        "ingest": "b361eef1115fbd1938261ce62da2c208f4878cd6468c6d97c734784e13ff2a31",
+        "induce": "a523ec98e1b9a2dbcfb2e5fd8fc3add130a079a3959c6178c6099ac5d084d568",
+        "serialize": "51ca25a44c9f6821ae5fdd3d91658dec846bc1b82283237877322e787212abb3",
+    },
+    "leaf_hierarchy.sense": {
+        "ingest": "e29c56fe5388f4c87e113d0805ccd126d5485647587090db37fe508c0baf132d",
+        "induce": "b9edba35a183f1e5f70be7c79640d48997aa819e03a5f746b9efbc32e8960e4e",
+        "serialize": "277451a83c0a6d54426a77b098a568704dd2241207c555852049610be729eaf6",
+    },
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_every_data_corpus_has_digests() -> None:
+    assert sorted(p.name for p in DATA_DIR.glob("*.sense")) == sorted(DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+@pytest.mark.parametrize("command", ["ingest", "induce"])
+def test_cli_stdout_digest(name: str, command: str, capsys) -> None:
+    assert main([command, str(DATA_DIR / name)]) == 0
+    assert _sha(capsys.readouterr().out) == DIGESTS[name][command]
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_serialize_corpus_digest(name: str) -> None:
+    text = (DATA_DIR / name).read_text(encoding="utf-8")
+    assert _sha(serialize_corpus(parse_corpus(text))) == DIGESTS[name]["serialize"]
