@@ -324,13 +324,17 @@ def corpus_from_json(data: object) -> AssertionSet:
         if not isinstance(entry, dict):
             raise InputDataError(f"corpus JSON: assertion {i} is not an object")
         try:
-            name = str(entry["prop"])
+            name, concept, polarity = entry["prop"], entry["concept"], entry["polarity"]
+            if not name.__class__ is concept.__class__ is polarity.__class__ is str:
+                key = next(k for k in ("prop", "concept", "polarity")
+                           if entry[k].__class__ is not str)
+                raise ValueError(f"{key} must be a string, got {entry[key]!r}")
             arity = entry.get("arity", 1)
             if type(arity) is not int:  # PropertyKey rejects other ints after the name
                 raise ValueError(f"arity must be 1 or 2, got {arity!r}")
             prop = _interned(memo, PropertyKey, name, arity, entry.get("position"))
-            concept = _interned(memo, ConceptId, str(entry["concept"]))
-            assertions.append(Assertion(prop, concept, str(entry["polarity"])))
+            concept = _interned(memo, ConceptId, concept)
+            assertions.append(Assertion(prop, concept, polarity))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputDataError(f"corpus JSON: assertion {i}: {exc}") from exc
     return AssertionSet(tuple(assertions))

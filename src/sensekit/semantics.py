@@ -14,10 +14,12 @@ from other inventories (Inst, HasAgent, ...) resolve through an alias table.
 from __future__ import annotations
 
 import enum
+import functools
 import os
 import re
 import tempfile
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from . import jsonio
@@ -373,6 +375,9 @@ def _validate_dims(
     return clean
 
 
+_NO_WEIGHTS: Mapping[str, float] = MappingProxyType({})
+
+
 @dataclass(frozen=True)
 class MeaningRecord:
     """Weighted property sets along primitive-relation dimensions for one sense."""
@@ -390,6 +395,23 @@ class MeaningRecord:
     def dimension(self, relation: PrimitiveRelation) -> tuple[WeightedProperty, ...]:
         """Pairs along one dimension; absent dimensions are empty, not errors."""
         return self.dims.get(relation, ())
+
+    def weights(self, relation: PrimitiveRelation) -> Mapping[str, float]:
+        """{token: weight} along one dimension; absent dimensions are empty.
+
+        The index is built on the first call and shared by later ones, so
+        callers must not mutate it, just as they must not mutate dims.
+        """
+        return self._weights.get(relation, _NO_WEIGHTS)
+
+    # Not a field: cached_property writes the instance __dict__ directly, so
+    # the frozen fields, __eq__ and repr never see the index.
+    @functools.cached_property
+    def _weights(self) -> dict[PrimitiveRelation, dict[str, float]]:
+        return {
+            relation: {token: weight for weight, token in pairs}
+            for relation, pairs in self.dims.items()
+        }
 
 
 def build_meaning(
@@ -448,11 +470,14 @@ def meaning_record_from_json(data: object, *, where: str = "meaning record") -> 
     if not isinstance(data, dict):
         raise MeaningStoreError(f"{where}: record must be an object")
     try:
-        sense = str(data["sense"])
-        gloss = str(data.get("gloss", ""))
+        sense = data["sense"]
+        gloss = data.get("gloss", "")
         raw_dims = data["dims"]
     except KeyError as exc:
         raise MeaningStoreError(f"{where}: missing field {exc}") from exc
+    if not sense.__class__ is gloss.__class__ is str:
+        name = "sense" if sense.__class__ is not str else "gloss"
+        raise MeaningStoreError(f"{where}: {name!r} must be a string, got {data[name]!r}")
     if not isinstance(raw_dims, dict):
         raise MeaningStoreError(f"{where}: 'dims' must be an object")
     dims: dict[PrimitiveRelation, list[WeightedProperty]] = {}
@@ -468,16 +493,21 @@ def meaning_record_from_json(data: object, *, where: str = "meaning record") -> 
         pairs: list[WeightedProperty] = []
         for raw in raw_pairs:
             try:
-                weight, token = float(raw[0]), str(raw[1])
-            except (LookupError, TypeError, ValueError, OverflowError) as exc:
+                weight, token = raw
+            except (TypeError, ValueError):
+                weight = token = None
+            # [JSON number, string]; bool is not a number here.
+            if token.__class__ is not str or (
+                weight.__class__ is not float and weight.__class__ is not int
+            ):
                 raise MeaningStoreError(
                     f"{where}, dimension {rel_name!r}: malformed pair {raw!r}"
-                ) from exc
+                )
             pairs.append((weight, token))
         dims[relation] = pairs
     try:
         return MeaningRecord(sense=sense, gloss=gloss, dims=dims)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int weight past float range
         raise MeaningStoreError(f"{where}: {exc}") from exc
 
 

@@ -4,8 +4,9 @@ These deliberately avoid the production code paths: normalization hashes
 the assertion dataclasses, extents and sensible properties come from a full
 scan of the assertions, the conflict oracle ignores assertion order,
 the hierarchy oracles work directly on the (tolerant) inclusion relation
-between extents, and the similarity oracle enumerates all cross-pairs
-instead of joining on a token index.  All are slow and obviously correct.
+between extents, and the similarity and join oracles enumerate all
+cross-pairs instead of probing a token index.  All are slow and obviously
+correct.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Iterable
 
 from sensekit.corpus import Assertion, AssertionSet, ConceptId, PropertyKey
 from sensekit.semantics import MeaningRecord, PrimitiveRelation
+from sensekit.similarity import MatchedPair
 
 
 def reference_normalize(
@@ -162,3 +164,15 @@ def brute_force_dimension_similarity(
     for token in sorted(matches):
         total += matches[token]
     return total / len(matches)
+
+
+def reference_dimension_join(
+    a: MeaningRecord, b: MeaningRecord, dim: PrimitiveRelation
+) -> frozenset[MatchedPair]:
+    """Every cross pair of entries whose property tokens are equal."""
+    return frozenset(
+        MatchedPair(left=left, right=right)
+        for left in a.dimension(dim)
+        for right in b.dimension(dim)
+        if left[1] == right[1]
+    )

@@ -339,6 +339,18 @@ def test_sim_malformed_store_exit_2(tmp_path, capsys) -> None:
     assert code == 2
 
 
+def test_sim_string_weight_exit_2(tmp_path, capsys) -> None:
+    store = tmp_path / "quoted.json"
+    store.write_text(
+        json.dumps([{"sense": "a#1", "gloss": "", "dims": {"hasProp": [["0.5", "x"]]}}]),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "sim", "a#1", "a#1", "--store", str(store))
+    assert code == 2
+    assert out == ""
+    assert "malformed pair ['0.5', 'x']" in err
+
+
 # --- elicit -----------------------------------------------------------------------
 
 def test_elicit_mock_book(capsys) -> None:

@@ -301,6 +301,16 @@ def test_json_arity_must_be_the_integer_1_or_2(arity) -> None:
         corpus_from_json({"assertions": [entry]})
 
 
+@pytest.mark.parametrize("field", ["prop", "concept", "polarity"])
+@pytest.mark.parametrize("value", ["1e400", "1", "true", "null", '["OLD"]', '{"x": 1}'])
+def test_json_text_fields_must_be_strings(field: str, value: str) -> None:
+    # JSON text, so that 1e400 reaches the loader as the float inf.
+    entry = {"prop": '"OLD"', "concept": '"trip"', "polarity": '"sensible"', field: value}
+    text = '{"assertions": [{' + ", ".join(f'"{k}": {v}' for k, v in entry.items()) + "}]}"
+    with pytest.raises(InputDataError, match=rf"assertion 0: {field} must be a string, got"):
+        corpus_from_json_text(text)
+
+
 @pytest.mark.parametrize(
     ("entries", "message"),
     [

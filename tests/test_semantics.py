@@ -4,9 +4,10 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sensekit.corpus import Assertion, ConceptId, PropertyKey, NONSENSICAL, SENSIBLE
-from sensekit.elicitation import MockProvider
+from sensekit.elicitation import MockProvider, elicit
 from sensekit.errors import ConfigError, InputDataError, LexiconError, MeaningStoreError
 from sensekit.semantics import (
     DEFAULT_DIMS,
@@ -409,6 +410,94 @@ def test_store_duplicate_sense_rejected() -> None:
 def test_store_rejects_non_array() -> None:
     with pytest.raises(MeaningStoreError):
         meanings_from_json_text('{"sense": "w"}')
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [["0.5", "x"], [True, "x"], [False, "x"], [None, "x"], [[0.5], "x"], [0.5, 7],
+     [0.5, None], [0.5, ["x"]], [0.5, "x", "extra"], [0.5], [], "0.5x", "ab",
+     {"x": 1}, 0.5],
+)
+def test_store_pair_must_be_a_number_and_a_string(pair) -> None:
+    text = json.dumps([{"sense": "w", "dims": {"hasProp": [pair]}}])
+    with pytest.raises(MeaningStoreError, match=r"record 0, dimension 'hasProp': malformed pair"):
+        meanings_from_json_text(text)
+
+
+def test_store_integer_weight_loads_as_float() -> None:
+    (record,) = meanings_from_json_text('[{"sense": "w", "dims": {"hasProp": [[1, "x"]]}}]')
+    ((weight, _),) = record.dimension(REL.HAS_PROP)
+    assert weight.__class__ is float and weight == 1.0
+    huge = json.dumps([{"sense": "w", "dims": {"hasProp": [[10**400, "x"]]}}])
+    with pytest.raises(MeaningStoreError, match=r"record 0: int too large to convert to float"):
+        meanings_from_json_text(huge)
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [("sense", 1e400), ("sense", None), ("sense", 7), ("sense", ["w"]),
+     ("gloss", None), ("gloss", 0.5), ("gloss", True), ("gloss", {"text": "x"})],
+)
+def test_store_sense_and_gloss_must_be_strings(field: str, value) -> None:
+    raw = {"sense": "w", "gloss": "", "dims": {}, field: value}
+    text = json.dumps([raw]).replace("Infinity", "1e400")  # the float parser reads inf
+    with pytest.raises(MeaningStoreError, match=rf"record 0: '{field}' must be a string"):
+        meanings_from_json_text(text)
+
+
+# --- the token -> weight index ---------------------------------------------------
+
+_INDEX_TOKENS = ["alpha", "beta", "gamma", "delta", "epsilon"]
+
+
+@st.composite
+def _records(draw) -> MeaningRecord:
+    """A record from the constructor, build_meaning, the store loader or elicit."""
+    source = draw(st.sampled_from(["init", "build", "json", "elicit"]))
+    if source == "elicit":
+        dims = draw(st.lists(st.sampled_from([REL.AGENT_OF, REL.OBJECT_OF, REL.HAS_PROP]),
+                             min_size=1, max_size=3, unique=True))
+        return elicit(MockProvider.from_file(), "game", dims, draw(st.integers(1, 25))).record
+    if source == "build":
+        counted = draw(st.lists(
+            st.tuples(st.sampled_from(list(REL)), st.sampled_from(_INDEX_TOKENS),
+                      st.integers(1, 9)),
+            min_size=1, max_size=12,
+        ))
+        return build_meaning("w", [(PrimitiveTriple("w", rel, tok), n) for rel, tok, n in counted])
+    dims = draw(st.dictionaries(
+        st.sampled_from(list(REL)),
+        st.dictionaries(st.sampled_from(_INDEX_TOKENS),
+                        st.floats(0.0, 1.0, exclude_min=True), max_size=5),
+        max_size=4,
+    ))
+    record = MeaningRecord("w", "", {
+        rel: tuple((w, t) for t, w in pairs.items()) for rel, pairs in dims.items()
+    })
+    if source == "json":
+        (record,) = meanings_from_json_text(meanings_to_json_text([record]))
+    return record
+
+
+@settings(max_examples=150, deadline=None)
+@given(_records())
+def test_prop_weights_index_each_dimension(record: MeaningRecord) -> None:
+    twin = MeaningRecord(record.sense, record.gloss, record.dims)
+    before = repr(record)
+    for relation in REL:  # absent dimensions included
+        assert record.weights(relation) == {t: w for w, t in record.dimension(relation)}
+        assert record.weights(relation) is record.weights(relation)
+    assert repr(record) == before
+    assert record == twin and twin == record
+
+
+def test_absent_dimension_weights_are_empty_and_read_only() -> None:
+    record = MeaningRecord("w", "", {REL.HAS_PROP: ((1.0, "x"),)})
+    absent = record.weights(REL.PART_OF)
+    assert len(absent) == 0
+    with pytest.raises(TypeError):
+        absent["x"] = 1.0  # type: ignore[index]
+    assert record.weights(REL.IS_A) == {}
 
 
 def test_default_dims_are_the_standard_five() -> None:

@@ -16,7 +16,7 @@ from sensekit.similarity import (
     feature_sim,
 )
 
-from oracles import brute_force_dimension_similarity
+from oracles import brute_force_dimension_similarity, reference_dimension_join
 
 REL = PrimitiveRelation
 
@@ -239,6 +239,15 @@ def test_dimension_similarity_is_mean_of_feature_sim_over_join() -> None:
                     total += feature_sim(pair.left, pair.right)
                 expected = total / len(pairs)
             assert dimension_similarity(a, b, dim) == expected  # bit-identical
+
+
+def test_join_equals_cross_pair_reference_over_random_records() -> None:
+    rng = random.Random(1207)
+    for _ in range(300):
+        a = random_record(rng, "a")
+        b = random_record(rng, "b")
+        for dim in PrimitiveRelation:  # random_record never fills isA and others
+            assert dimension_join(a, b, dim) == reference_dimension_join(a, b, dim)
 
 
 def test_perturbation_bound_over_random_records() -> None:
