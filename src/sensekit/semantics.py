@@ -507,7 +507,9 @@ def meaning_record_from_json(data: object, *, where: str = "meaning record") -> 
         dims[relation] = pairs
     try:
         return MeaningRecord(sense=sense, gloss=gloss, dims=dims)
-    except (ValueError, OverflowError) as exc:  # OverflowError: an int weight past float range
+    # OverflowError: an int weight past float range; MeaningStoreError: a weight
+    # outside (0, 1] or a repeated token, reported by the record itself.
+    except (ValueError, OverflowError, MeaningStoreError) as exc:
         raise MeaningStoreError(f"{where}: {exc}") from exc
 
 

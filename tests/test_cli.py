@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sensekit.cli import main
+from sensekit.elicitation import TEMPLATE_SETS
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -339,6 +340,33 @@ def test_sim_malformed_store_exit_2(tmp_path, capsys) -> None:
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    ("pairs", "detail"),
+    [
+        ([[1.5, "x"]], "weight 1.5 outside (0, 1]"),
+        ([[0.5, "x"], [0.2, "x"]], "duplicate property token 'x'"),
+    ],
+    ids=["weight-out-of-range", "duplicate-token"],
+)
+def test_store_record_error_names_file_and_record(pairs, detail, tmp_path) -> None:
+    (tmp_path / "w.json").write_text(
+        json.dumps([{"sense": "a#1", "gloss": "", "dims": {"hasProp": pairs}}]), encoding="utf-8"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "sensekit", "sim", "a#1", "a#1", "--store", "w.json"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: meaning store w.json: record 0: record 'a#1', dimension 'hasProp': {detail}\n"
+    )
+
+
 def test_sim_string_weight_exit_2(tmp_path, capsys) -> None:
     store = tmp_path / "quoted.json"
     store.write_text(
@@ -647,6 +675,19 @@ def test_induce_deterministic_across_hash_seeds(tmp_path) -> None:
     assert outputs[0] == outputs[1]
 
 
+def test_templates_choices_are_the_template_sets(capsys) -> None:
+    with pytest.raises(SystemExit):
+        main(["elicit", "--help"])
+    assert "{" + ",".join(sorted(TEMPLATE_SETS)) + "}" in capsys.readouterr().out
+    code, out, err = run_cli(capsys, "elicit", "--subject", "book", "--templates", "bogus")
+    assert code == 5
+    assert out == ""
+    assert err == (
+        "error: sensekit elicit: argument --templates: invalid choice: 'bogus' "
+        "(choose from 'book-fixture', 'default')\n"
+    )
+
+
 def test_elicit_idempotent_byte_identical(capsys) -> None:
     argv = (
         "elicit", "--subject", "book",
@@ -765,6 +806,52 @@ def test_sim_weights_summing_past_float_max_exit_2(other, tmp_path, capsys) -> N
     assert code == 2
     assert out == ""
     assert "not finite" in err
+
+
+_FOOTPRINT = """
+import contextlib, io, json, sys
+import sensekit
+code = None
+if sys.argv[1:]:
+    from sensekit.cli import main
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("sensekit."))]))
+"""
+
+
+@pytest.mark.parametrize(
+    ("argv", "absent"),
+    [
+        ([], {"cli", "corpus", "jsonio", "hierarchy", "semantics", "similarity", "elicitation"}),
+        (["ingest", "leaf.sense"], {"hierarchy", "semantics", "similarity", "elicitation"}),
+        (["induce", "leaf.sense"], {"semantics", "similarity", "elicitation"}),
+        (
+            ["nominalize", "leaf.sense", "--lexicon", "lex.json"],
+            {"hierarchy", "similarity", "elicitation"},
+        ),
+        (["sim", "book#1", "publication#3", "--store", "store.json"], {"hierarchy", "elicitation"}),
+    ],
+    ids=["bare-import", "ingest", "induce", "nominalize", "sim"],
+)
+def test_each_command_imports_only_its_layers(argv, absent, tmp_path) -> None:
+    (tmp_path / "leaf.sense").write_text(LEAF, encoding="utf-8")
+    (tmp_path / "lex.json").write_text(json.dumps(LEXICON), encoding="utf-8")
+    (tmp_path / "store.json").write_text(STORE, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == (0 if argv else None)
+    loaded = {name.removeprefix("sensekit.") for name in loaded}
+    assert "errors" in loaded
+    assert not loaded & absent, f"{argv}: loaded {sorted(loaded & absent)}"
 
 
 def test_import_leaves_requests_unloaded() -> None:
