@@ -28,6 +28,7 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring as _encode  # the encoder jsonio.dumps uses
 from typing import Iterable
 
 from . import jsonio
@@ -98,17 +99,16 @@ class PropertyKey:
             raise ValueError(
                 f"invalid property name {self.name!r}: expected an uppercase token"
             )
+        if type(self.arity) is not int or self.arity not in (1, 2):  # True and 1.0 equal 1
+            raise ValueError(f"arity must be 1 or 2, got {self.arity!r}")
         if self.arity == 1:
             if self.position is not None:
                 raise ValueError("arity-1 properties take no position")
-        elif self.arity == 2:
-            if self.position not in (AGENT, OBJECT):
-                raise ValueError(
-                    f"arity-2 properties need position 'agent' or 'object', "
-                    f"got {self.position!r}"
-                )
-        else:
-            raise ValueError(f"arity must be 1 or 2, got {self.arity}")
+        elif self.position not in (AGENT, OBJECT):
+            raise ValueError(
+                f"arity-2 properties need position 'agent' or 'object', "
+                f"got {self.position!r}"
+            )
 
     @property
     def token(self) -> str:
@@ -297,6 +297,12 @@ def conflict_line_numbers(
 # --- JSON export / import ---------------------------------------------------
 
 def corpus_to_json(aset: AssertionSet) -> dict:
+    """The corpus as a JSON value.
+
+    corpus_to_json_text renders the same document as text:
+    ``corpus_to_json_text(s) == jsonio.dumps(corpus_to_json(s))`` for every
+    AssertionSet s.
+    """
     return {
         "assertions": [
             {
@@ -312,7 +318,27 @@ def corpus_to_json(aset: AssertionSet) -> dict:
 
 
 def corpus_to_json_text(aset: AssertionSet) -> str:
-    return jsonio.dumps(corpus_to_json(aset))
+    """jsonio.dumps(corpus_to_json(aset)), rendered without building the dicts.
+
+    An assertion's object is its property's head (up to ``"concept": ``),
+    the encoded concept, and a tail from ``"polarity"`` to the closing brace,
+    with the keys in the sorted order dumps() writes.  A property's
+    assertions are one run of the sorted set, so its head and tails are made
+    once per run.  Strings go through dumps()'s own encoder.
+    """
+    objects = []
+    prop = None
+    for a in aset.assertions:
+        if a.property is not prop:
+            prop = a.property
+            head = f'{{\n      "arity": {prop.arity},\n      "concept": '
+            position = "null" if prop.position is None else _encode(prop.position)
+            tail = f',\n      "position": {position},\n      "prop": {_encode(prop.name)}\n    }}'
+            tails = {p: f',\n      "polarity": {_encode(p)}{tail}' for p in (SENSIBLE, NONSENSICAL)}
+        objects.append(head + _encode(a.concept.name) + tails[a.polarity])
+    if not objects:
+        return '{\n  "assertions": []\n}\n'
+    return '{\n  "assertions": [\n    ' + ",\n    ".join(objects) + "\n  ]\n}\n"
 
 
 def corpus_from_json(data: object) -> AssertionSet:

@@ -337,7 +337,7 @@ def export_dot(dag: TypeDag, labels: Mapping[str, str] | None = None) -> str:
         caption.append(", ".join(node.characteristic_properties) or "(no properties)")
         if node.direct_members:
             caption.append("members: " + ", ".join(sorted(node.direct_members)))
-        text = _dot_escape("\\n".join(caption))
+        text = "\\n".join(map(_dot_escape, caption))  # DOT's line break, unescaped
         lines.append(f'  n{node.id} [label="{text}"];')
     for parent, child in sorted(dag.edges):
         lines.append(f"  n{parent} -> n{child};")

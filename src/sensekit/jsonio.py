@@ -1,9 +1,12 @@
 """Canonical JSON and the file reader shared by all file formats and the CLI.
 
-Every serializer in the package goes through dumps() so that identical
+Every serializer in the package writes dumps()'s format, so identical
 values always produce byte-identical output: sorted keys, two-space
 indentation, a trailing newline, and strict JSON (NaN and infinities raise
-ValueError instead of being written).  dumps() is sensekit's own writer.
+ValueError instead of being written).  All but one call dumps(); the
+corpus export, corpus_to_json_text, renders the same bytes directly with
+the same string encoder, and a test pins it to dumps() of the corpus's
+JSON value.  dumps() is sensekit's own writer.
 Its output equals, byte for byte, ``json.dumps(obj, indent=2,
 sort_keys=True, ensure_ascii=False, allow_nan=False)`` plus the newline,
 and it raises the same errors.  It exists because the stdlib uses its C

@@ -4,8 +4,9 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from sensekit import jsonio
 from sensekit.corpus import (
     AGENT,
     NONSENSICAL,
@@ -60,6 +61,8 @@ def test_property_key_positions() -> None:
         {"name": "RIDE", "arity": 2, "position": None},
         {"name": "RIDE", "arity": 2, "position": "driver"},
         {"name": "RIDE", "arity": 3, "position": AGENT},
+        {"name": "OLD", "arity": True},
+        {"name": "RIDE", "arity": 2.0, "position": AGENT},
     ],
 )
 def test_property_key_rejects_invalid(kwargs: dict) -> None:
@@ -337,7 +340,7 @@ def test_json_property_errors_keep_their_message(entries: list[dict], message: s
 
 # --- property-based invariants --------------------------------------------------------
 
-_concepts = st.sampled_from([f"c{i}" for i in range(6)])
+_concepts = st.sampled_from([f"c{i}" for i in range(6)] + ["c0#1", "c3#2"])
 _unary = st.sampled_from(["ALPHA", "BETA", "GAMMA"]).map(PropertyKey)
 _binary = st.tuples(
     st.sampled_from(["REL", "LINK"]), st.sampled_from([AGENT, OBJECT])
@@ -356,6 +359,12 @@ _assertion_sets = st.lists(_assertions, max_size=40).map(
 @given(_assertion_sets)
 def test_prop_round_trip_identity(aset: AssertionSet) -> None:
     assert parse_corpus(serialize_corpus(aset)) == aset
+
+
+@given(_assertion_sets)
+@example(AssertionSet(()))
+def test_prop_json_text_equals_dumps_of_json(aset: AssertionSet) -> None:
+    assert corpus_to_json_text(aset) == jsonio.dumps(corpus_to_json(aset))
 
 
 @given(_assertion_sets)

@@ -17,6 +17,11 @@ from sensekit.corpus import parse_corpus, serialize_corpus
 DATA_DIR = Path(__file__).parent / "data"
 
 DIGESTS = {
+    "binary_relations.sense": {
+        "ingest": "e47218783f279b10f068a13bede4f3f607d18a057d330e369dc69c0f0dcf27e8",
+        "induce": "0efae9a896ef36cf55f5ffa3fb49ec2a4708adfea881618c0f84cbe684972f8f",
+        "serialize": "e8c8f17b7f728ab626fa39fd8c00d4cec03723e1498644e5a721e61dcc452605",
+    },
     "branch_split.sense": {
         "ingest": "b361eef1115fbd1938261ce62da2c208f4878cd6468c6d97c734784e13ff2a31",
         "induce": "a523ec98e1b9a2dbcfb2e5fd8fc3add130a079a3959c6178c6099ac5d084d568",

@@ -433,6 +433,14 @@ def test_dot_with_label_map(leaf_corpus) -> None:
     assert "physical" in dot
 
 
+def test_dot_caption_lines_break_and_label_text_stays_escaped() -> None:
+    dag = induce(parse_corpus("+ OLD trip\n+ OLD book\n+ RED book\n"))
+    dot = export_dot(dag, labels={"RED": 'say "hi" \\ there'})
+    # One backslash before n: DOT's line break, not an escaped backslash.
+    assert '  n0 [label="OLD\\nmembers: trip"];\n' in dot
+    assert '  n1 [label="say \\"hi\\" \\\\ there\\nRED\\nmembers: book"];\n' in dot
+
+
 def test_dot_deterministic(leaf_corpus) -> None:
     dag1 = induce(leaf_corpus)
     dag2 = induce(leaf_corpus)
