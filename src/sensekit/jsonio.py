@@ -3,10 +3,13 @@
 Every serializer in the package writes dumps()'s format, so identical
 values always produce byte-identical output: sorted keys, two-space
 indentation, a trailing newline, and strict JSON (NaN and infinities raise
-ValueError instead of being written).  All but one call dumps(); the
-corpus export, corpus_to_json_text, renders the same bytes directly with
-the same string encoder, and a test pins it to dumps() of the corpus's
-JSON value.  dumps() is sensekit's own writer.
+ValueError instead of being written).  All but two call dumps(); the
+corpus export, corpus.corpus_to_json_text, and the meaning store,
+semantics.meanings_to_json_text, render the same bytes directly with the
+same string encoder, and property tests pin each to dumps() of its JSON
+value (test_prop_json_text_equals_dumps_of_json in tests/test_corpus.py,
+test_prop_store_text_equals_dumps_of_json in tests/test_semantics.py).
+dumps() is sensekit's own writer.
 Its output equals, byte for byte, ``json.dumps(obj, indent=2,
 sort_keys=True, ensure_ascii=False, allow_nan=False)`` plus the newline,
 and it raises the same errors.  It exists because the stdlib uses its C

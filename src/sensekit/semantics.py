@@ -17,7 +17,6 @@ import enum
 import functools
 import os
 import re
-import tempfile
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -514,12 +513,60 @@ def meaning_record_from_json(data: object, *, where: str = "meaning record") -> 
 
 
 def meanings_to_json_text(records: Iterable[MeaningRecord]) -> str:
+    """jsonio.dumps() of the records' meaning_record_to_json(), sorted by sense,
+    rendered without building the dicts.
+
+    A record is its dims, gloss and sense in dumps()'s key order; each
+    dimension's pairs are one join of weight and token texts at their fixed
+    indents.  Senses, glosses and tokens go through dumps()'s own encoder;
+    relation names need no escaping.  A gloss or token that is not a string,
+    which load_meanings would reject, raises MeaningStoreError.
+    """
     ordered = sorted(records, key=lambda r: r.sense)
     senses = [r.sense for r in ordered]
     for a, b in zip(senses, senses[1:]):
         if a == b:
             raise MeaningStoreError(f"duplicate sense {a!r} in meaning store")
-    return jsonio.dumps([meaning_record_to_json(r) for r in ordered])
+    if not ordered:
+        return "[]\n"
+    encode = jsonio._encode
+    # Texts of the weights and tokens seen so far.  _validate_dims stores every
+    # weight as an exact float in (0, 1], so no -0.0 (equal to 0.0 but printed
+    # apart), NaN or infinity reaches this memo; jsonio.dumps() cannot memoise
+    # floats for that reason.
+    numbers: dict[float, str] = {}
+    strings: dict[str, str] = {}
+    objects = []
+    for record in ordered:
+        dims = []
+        try:
+            for relation, pairs in sorted(record.dims.items(), key=lambda kv: kv[0].value):
+                items = []
+                for weight, token in sorted(pairs, key=lambda p: (-p[0], p[1])):
+                    number = numbers.get(weight)
+                    if number is None:
+                        number = numbers[weight] = float.__repr__(weight)
+                    text = strings.get(token)
+                    if text is None:
+                        text = strings[token] = encode(token)
+                    items.append(f"{number},\n          {text}")
+                listed = "\n        ],\n        [\n          ".join(items)
+                if listed:
+                    listed = f"\n        [\n          {listed}\n        ]\n      "
+                dims.append(f'      "{relation.value}": [{listed}]')
+            gloss = encode(record.gloss)
+        except TypeError:  # from encode(), or from sorting tokens of mixed types
+            raise MeaningStoreError(
+                f"record {record.sense!r}: gloss and property tokens must be strings"
+            ) from None
+        body = "{\n" + ",\n".join(dims) + "\n    }" if dims else "{}"
+        objects.append(
+            f'{{\n    "dims": {body},\n    "gloss": {gloss},\n    "sense": {encode(record.sense)}\n  }}'
+        )
+    # The brackets join the end records, so the store text is copied once.
+    objects[0] = "[\n  " + objects[0]
+    objects[-1] += "\n]\n"
+    return ",\n  ".join(objects)
 
 
 def meanings_from_json_text(text: str, *, what: str = "meaning store") -> tuple[MeaningRecord, ...]:
@@ -538,12 +585,25 @@ def meanings_from_json_text(text: str, *, what: str = "meaning store") -> tuple[
 
 
 def save_meanings(records: Iterable[MeaningRecord], path: str) -> None:
-    """Write the store atomically (single writer, readers never see partial files)."""
+    """Write the store atomically (single writer, readers never see partial files).
+
+    A file that is replaced keeps its permission bits; a new one gets the
+    mode open(path, "w") would give it, 0o666 less the umask.
+    """
     text = meanings_to_json_text(records)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        mode = os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        mode = None
+    # Not tempfile.mkstemp, which makes the file 0600: opening it with 0o666
+    # lets the kernel apply the umask without the process reading it.
+    tmp = f"{os.path.abspath(path)}.{os.urandom(6).hex()}.tmp"
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            if mode is not None:
+                os.chmod(tmp, mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

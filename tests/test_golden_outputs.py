@@ -1,5 +1,6 @@
 """Byte-identity guard: the sha256 of `ingest` and `induce` stdout, and of
-serialize_corpus, for every corpus in tests/data.
+serialize_corpus, for every corpus in tests/data, and of the meaning-store
+text for a loaded store and for elicited records.
 
 A change to any digest is a change to sensekit's output format and must be
 deliberate; record the new digest together with the reason."""
@@ -13,6 +14,8 @@ import pytest
 
 from sensekit.cli import main
 from sensekit.corpus import parse_corpus, serialize_corpus
+from sensekit.elicitation import BOOK_FIXTURE_TEMPLATES, MockProvider, elicit
+from sensekit.semantics import PrimitiveRelation, load_meanings, meanings_to_json_text
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -32,6 +35,11 @@ DIGESTS = {
         "induce": "b9edba35a183f1e5f70be7c79640d48997aa819e03a5f746b9efbc32e8960e4e",
         "serialize": "277451a83c0a6d54426a77b098a568704dd2241207c555852049610be729eaf6",
     },
+}
+
+STORE_DIGESTS = {
+    "meanings_book_publication.json": "f3d2fc709be0a793bc6f5820a85325f7df9d142a7a8ac0c939ed7b1d7764dc76",
+    "elicited-book-game": "f8336860a6894cb1030e44537f7c14a54ee0209d7edeb6756a9a220f1df271ab",
 }
 
 
@@ -54,3 +62,18 @@ def test_cli_stdout_digest(name: str, command: str, capsys) -> None:
 def test_serialize_corpus_digest(name: str) -> None:
     text = (DATA_DIR / name).read_text(encoding="utf-8")
     assert _sha(serialize_corpus(parse_corpus(text))) == DIGESTS[name]["serialize"]
+
+
+def test_loaded_store_text_digest() -> None:
+    records = load_meanings(str(DATA_DIR / "meanings_book_publication.json"))
+    assert _sha(meanings_to_json_text(records)) == STORE_DIGESTS["meanings_book_publication.json"]
+
+
+def test_elicited_store_text_digest() -> None:
+    dims = (PrimitiveRelation.AGENT_OF, PrimitiveRelation.OBJECT_OF, PrimitiveRelation.HAS_PROP)
+    provider = MockProvider.from_file()
+    records = [
+        elicit(provider, "book", dims, 25, BOOK_FIXTURE_TEMPLATES).record,
+        elicit(provider, "game", dims, 15).record,
+    ]
+    assert _sha(meanings_to_json_text(records)) == STORE_DIGESTS["elicited-book-game"]

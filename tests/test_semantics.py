@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from sensekit import jsonio
 from sensekit.corpus import Assertion, ConceptId, PropertyKey, NONSENSICAL, SENSIBLE
 from sensekit.elicitation import MockProvider, elicit
 from sensekit.errors import ConfigError, InputDataError, LexiconError, MeaningStoreError
@@ -443,6 +445,81 @@ def test_store_sense_and_gloss_must_be_strings(field: str, value) -> None:
     text = json.dumps([raw]).replace("Infinity", "1e400")  # the float parser reads inf
     with pytest.raises(MeaningStoreError, match=rf"record 0: '{field}' must be a string"):
         meanings_from_json_text(text)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [MeaningRecord("x", None, {}),  # type: ignore[arg-type]
+     MeaningRecord("x", "", {REL.HAS_PROP: ((0.5, 7),)}),
+     MeaningRecord("x", "", {REL.HAS_PROP: ((0.5, "a"), (0.5, 7))})],  # 7 sorts against "a"
+    ids=["gloss-none", "int-token", "int-token-tied"],
+)
+def test_save_refuses_a_record_that_loading_rejects(record: MeaningRecord, tmp_path) -> None:
+    path = tmp_path / "meanings.json"
+    save_meanings(_sample_records(), str(path))
+    before = path.read_bytes()
+    with pytest.raises(MeaningStoreError, match=r"^record 'x': gloss and property tokens must be strings$"):
+        save_meanings([*_sample_records(), record], str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["meanings.json"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="os.chmod sets only the read-only flag here")
+def test_save_keeps_the_file_mode(tmp_path) -> None:
+    path = tmp_path / "meanings.json"
+    for mode in (0o644, 0o600, 0o640):
+        path.write_text("[]\n", encoding="utf-8")
+        os.chmod(path, mode)
+        save_meanings(_sample_records(), str(path))
+        assert os.stat(path).st_mode & 0o7777 == mode
+    for umask in (0o022, 0o077, 0o002):
+        fresh = tmp_path / f"new-{umask:o}.json"
+        old = os.umask(umask)
+        try:
+            save_meanings(_sample_records(), str(fresh))
+        finally:
+            os.umask(old)
+        assert os.stat(fresh).st_mode & 0o7777 == 0o666 & ~umask
+    assert load_meanings(str(path)) == load_meanings(str(fresh))
+
+
+_STORE_TEXT = st.text(st.sampled_from(["a", "z", "\u00e9", "\u20ac", "\U0001f600", '"', "\\",
+                                       "\x00", "\n", "\t", "\x1f", "\x7f", "\u2028", " "]),
+                      max_size=4)
+_STORE_WEIGHTS = st.one_of(st.sampled_from([1.0, 1e-05, 0.1 + 0.2, 5e-324, 0.5]),
+                           st.floats(0.0, 1.0, exclude_min=True))
+
+
+@st.composite
+def _store_records(draw) -> MeaningRecord:
+    """Records with empty dims, empty dimensions, escaped text and tied weights."""
+    dims = draw(st.dictionaries(
+        st.sampled_from(list(REL)),
+        st.dictionaries(_STORE_TEXT, _STORE_WEIGHTS, max_size=6),
+        max_size=4,
+    ))
+    return MeaningRecord(
+        draw(st.sampled_from(["a", "b#1", "b#2", "w"])),
+        draw(_STORE_TEXT),
+        {rel: tuple((w, t) for t, w in pairs.items()) for rel, pairs in dims.items()},
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_store_records(), max_size=5))
+@example([])
+@example([MeaningRecord("w", "", {}), MeaningRecord("a", "", {}), MeaningRecord("w", "x", {})])
+def test_prop_store_text_equals_dumps_of_json(records: list[MeaningRecord]) -> None:
+    ordered = sorted(records, key=lambda r: r.sense)
+    senses = [r.sense for r in ordered]
+    repeated = [a for a, b in zip(senses, senses[1:]) if a == b]
+    if repeated:
+        with pytest.raises(MeaningStoreError) as err:
+            meanings_to_json_text(records)
+        assert str(err.value) == f"duplicate sense {repeated[0]!r} in meaning store"
+        return
+    expected = jsonio.dumps([meaning_record_to_json(r) for r in ordered])
+    assert meanings_to_json_text(records) == expected
 
 
 # --- the token -> weight index ---------------------------------------------------
