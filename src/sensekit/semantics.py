@@ -530,12 +530,12 @@ def meanings_to_json_text(records: Iterable[MeaningRecord]) -> str:
     if not ordered:
         return "[]\n"
     encode = jsonio._encode
-    # Texts of the weights and tokens seen so far.  _validate_dims stores every
-    # weight as an exact float in (0, 1], so no -0.0 (equal to 0.0 but printed
-    # apart), NaN or infinity reaches this memo; jsonio.dumps() cannot memoise
-    # floats for that reason.
+    # Texts of the weights seen so far.  _validate_dims stores every weight as
+    # an exact float in (0, 1], so no -0.0 (equal to 0.0 but printed apart),
+    # NaN or infinity reaches this memo; jsonio.dumps() cannot memoise floats
+    # for that reason.  Tokens are encoded each time: the C encoder is faster
+    # than a dict lookup.
     numbers: dict[float, str] = {}
-    strings: dict[str, str] = {}
     objects = []
     for record in ordered:
         dims = []
@@ -546,10 +546,7 @@ def meanings_to_json_text(records: Iterable[MeaningRecord]) -> str:
                     number = numbers.get(weight)
                     if number is None:
                         number = numbers[weight] = float.__repr__(weight)
-                    text = strings.get(token)
-                    if text is None:
-                        text = strings[token] = encode(token)
-                    items.append(f"{number},\n          {text}")
+                    items.append(f"{number},\n          {encode(token)}")
                 listed = "\n        ],\n        [\n          ".join(items)
                 if listed:
                     listed = f"\n        [\n          {listed}\n        ]\n      "
@@ -587,17 +584,19 @@ def meanings_from_json_text(text: str, *, what: str = "meaning store") -> tuple[
 def save_meanings(records: Iterable[MeaningRecord], path: str) -> None:
     """Write the store atomically (single writer, readers never see partial files).
 
-    A file that is replaced keeps its permission bits; a new one gets the
-    mode open(path, "w") would give it, 0o666 less the umask.
+    A file that is replaced keeps its permission bits (not setuid, setgid or
+    sticky); a new one gets the mode open(path, "w") would give it, 0o666 less
+    the umask.
     """
     text = meanings_to_json_text(records)
     try:
-        mode = os.stat(path).st_mode & 0o7777
+        mode = os.stat(path).st_mode & 0o777
     except FileNotFoundError:
         mode = None
     # Not tempfile.mkstemp, which makes the file 0600: opening it with 0o666
-    # lets the kernel apply the umask without the process reading it.
-    tmp = f"{os.path.abspath(path)}.{os.urandom(6).hex()}.tmp"
+    # lets the kernel apply the umask without the process reading it.  The
+    # name is short whatever the target's, so it never passes NAME_MAX.
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".{os.urandom(6).hex()}.tmp")
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     fd = os.open(tmp, flags, 0o666)
     try:

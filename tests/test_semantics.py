@@ -467,11 +467,13 @@ def test_save_refuses_a_record_that_loading_rejects(record: MeaningRecord, tmp_p
 @pytest.mark.skipif(os.name != "posix", reason="os.chmod sets only the read-only flag here")
 def test_save_keeps_the_file_mode(tmp_path) -> None:
     path = tmp_path / "meanings.json"
-    for mode in (0o644, 0o600, 0o640):
+    # Only the permission bits carry over: the saver owns the new file, so a
+    # setuid, setgid or sticky bit is dropped.
+    for mode, kept in ((0o644, 0o644), (0o600, 0o600), (0o640, 0o640), (0o7755, 0o755)):
         path.write_text("[]\n", encoding="utf-8")
         os.chmod(path, mode)
         save_meanings(_sample_records(), str(path))
-        assert os.stat(path).st_mode & 0o7777 == mode
+        assert os.stat(path).st_mode & 0o7777 == kept
     for umask in (0o022, 0o077, 0o002):
         fresh = tmp_path / f"new-{umask:o}.json"
         old = os.umask(umask)
@@ -481,6 +483,14 @@ def test_save_keeps_the_file_mode(tmp_path) -> None:
             os.umask(old)
         assert os.stat(fresh).st_mode & 0o7777 == 0o666 & ~umask
     assert load_meanings(str(path)) == load_meanings(str(fresh))
+
+
+def test_save_takes_a_target_name_up_to_name_max(tmp_path) -> None:
+    path = tmp_path / ("m" * 250 + ".json")
+    save_meanings(_sample_records(), str(path))
+    save_meanings(_sample_records(), str(path))
+    assert load_meanings(str(path)) == tuple(sorted(_sample_records(), key=lambda r: r.sense))
+    assert os.listdir(tmp_path) == [path.name]
 
 
 _STORE_TEXT = st.text(st.sampled_from(["a", "z", "\u00e9", "\u20ac", "\U0001f600", '"', "\\",
