@@ -147,19 +147,13 @@ class CompletionProvider(Protocol):
 class MockProvider:
     """Deterministic provider answering from a (subject, dimension) fixture.
 
-    The fixture maps subjects to dimensions to ordered token lists; prompts
-    are matched by pre-rendering every fixture entry through the given
-    template sets, so the provider still only sees prompt text at call time.
+    The fixture maps subjects to dimensions to ordered lists of string
+    tokens; prompts are matched by pre-rendering every fixture entry through
+    each of TEMPLATE_SETS, so the provider still only sees prompt text at
+    call time.
     """
 
-    def __init__(
-        self,
-        fixture: Mapping[str, Mapping[str, Sequence[str]]],
-        template_sets: Sequence[Mapping[PrimitiveRelation, PromptTemplate]] = (
-            DEFAULT_TEMPLATES,
-            BOOK_FIXTURE_TEMPLATES,
-        ),
-    ) -> None:
+    def __init__(self, fixture: Mapping[str, Mapping[str, Sequence[str]]]) -> None:
         prompts: dict[str, tuple[str, ...]] = {}
         for subject in sorted(fixture):
             per_dim = fixture[subject]
@@ -169,8 +163,12 @@ class MockProvider:
                 dimension = resolve_relation(dim_name)
                 if not isinstance(per_dim[dim_name], (list, tuple)):
                     raise InputDataError(f"completion fixture: {subject!r} {dim_name!r} is not a list")
-                tokens = tuple(str(t) for t in per_dim[dim_name])
-                for templates in template_sets:
+                tokens = tuple(per_dim[dim_name])
+                if not set(map(type, tokens)) <= {str}:
+                    raise InputDataError(
+                        f"completion fixture: {subject!r} {dim_name!r} has a non-string token"
+                    )
+                for templates in TEMPLATE_SETS.values():
                     template = templates.get(dimension)
                     if template is None:
                         continue
@@ -188,7 +186,7 @@ class MockProvider:
         self._prompts = prompts
 
     @classmethod
-    def from_file(cls, path: str | None = None, **kwargs) -> "MockProvider":
+    def from_file(cls, path: str | None = None) -> "MockProvider":
         if path is None:
             text = (
                 importlib.resources.files("sensekit.data")
@@ -200,7 +198,7 @@ class MockProvider:
         data = jsonio.loads(text, what="completion fixture")
         if not isinstance(data, dict):
             raise InputDataError("completion fixture must map subjects to dimensions")
-        return cls(data, **kwargs)
+        return cls(data)
 
     def complete(self, prompt: str, n: int) -> list[str]:
         if n < 1:

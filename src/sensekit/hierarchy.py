@@ -365,15 +365,23 @@ def dag_to_json_text(dag: TypeDag) -> str:
     return jsonio.dumps(dag_to_json(dag))
 
 
+def _strings(raw: dict, key: str) -> list[str]:
+    """raw[key], which must be a JSON array of strings."""
+    value = raw[key]
+    if value.__class__ is not list or not set(map(type, value)) <= {str}:
+        raise TypeError(f"{key!r} must be a list of strings")
+    return value
+
+
 def dag_from_json(data: object) -> TypeDag:
+    """Read an ontology document; values are checked, never converted."""
     if not isinstance(data, dict):
         raise OntologyError("ontology JSON must be an object")
     try:
         raw_nodes = data["nodes"]
         raw_edges = data["edges"]
-        root = int(data["root"])
-    # int() raises OverflowError for an infinite root.
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        root = data["root"]
+    except KeyError as exc:
         raise OntologyError(f"ontology JSON is missing nodes/edges/root: {exc}") from exc
     if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
         raise OntologyError("ontology JSON: 'nodes' and 'edges' must be lists")
@@ -381,26 +389,28 @@ def dag_from_json(data: object) -> TypeDag:
     for i, raw in enumerate(raw_nodes):
         try:
             node = TypeNode(
-                id=int(raw["id"]),
-                extent=frozenset(str(x) for x in raw["extent"]),
-                characteristic_properties=tuple(str(p) for p in raw["props"]),
-                direct_members=frozenset(str(x) for x in raw["members"]),
+                id=raw["id"],
+                extent=frozenset(_strings(raw, "extent")),
+                characteristic_properties=tuple(_strings(raw, "props")),
+                direct_members=frozenset(_strings(raw, "members")),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise OntologyError(f"ontology JSON: node {i}: {exc}") from exc
-        if node.id != i:
-            raise OntologyError(f"ontology JSON: node {i} has id {node.id}, not {i}")
+        if node.id.__class__ is not int or node.id != i:
+            raise OntologyError(f"ontology JSON: node {i} has id {node.id!r}, not {i}")
         if not node.direct_members <= node.extent:
             raise OntologyError(f"ontology JSON: node {node.id}: members not within extent")
         nodes.append(node)
-    if not 0 <= root < len(nodes):
-        raise OntologyError(f"ontology JSON: root {root} is not a node id")
+    if root.__class__ is not int or not 0 <= root < len(nodes):
+        raise OntologyError(f"ontology JSON: root {root!r} is not a node id")
     edges = []
     for i, raw in enumerate(raw_edges):
         try:
-            parent, child = (int(raw[0]), int(raw[1]))
-        except (LookupError, TypeError, ValueError, OverflowError) as exc:
+            parent, child = raw[0], raw[1]
+        except (LookupError, TypeError) as exc:
             raise OntologyError(f"ontology JSON: edge {i}: {exc}") from exc
+        if not parent.__class__ is child.__class__ is int:
+            raise OntologyError(f"ontology JSON: edge {i}: ends must be integers, got {raw!r}")
         if not (0 <= parent < len(nodes) and 0 <= child < len(nodes)):
             raise OntologyError(f"ontology JSON: edge {i} references unknown node")
         # Every induced edge, tolerant ones included, strictly shrinks the

@@ -19,7 +19,7 @@ import os
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from . import jsonio
 from .corpus import Assertion, ConceptId
@@ -345,35 +345,6 @@ def nominalize_assertion(
 WeightedProperty = tuple[float, str]
 
 
-def _validate_dims(
-    dims: Mapping[PrimitiveRelation, Sequence[WeightedProperty]],
-    *,
-    where: str = "meaning record",
-) -> dict[PrimitiveRelation, tuple[WeightedProperty, ...]]:
-    clean: dict[PrimitiveRelation, tuple[WeightedProperty, ...]] = {}
-    for relation, pairs in dims.items():
-        if not isinstance(relation, PrimitiveRelation):
-            raise MeaningStoreError(f"{where}: dimension key {relation!r} is not a relation")
-        seen: set[str] = set()
-        normalized: list[WeightedProperty] = []
-        for weight, token in pairs:
-            weight = float(weight)
-            if not 0.0 < weight <= 1.0:
-                raise MeaningStoreError(
-                    f"{where}, dimension {relation.value!r}: "
-                    f"weight {weight} outside (0, 1]"
-                )
-            if token in seen:
-                raise MeaningStoreError(
-                    f"{where}, dimension {relation.value!r}: "
-                    f"duplicate property token {token!r}"
-                )
-            seen.add(token)
-            normalized.append((weight, token))
-        clean[relation] = tuple(normalized)
-    return clean
-
-
 _NO_WEIGHTS: Mapping[str, float] = MappingProxyType({})
 
 
@@ -386,10 +357,44 @@ class MeaningRecord:
     dims: Mapping[PrimitiveRelation, tuple[WeightedProperty, ...]]
 
     def __post_init__(self) -> None:
-        ConceptId(self.sense)  # validates the token shape
-        object.__setattr__(
-            self, "dims", _validate_dims(self.dims, where=f"record {self.sense!r}")
-        )
+        """Refuse every record the store loader would, walking the pairs once."""
+        sense, gloss = self.sense, self.gloss
+        if not sense.__class__ is gloss.__class__ is str:
+            name, value = ("sense", sense) if sense.__class__ is not str else ("gloss", gloss)
+            raise MeaningStoreError(f"{name!r} must be a string, got {value!r}")
+        try:
+            ConceptId(sense)  # validates the token shape
+        except ValueError as exc:
+            raise MeaningStoreError(str(exc)) from None
+        clean: dict[PrimitiveRelation, tuple[WeightedProperty, ...]] = {}
+        for relation, pairs in self.dims.items():
+            if not isinstance(relation, PrimitiveRelation):
+                raise MeaningStoreError(
+                    f"record {sense!r}: dimension key {relation!r} is not a relation"
+                )
+            where = f"record {sense!r}, dimension {relation.value!r}"
+            seen: set[str] = set()
+            normalized: list[WeightedProperty] = []
+            for pair in pairs:
+                try:
+                    weight, token = pair
+                except (TypeError, ValueError):
+                    weight = token = None
+                if weight.__class__ is int:  # not bool, whose class is bool
+                    try:
+                        weight = float(weight)
+                    except OverflowError as exc:  # an int past float range
+                        raise MeaningStoreError(str(exc)) from None
+                if weight.__class__ is not float or token.__class__ is not str:
+                    raise MeaningStoreError(f"{where}: malformed pair {pair!r}")
+                if not 0.0 < weight <= 1.0:
+                    raise MeaningStoreError(f"{where}: weight {weight} outside (0, 1]")
+                if token in seen:
+                    raise MeaningStoreError(f"{where}: duplicate property token {token!r}")
+                seen.add(token)
+                normalized.append((weight, token))
+            clean[relation] = tuple(normalized)
+        object.__setattr__(self, "dims", clean)
 
     def dimension(self, relation: PrimitiveRelation) -> tuple[WeightedProperty, ...]:
         """Pairs along one dimension; absent dimensions are empty, not errors."""
@@ -474,41 +479,25 @@ def meaning_record_from_json(data: object, *, where: str = "meaning record") -> 
         raw_dims = data["dims"]
     except KeyError as exc:
         raise MeaningStoreError(f"{where}: missing field {exc}") from exc
-    if not sense.__class__ is gloss.__class__ is str:
-        name = "sense" if sense.__class__ is not str else "gloss"
-        raise MeaningStoreError(f"{where}: {name!r} must be a string, got {data[name]!r}")
     if not isinstance(raw_dims, dict):
         raise MeaningStoreError(f"{where}: 'dims' must be an object")
-    dims: dict[PrimitiveRelation, list[WeightedProperty]] = {}
+    dims: dict[PrimitiveRelation, list] = {}
     for rel_name, raw_pairs in raw_dims.items():
         try:
             relation = resolve_relation(str(rel_name))
         except InputDataError as exc:
             raise MeaningStoreError(f"{where}: {exc}") from exc
+        # An alias or a case variant names a dimension already read.
+        if relation in dims:
+            raise MeaningStoreError(f"{where} names dimension {relation.value!r} twice")
         if not isinstance(raw_pairs, list):
             raise MeaningStoreError(
                 f"{where}, dimension {rel_name!r}: expected a list of [weight, token]"
             )
-        pairs: list[WeightedProperty] = []
-        for raw in raw_pairs:
-            try:
-                weight, token = raw
-            except (TypeError, ValueError):
-                weight = token = None
-            # [JSON number, string]; bool is not a number here.
-            if token.__class__ is not str or (
-                weight.__class__ is not float and weight.__class__ is not int
-            ):
-                raise MeaningStoreError(
-                    f"{where}, dimension {rel_name!r}: malformed pair {raw!r}"
-                )
-            pairs.append((weight, token))
-        dims[relation] = pairs
+        dims[relation] = raw_pairs
     try:
         return MeaningRecord(sense=sense, gloss=gloss, dims=dims)
-    # OverflowError: an int weight past float range; MeaningStoreError: a weight
-    # outside (0, 1] or a repeated token, reported by the record itself.
-    except (ValueError, OverflowError, MeaningStoreError) as exc:
+    except MeaningStoreError as exc:
         raise MeaningStoreError(f"{where}: {exc}") from exc
 
 
@@ -519,8 +508,7 @@ def meanings_to_json_text(records: Iterable[MeaningRecord]) -> str:
     A record is its dims, gloss and sense in dumps()'s key order; each
     dimension's pairs are one join of weight and token texts at their fixed
     indents.  Senses, glosses and tokens go through dumps()'s own encoder;
-    relation names need no escaping.  A gloss or token that is not a string,
-    which load_meanings would reject, raises MeaningStoreError.
+    relation names need no escaping.
     """
     ordered = sorted(records, key=lambda r: r.sense)
     senses = [r.sense for r in ordered]
@@ -530,32 +518,27 @@ def meanings_to_json_text(records: Iterable[MeaningRecord]) -> str:
     if not ordered:
         return "[]\n"
     encode = jsonio._encode
-    # Texts of the weights seen so far.  _validate_dims stores every weight as
-    # an exact float in (0, 1], so no -0.0 (equal to 0.0 but printed apart),
-    # NaN or infinity reaches this memo; jsonio.dumps() cannot memoise floats
-    # for that reason.  Tokens are encoded each time: the C encoder is faster
-    # than a dict lookup.
+    # Texts of the weights seen so far.  The MeaningRecord constructor stores
+    # every weight as an exact float in (0, 1], so no -0.0 (equal to 0.0 but
+    # printed apart), NaN or infinity reaches this memo; jsonio.dumps() cannot
+    # memoise floats for that reason.  Tokens are encoded each time: the C
+    # encoder is faster than a dict lookup.
     numbers: dict[float, str] = {}
     objects = []
     for record in ordered:
         dims = []
-        try:
-            for relation, pairs in sorted(record.dims.items(), key=lambda kv: kv[0].value):
-                items = []
-                for weight, token in sorted(pairs, key=lambda p: (-p[0], p[1])):
-                    number = numbers.get(weight)
-                    if number is None:
-                        number = numbers[weight] = float.__repr__(weight)
-                    items.append(f"{number},\n          {encode(token)}")
-                listed = "\n        ],\n        [\n          ".join(items)
-                if listed:
-                    listed = f"\n        [\n          {listed}\n        ]\n      "
-                dims.append(f'      "{relation.value}": [{listed}]')
-            gloss = encode(record.gloss)
-        except TypeError:  # from encode(), or from sorting tokens of mixed types
-            raise MeaningStoreError(
-                f"record {record.sense!r}: gloss and property tokens must be strings"
-            ) from None
+        for relation, pairs in sorted(record.dims.items(), key=lambda kv: kv[0].value):
+            items = []
+            for weight, token in sorted(pairs, key=lambda p: (-p[0], p[1])):
+                number = numbers.get(weight)
+                if number is None:
+                    number = numbers[weight] = float.__repr__(weight)
+                items.append(f"{number},\n          {encode(token)}")
+            listed = "\n        ],\n        [\n          ".join(items)
+            if listed:
+                listed = f"\n        [\n          {listed}\n        ]\n      "
+            dims.append(f'      "{relation.value}": [{listed}]')
+        gloss = encode(record.gloss)
         body = "{\n" + ",\n".join(dims) + "\n    }" if dims else "{}"
         objects.append(
             f'{{\n    "dims": {body},\n    "gloss": {gloss},\n    "sense": {encode(record.sense)}\n  }}'

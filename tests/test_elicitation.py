@@ -342,10 +342,14 @@ def test_mock_provider_rejects_colliding_fixture_entries() -> None:
         {"book": {"hasProp": "heavy"}},
         {"book": {"hasProp": {"heavy": 1}}},
         {"x y": {"hasProp": ["heavy"]}},
+        {"book": {"hasProp": ["heavy", None]}},
+        {"book": {"hasProp": [7]}},
+        {"book": {"hasProp": [True]}},
+        {"book": {"hasProp": [["heavy"]]}},
     ],
     ids=[
         "subject-int", "subject-list", "tokens-int", "tokens-string", "tokens-object",
-        "subject-not-a-concept",
+        "subject-not-a-concept", "token-null", "token-int", "token-bool", "token-list",
     ],
 )
 def test_mock_provider_rejects_malformed_fixture(fixture) -> None:

@@ -491,6 +491,21 @@ def _renumber_last_node(data: dict) -> None:
         lambda d: d.__setitem__("nodes", 5),
         lambda d: d.__setitem__("edges", {"0": 1}),
         lambda d: d["edges"].append({"x": 1}),
+        # Values are not converted: ids, the root and edge ends are JSON
+        # integers, and extent, props and members lists of strings.
+        lambda d: d["nodes"][0].__setitem__("extent", "dog"),
+        lambda d: d["nodes"][0].__setitem__("extent", [*d["nodes"][0]["extent"], 7]),
+        lambda d: d["nodes"][0].__setitem__("props", [None]),
+        lambda d: d["nodes"][0].__setitem__("members", {}),
+        lambda d: d.__setitem__("root", float(d["root"])),
+        lambda d: d.__setitem__("root", d["root"] + 0.7),
+        lambda d: d.__setitem__("root", str(d["root"])),
+        lambda d: d.__setitem__("root", bool(d["root"])),
+        lambda d: d["nodes"][0].__setitem__("id", "0"),
+        lambda d: d["nodes"][1].__setitem__("id", True),
+        lambda d: d["edges"].__setitem__(0, [float(d["edges"][0][0]), d["edges"][0][1]]),
+        lambda d: d["edges"].__setitem__(0, [d["edges"][0][0] + 0.2, True]),
+        lambda d: d["edges"].__setitem__(0, [str(x) for x in d["edges"][0]]),
     ],
 )
 def test_ontology_json_validation(mutate, leaf_corpus) -> None:

@@ -422,8 +422,21 @@ def test_store_rejects_non_array() -> None:
 )
 def test_store_pair_must_be_a_number_and_a_string(pair) -> None:
     text = json.dumps([{"sense": "w", "dims": {"hasProp": [pair]}}])
-    with pytest.raises(MeaningStoreError, match=r"record 0, dimension 'hasProp': malformed pair"):
+    with pytest.raises(MeaningStoreError, match=r"record 0: record 'w', dimension 'hasProp': malformed pair"):
         meanings_from_json_text(text)
+
+
+@pytest.mark.parametrize(
+    "names", [("isA", "IsA", "ISA"), ("hasProp", "HASPROP"), ("partOf", "Part")],
+    ids=["case-variants", "upper-case", "alias"],
+)
+def test_store_record_names_each_dimension_once(names) -> None:
+    dims = {name: [[0.5, f"t{i}"]] for i, name in enumerate(names)}
+    canonical = resolve_relation(names[0]).value
+    with pytest.raises(MeaningStoreError) as err:
+        meanings_from_json_text(json.dumps([{"sense": "w", "dims": dims}]))
+    assert str(err.value) == f"meaning store: record 0 names dimension {canonical!r} twice"
+    assert err.value.exit_code == 2
 
 
 def test_store_integer_weight_loads_as_float() -> None:
@@ -448,18 +461,24 @@ def test_store_sense_and_gloss_must_be_strings(field: str, value) -> None:
 
 
 @pytest.mark.parametrize(
-    "record",
-    [MeaningRecord("x", None, {}),  # type: ignore[arg-type]
-     MeaningRecord("x", "", {REL.HAS_PROP: ((0.5, 7),)}),
-     MeaningRecord("x", "", {REL.HAS_PROP: ((0.5, "a"), (0.5, 7))})],  # 7 sorts against "a"
+    ("gloss", "pairs", "message"),
+    [(None, (), "'gloss' must be a string, got None"),
+     ("", ((0.5, 7),), "record 'x', dimension 'hasProp': malformed pair (0.5, 7)"),
+     ("", ((0.5, "a"), (0.5, 7)), "record 'x', dimension 'hasProp': malformed pair (0.5, 7)")],
     ids=["gloss-none", "int-token", "int-token-tied"],
 )
-def test_save_refuses_a_record_that_loading_rejects(record: MeaningRecord, tmp_path) -> None:
+def test_record_refuses_what_loading_rejects(gloss, pairs, message: str) -> None:
+    with pytest.raises(MeaningStoreError, match=f"^{re.escape(message)}$"):
+        MeaningRecord("x", gloss, {REL.HAS_PROP: pairs})
+
+
+def test_failed_save_leaves_the_store_untouched(tmp_path) -> None:
     path = tmp_path / "meanings.json"
     save_meanings(_sample_records(), str(path))
     before = path.read_bytes()
-    with pytest.raises(MeaningStoreError, match=r"^record 'x': gloss and property tokens must be strings$"):
-        save_meanings([*_sample_records(), record], str(path))
+    twice = MeaningRecord("game", "again", {})
+    with pytest.raises(MeaningStoreError, match=r"^duplicate sense 'game' in meaning store$"):
+        save_meanings([*_sample_records(), twice], str(path))
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["meanings.json"]
 
@@ -530,6 +549,46 @@ def test_prop_store_text_equals_dumps_of_json(records: list[MeaningRecord]) -> N
         return
     expected = jsonio.dumps([meaning_record_to_json(r) for r in ordered])
     assert meanings_to_json_text(records) == expected
+
+
+_GOOD_WEIGHT = st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.just(1))
+_GOOD_TOKEN = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h"])
+_GOOD_PAIR = st.tuples(_GOOD_WEIGHT, _GOOD_TOKEN).map(list)
+# Each bad pair has one bad part: the weight, the token or the shape.
+_BAD_PAIR = st.one_of(
+    st.tuples(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-1, 2),
+                        st.just(10**400), st.booleans(), st.sampled_from(["0.5", "1"]),
+                        st.none()),
+              _GOOD_TOKEN).map(list),
+    st.tuples(_GOOD_WEIGHT,
+              st.one_of(st.integers(0, 9), st.none(), st.lists(st.just("a"), max_size=1))).map(list),
+    st.sampled_from([[], [0.5], [0.5, "a", "b"], "ab", 0.5]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    # Valid values are listed more than once, so both outcomes are common.
+    sense=st.sampled_from(["w", "b#1"] * 8 + ["x y", "", "W", "w#0", None, 7, 0.5, ["w"]]),
+    gloss=st.sampled_from(["", "g", "\u00e9\n", '"'] * 3 + [None, 7, True, ["g"]]),
+    dims=st.dictionaries(
+        st.sampled_from(list(REL)),
+        st.one_of(st.lists(_GOOD_PAIR, max_size=4),
+                  st.lists(st.one_of(_GOOD_PAIR, _BAD_PAIR), max_size=4)),
+        max_size=3,
+    ),
+)
+def test_prop_constructor_refuses_exactly_what_loading_rejects(sense, gloss, dims) -> None:
+    text = json.dumps([{"sense": sense, "gloss": gloss,
+                        "dims": {rel.value: pairs for rel, pairs in dims.items()}}])
+    try:
+        built = MeaningRecord(sense, gloss, dims)
+    except MeaningStoreError as exc:
+        with pytest.raises(MeaningStoreError) as err:
+            meanings_from_json_text(text)
+        assert str(err.value) == f"meaning store: record 0: {exc}"
+        return
+    assert meanings_from_json_text(text) == (built,)
 
 
 # --- the token -> weight index ---------------------------------------------------
