@@ -343,9 +343,12 @@ def elicit(
         except ProviderError as exc:
             failures[dimension] = str(exc)
             continue
-        raw = [str(t) for t in raw[:n]]
+        raw = raw[:n]
         if not raw:
             failures[dimension] = "provider returned no completions"
+            continue
+        if not set(map(type, raw)) <= {str}:
+            failures[dimension] = "provider returned a completion that is not a string"
             continue
         completion_list = CompletionList.from_raw(concept.name, dimension, raw)
         entries[dimension] = completion_list.weighted()

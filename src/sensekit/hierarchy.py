@@ -18,20 +18,25 @@ steps repeat until no pair is left.  tau = 0 is the exact procedure and the
 default.
 
 Induction works on integer bitsets: each concept owns one bit, an extent is
-the OR of its members' bits, and |A \\ B| is (A & ~B).bit_count().  One pass
-over the assertions builds every extent.  Every pair of groups is tested
-for mutual inclusion once; after a merge only the merged group's pairs are
-tested again, so merging costs O(G^2) inclusion tests for G groups.
+the sum of its members' bits, and |A \\ B| is (A & ~B).bit_count().  The
+assertions are sorted by property, so one pass reads each property's run,
+keeping its token once and its concept names as the node extent.  Two groups
+can include each other only if their sizes lie within a factor 1 - tau, so
+each pair inside that size window is tested once and, after a merge, only
+the merged group's window again: at most O(G^2) inclusion tests for G
+groups, and far fewer when sizes spread.  Reachability among groups is an
+int bitset, so a parent candidate that already reaches a child is skipped.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import jsonio
-from .corpus import AssertionSet, PropertyKey, check_consistency, extent
+from .corpus import SENSIBLE, AssertionSet, PropertyKey, check_consistency, extent
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -128,28 +133,30 @@ class TypeDag:
         return matches[0]
 
 
-def _tolerant_subset(a: int, b: int, tau: float) -> bool:
-    return (a & ~b).bit_count() <= tau * a.bit_count()
-
-
 class _Group:
-    """Working node during induction: an extent bitset and its property tokens.
+    """Working node during induction: extent bits and names, property tokens.
 
     key orders groups largest first, then by sorted member list, then by
     tokens.  Concepts take bits in descending name order, so among extents of
     one size the lexicographically smaller member list is the larger integer.
     """
 
-    __slots__ = ("bits", "props", "key")
+    __slots__ = ("bits", "members", "props", "size", "key")
 
-    def __init__(self, bits: int, props: tuple[str, ...]) -> None:
+    def __init__(self, bits: int, members: frozenset[str], props: tuple[str, ...]) -> None:
         self.bits = bits
+        self.members = members
         self.props = props
-        self.key = (-bits.bit_count(), -bits, props)
+        self.size = len(members)
+        self.key = (-self.size, -bits, props)
 
 
 def _group_key(group: _Group) -> tuple:
     return group.key
+
+
+def _minus_size(group: _Group) -> int:
+    return group.key[0]
 
 
 def _merge_mutual_inclusions(groups: list[_Group], tau: float) -> list[_Group]:
@@ -158,14 +165,24 @@ def _merge_mutual_inclusions(groups: list[_Group], tau: float) -> list[_Group]:
     groups must be sorted by key.  Each step merges the first such pair in
     sort order: the first group with a partner and its earliest partner.  No
     other group changes, so only the merged group's pairs are tested again.
+    Partners have close sizes (for |A| >= |B|, |A| - |B| <= |A \\ B|), so the
+    first pass stops at the first group too small to pair, and a merged group
+    of size s meets only the sizes x with s - tau*s - 1 < x < (s + 1)/(1 - tau)
+    (the ones cover the rounding of tau*size), a run widened by one more on
+    each side for the rounding of its bounds.
     """
 
     def mutual(a: _Group, b: _Group) -> bool:
-        return _tolerant_subset(a.bits, b.bits, tau) and _tolerant_subset(b.bits, a.bits, tau)
+        return (a.bits & ~b.bits).bit_count() <= tau * a.size and (
+            (b.bits & ~a.bits).bit_count() <= tau * b.size
+        )
 
     partners: dict[_Group, set[_Group]] = {g: set() for g in groups}
     for i, a in enumerate(groups):
+        limit = tau * a.size
         for b in groups[i + 1:]:
+            if a.size - b.size > limit:
+                break  # so is every later group
             if mutual(a, b):
                 partners[a].add(b)
                 partners[b].add(a)
@@ -176,37 +193,41 @@ def _merge_mutual_inclusions(groups: list[_Group], tau: float) -> list[_Group]:
         b = min(partners[a], key=_group_key)
         for g in (partners.pop(a) | partners.pop(b)) - {a, b}:
             partners[g] -= {a, b}
-        groups = [g for g in groups if g is not a and g is not b]
-        merged = _Group(a.bits | b.bits, tuple(sorted(a.props + b.props)))
-        partners[merged] = {g for g in groups if mutual(merged, g)}
+        groups.remove(a)
+        groups.remove(b)
+        merged = _Group(a.bits | b.bits, a.members | b.members, tuple(sorted(a.props + b.props)))
+        s = merged.size
+        top = -math.inf if tau == 1 else -(s + 1) / (1 - tau) - 1
+        lo = bisect.bisect_left(groups, top, key=_minus_size)
+        hi = bisect.bisect_right(groups, tau * s + 2 - s, key=_minus_size)
+        partners[merged] = {g for g in groups[lo:hi] if mutual(merged, g)}
         for g in partners[merged]:
             partners[g].add(merged)
         bisect.insort(groups, merged, key=_group_key)
 
 
 def _covering_edges(groups: Sequence[_Group], tau: float) -> list[tuple[int, int]]:
-    """Transitive reduction of tolerant inclusion, in index order.
+    """Transitive reduction of tolerant inclusion.
 
     No two groups include each other tolerantly (equal extents are grouped,
     and tau > 0 merges the rest), so every inclusion is one-way, which
     forces the child extent to be strictly smaller than the parent's.  Groups
     are sorted largest first, so every parent precedes its children.  A
     node's covering parents are its candidate parents minus everything that
-    reaches one of them.
+    reaches one of them.  Candidates are tested nearest first, and one that
+    already reaches the child through a nearer parent is not tested.
     """
     edges: list[tuple[int, int]] = []
-    reached_by: list[set[int]] = []
+    reach: list[int] = []  # bit i of reach[j]: group i reaches group j
     for j, child in enumerate(groups):
-        parents = {i for i in range(j) if _tolerant_subset(child.bits, groups[i].bits, tau)}
-        above = set().union(*(reached_by[i] for i in parents))
-        edges.extend((i, j) for i in parents - above)
-        reached_by.append(parents | above)
+        above = 0
+        bits, limit = child.bits, tau * child.size
+        for i in range(j - 1, -1, -1):
+            if not above >> i & 1 and (bits & ~groups[i].bits).bit_count() <= limit:
+                edges.append((i, j))
+                above |= reach[i] | 1 << i
+        reach.append(above)
     return edges
-
-
-def _members(bits: int, names: Sequence[str]) -> frozenset[str]:
-    """The names whose bits are set; names[0] owns the highest bit."""
-    return frozenset(n for n, d in zip(names, format(bits, f"0{len(names)}b")) if d == "1")
 
 
 def _diagnostics(nodes: Sequence[TypeNode], edges: Sequence[tuple[int, int]]) -> tuple[str, ...]:
@@ -243,18 +264,25 @@ def induce(aset: AssertionSet, cfg: InduceConfig | None = None) -> TypeDag:
 
     names = sorted(c.name for c in aset.concepts)
     bit = {name: 1 << (len(names) - 1 - i) for i, name in enumerate(names)}
-    extents: dict[str, int] = {}
+    # Assertions are sorted by property, so each property is one run: its
+    # token is read once, and its sensible concepts are distinct.
+    runs: dict[str, list[str]] = {}
+    prop = None
     for a in aset.assertions:
-        if a.is_sensible:
-            token = a.property.token
-            extents[token] = extents.get(token, 0) | bit[a.concept.name]
-    if not extents:
-        raise EmptyCorpusError("corpus has no sensible assertions")
+        if a.property is not prop:
+            prop = a.property
+            run = runs.setdefault(prop.token, [])
+        if a.polarity == SENSIBLE:
+            run.append(a.concept.name)
 
-    by_extent: dict[int, list[str]] = {}
-    for token in sorted(extents):
-        by_extent.setdefault(extents[token], []).append(token)
-    groups = [_Group(bits, tuple(props)) for bits, props in by_extent.items()]
+    by_extent: dict[int, tuple[list[str], list[str]]] = {}
+    for token in sorted(runs):
+        if runs[token]:
+            bits = sum(map(bit.__getitem__, runs[token]))
+            by_extent.setdefault(bits, (runs[token], []))[1].append(token)
+    if not by_extent:
+        raise EmptyCorpusError("corpus has no sensible assertions")
+    groups = [_Group(b, frozenset(run), tuple(props)) for b, (run, props) in by_extent.items()]
     groups.sort(key=_group_key)
     if cfg.tau > 0:
         groups = _merge_mutual_inclusions(groups, cfg.tau)
@@ -262,24 +290,23 @@ def induce(aset: AssertionSet, cfg: InduceConfig | None = None) -> TypeDag:
 
     # Merged extents are distinct, so one equal to the full concept set is
     # the strictly largest group; otherwise a synthetic root goes first.
-    full = (1 << len(names)) - 1
-    if groups[0].bits != full:
+    if groups[0].size != len(names):
         with_parent = {child for _, child in edges}
         edges = [(0, i + 1) for i in range(len(groups)) if i not in with_parent] + [
             (p + 1, c + 1) for p, c in edges
         ]
-        groups.insert(0, _Group(full, ()))
+        groups.insert(0, _Group((1 << len(names)) - 1, frozenset(names), ()))
 
-    child_union = [0] * len(groups)
+    children: list[list[frozenset[str]]] = [[] for _ in groups]
     for u, v in edges:
-        child_union[u] |= groups[v].bits
+        children[u].append(groups[v].members)
 
     nodes = tuple(
         TypeNode(
             id=i,
-            extent=_members(g.bits, names),
+            extent=g.members,
             characteristic_properties=g.props,
-            direct_members=_members(g.bits & ~child_union[i], names),
+            direct_members=g.members.difference(*children[i]),
         )
         for i, g in enumerate(groups)
     )
@@ -406,8 +433,8 @@ def dag_from_json(data: object) -> TypeDag:
     edges = []
     for i, raw in enumerate(raw_edges):
         try:
-            parent, child = raw[0], raw[1]
-        except (LookupError, TypeError) as exc:
+            parent, child = raw
+        except (TypeError, ValueError) as exc:
             raise OntologyError(f"ontology JSON: edge {i}: {exc}") from exc
         if not parent.__class__ is child.__class__ is int:
             raise OntologyError(f"ontology JSON: edge {i}: ends must be integers, got {raw!r}")

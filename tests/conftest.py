@@ -57,3 +57,33 @@ def random_assertion_set(
             elif allow_negative and roll < 0.6:
                 assertions.append(Assertion(prop, concept, NONSENSICAL))
     return AssertionSet(tuple(assertions))
+
+
+def interval_assertion_set(
+    rng: random.Random,
+    concepts: int,
+    intervals: int,
+    near_dups: int,
+    max_drop: int = 3,
+) -> AssertionSet:
+    """Random intervals over ordered concepts, plus near-duplicates of some.
+
+    Intervals nest into long inclusion chains, as in the benchmark's
+    hierarchy_wide corpus.  A near-duplicate drops 1 to max_drop members of
+    an interval, so its size lies close to its base's and a small tau may
+    merge the two.
+    """
+    names = [ConceptId(f"c{i:03d}") for i in range(concepts)]
+    extents = []
+    for _ in range(intervals):
+        length = rng.randint(1, concepts)
+        start = rng.randrange(concepts - length + 1)
+        extents.append(names[start:start + length])
+    for base in rng.sample(extents, min(near_dups, len(extents))):
+        gone = set(rng.sample(base, min(len(base) - 1, rng.randint(1, max_drop))))
+        extents.append([c for c in base if c not in gone])
+    return AssertionSet(tuple(
+        Assertion(PropertyKey(f"P{i}"), c, SENSIBLE)
+        for i, members in enumerate(extents)
+        for c in members
+    ))

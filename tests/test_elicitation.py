@@ -195,6 +195,32 @@ def test_elicit_all_dimensions_failed() -> None:
         elicit(provider, "spoon", (REL.HAS_PROP,), 5)
 
 
+class ScriptedProvider:
+    """Answers successive complete() calls with the given lists, in order."""
+
+    def __init__(self, *replies: list) -> None:
+        self._replies = iter(replies)
+
+    def complete(self, prompt: str, n: int) -> list:
+        return next(self._replies)
+
+
+def test_elicit_non_string_completion_fails_its_dimension() -> None:
+    # Completions are never turned into text: None, 7 and True are not tokens.
+    provider = ScriptedProvider(["exciting", "long"], [None, 7, True], ["fun", 7])
+    result = elicit(provider, "game", (REL.HAS_PROP, REL.AGENT_OF, REL.OBJECT_OF), 5)
+    assert list(result.record.dims) == [REL.HAS_PROP]
+    assert set(result.failures) == {REL.AGENT_OF, REL.OBJECT_OF}
+    assert all("not a string" in msg for msg in result.failures.values())
+    assert {a.property.token for a in result.assertions.assertions} == {"EXCITING", "LONG"}
+
+
+def test_elicit_all_dimensions_non_string_raises() -> None:
+    provider = ScriptedProvider([None, 7, True], [b"bytes"])
+    with pytest.raises(ElicitationError, match="not a string"):
+        elicit(provider, "game", (REL.HAS_PROP, REL.AGENT_OF), 5)
+
+
 def test_elicit_requires_templates_for_every_dimension() -> None:
     provider = MockProvider.from_file()
     with pytest.raises(TemplateError):

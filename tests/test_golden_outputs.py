@@ -1,6 +1,7 @@
-"""Byte-identity guard: the sha256 of `ingest` and `induce` stdout, and of
-serialize_corpus, for every corpus in tests/data, and of the meaning-store
-text for a loaded store and for elicited records.
+"""Byte-identity guard: the sha256 of `ingest`, `induce` and `induce --tau
+0.25` stdout, and of serialize_corpus, for every corpus in tests/data, of the
+ontology JSON of a seeded interval corpus, and of the meaning-store text for a
+loaded store and for elicited records.
 
 A change to any digest is a change to sensekit's output format and must be
 deliberate; record the new digest together with the reason."""
@@ -8,6 +9,7 @@ deliberate; record the new digest together with the reason."""
 from __future__ import annotations
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,10 @@ import pytest
 from sensekit.cli import main
 from sensekit.corpus import parse_corpus, serialize_corpus
 from sensekit.elicitation import BOOK_FIXTURE_TEMPLATES, MockProvider, elicit
+from sensekit.hierarchy import InduceConfig, dag_to_json_text, induce
 from sensekit.semantics import PrimitiveRelation, load_meanings, meanings_to_json_text
+
+from conftest import interval_assertion_set
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -23,18 +28,28 @@ DIGESTS = {
     "binary_relations.sense": {
         "ingest": "e47218783f279b10f068a13bede4f3f607d18a057d330e369dc69c0f0dcf27e8",
         "induce": "0efae9a896ef36cf55f5ffa3fb49ec2a4708adfea881618c0f84cbe684972f8f",
+        "induce_tau": "0efae9a896ef36cf55f5ffa3fb49ec2a4708adfea881618c0f84cbe684972f8f",
         "serialize": "e8c8f17b7f728ab626fa39fd8c00d4cec03723e1498644e5a721e61dcc452605",
     },
     "branch_split.sense": {
         "ingest": "b361eef1115fbd1938261ce62da2c208f4878cd6468c6d97c734784e13ff2a31",
         "induce": "a523ec98e1b9a2dbcfb2e5fd8fc3add130a079a3959c6178c6099ac5d084d568",
+        "induce_tau": "a523ec98e1b9a2dbcfb2e5fd8fc3add130a079a3959c6178c6099ac5d084d568",
         "serialize": "51ca25a44c9f6821ae5fdd3d91658dec846bc1b82283237877322e787212abb3",
     },
     "leaf_hierarchy.sense": {
         "ingest": "e29c56fe5388f4c87e113d0805ccd126d5485647587090db37fe508c0baf132d",
         "induce": "b9edba35a183f1e5f70be7c79640d48997aa819e03a5f746b9efbc32e8960e4e",
+        "induce_tau": "6dd80f8ead96c76b9ad8acd156d8363d1ccb2204673d8ea8274f1d2e3a0de10b",
         "serialize": "277451a83c0a6d54426a77b098a568704dd2241207c555852049610be729eaf6",
     },
+}
+
+# dag_to_json_text of the interval corpus below, by tau: 252 and 112 nodes,
+# bitsets of 150 bits, and ancestor chains 25 and 18 edges long.
+INTERVAL_DIGESTS = {
+    0.0: "7fdcbec567bd770f3de286c490609589e72f0bcca382486c002fa0a5eb0a8ff8",
+    0.1: "08cd265972ab9f924c8f7170b7568dfff0db1a7b8708901fd7b5777e68beb5c0",
 }
 
 STORE_DIGESTS = {
@@ -56,6 +71,23 @@ def test_every_data_corpus_has_digests() -> None:
 def test_cli_stdout_digest(name: str, command: str, capsys) -> None:
     assert main([command, str(DATA_DIR / name)]) == 0
     assert _sha(capsys.readouterr().out) == DIGESTS[name][command]
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_induce_tau_stdout_digest(name: str, capsys) -> None:
+    assert main(["induce", str(DATA_DIR / name), "--tau", "0.25"]) == 0
+    assert _sha(capsys.readouterr().out) == DIGESTS[name]["induce_tau"]
+
+
+@pytest.fixture(scope="module")
+def interval_corpus():
+    return interval_assertion_set(random.Random(13), 150, 220, 40)
+
+
+@pytest.mark.parametrize("tau", sorted(INTERVAL_DIGESTS))
+def test_interval_ontology_digest(tau: float, interval_corpus) -> None:
+    dag = induce(interval_corpus, InduceConfig(tau=tau))
+    assert _sha(dag_to_json_text(dag)) == INTERVAL_DIGESTS[tau]
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))

@@ -33,7 +33,7 @@ from sensekit.hierarchy import (
     verify,
 )
 
-from conftest import random_assertion_set
+from conftest import interval_assertion_set, random_assertion_set
 from oracles import (
     brute_force_conflicts,
     brute_force_hierarchy,
@@ -285,6 +285,46 @@ def test_synthetic_root_above_tolerantly_full_node() -> None:
     assert dag.root == 0
 
 
+@pytest.mark.parametrize("b_size, merged", [(9, True), (8, False)])
+def test_size_window_edge(b_size: int, merged: bool) -> None:
+    # B is inside A, so the pair merges iff |A| - |B| <= tau*|A|.  At tau = 0.1
+    # and |A| = 10 that holds with equality for |B| = 9 and fails for 8.
+    names = [f"c{i}" for i in range(10)]
+    aset = parse_corpus(
+        "".join(f"+ A {n}\n" for n in names) + "".join(f"+ B {n}\n" for n in names[:b_size])
+    )
+    dag = assert_matches_tolerant_oracle(aset, 0.1)
+    props = [n.characteristic_properties for n in dag.nodes]
+    assert props == ([("A", "B")] if merged else [("A",), ("B",)])
+
+
+def _corpus(extents: dict[str, range]) -> AssertionSet:
+    return parse_corpus("".join(f"+ {p} c{i}\n" for p, r in extents.items() for i in r))
+
+
+@pytest.mark.parametrize(
+    "extents, expected",
+    [
+        # P and Q (size 5) merge into c0-c5 (size 6) at tau = 0.25.  An R of
+        # size 8 around it sits on the larger edge of the merged group's
+        # window (8 - 6 == 0.25 * 8), though it is too large to pair with P
+        # or Q alone; an R of size 9 falls outside.
+        ({"P": range(5), "Q": range(1, 6), "R": range(8), "S": range(9, 10)},
+         [(), ("P", "Q", "R"), ("S",)]),
+        ({"P": range(5), "Q": range(1, 6), "R": range(9), "S": range(9, 10)},
+         [(), ("R",), ("P", "Q"), ("S",)]),
+        # P and Q (size 7) merge into c0-c7 (size 8).  An R of size 6 inside
+        # it sits on the smaller edge of that window (8 - 6 == 0.25 * 8); an
+        # R of size 5 falls outside.
+        ({"P": range(7), "Q": range(1, 8), "R": range(2, 8)}, [("P", "Q", "R")]),
+        ({"P": range(7), "Q": range(1, 8), "R": range(3, 8)}, [("P", "Q"), ("R",)]),
+    ],
+)
+def test_merged_group_window_edge(extents: dict[str, range], expected: list) -> None:
+    dag = assert_matches_tolerant_oracle(_corpus(extents), 0.25)
+    assert [n.characteristic_properties for n in dag.nodes] == expected
+
+
 # --- invariants over random corpora -----------------------------------------------
 
 def test_oracle_equivalence_on_random_corpora() -> None:
@@ -329,6 +369,20 @@ def test_tolerant_oracle_equivalence_with_many_groups(tau: float) -> None:
         aset = random_assertion_set(rng, max_properties=30, max_concepts=24)
         if any(a.is_sensible for a in aset.assertions):
             assert_matches_tolerant_oracle(aset, tau)
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.1, 0.2])
+def test_tolerant_oracle_equivalence_on_interval_corpora(tau: float) -> None:
+    # Nested intervals with near-duplicates, the shape of the benchmark's
+    # hierarchy_wide corpus: many extents lie within a few percent of each
+    # other's size, so pairs on both sides of the size window are common.
+    rng = random.Random(int(tau * 1000) + 7)
+    with_merges = 0
+    for _ in range(40):
+        aset = interval_assertion_set(rng, rng.randint(20, 60), rng.randint(4, 14), 6)
+        dag = assert_matches_tolerant_oracle(aset, tau)
+        with_merges += len(dag.nodes) < len(induce(aset).nodes)
+    assert with_merges >= 20
 
 
 def test_antisymmetry_and_edge_soundness_at_tau_zero() -> None:
@@ -491,6 +545,9 @@ def _renumber_last_node(data: dict) -> None:
         lambda d: d.__setitem__("nodes", 5),
         lambda d: d.__setitem__("edges", {"0": 1}),
         lambda d: d["edges"].append({"x": 1}),
+        # An edge is exactly a [parent, child] pair.
+        lambda d: d["edges"].append([0, 1, 99]),
+        lambda d: d["edges"].append([0]),
         # Values are not converted: ids, the root and edge ends are JSON
         # integers, and extent, props and members lists of strings.
         lambda d: d["nodes"][0].__setitem__("extent", "dog"),
