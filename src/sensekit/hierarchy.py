@@ -3,9 +3,9 @@
 Every property in a corpus determines an extent: the set of concepts it can
 sensibly be said of.  Distinct extents become type nodes, subset inclusion
 between extents becomes subsumption, and the transitive reduction of that
-order is the induced DAG.  A property that applies to everything (or a
-synthetic "entity" node above every parentless node when none does) forms
-the root.
+order is the induced DAG.  A property that applies to everything forms the
+root; when none does, a synthetic "entity" group of the full extent joins the
+covering step, and so covers exactly the nodes that no other node covers.
 
 The output is a DAG rather than a tree: two incomparable extents may both
 include a third, which then has two parents.  Nodes with more than two
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from . import jsonio
@@ -51,6 +51,10 @@ ROOT_LABEL = "entity"
 @dataclass(frozen=True)
 class InduceConfig:
     tau: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.tau <= 1.0:
+            raise ConfigError(f"tau must be in [0, 1], got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -88,16 +92,43 @@ class VerifyResult:
 
 @dataclass(frozen=True)
 class TypeDag:
-    """Type nodes, covering edges (parent id, child id) and the root; nodes[i].id == i."""
+    """Type nodes, covering edges (parent id, child id) and the root; nodes[i].id == i.
+
+    The constructor checks the structure (ValueError), sorts the edges, and
+    flags every node with more than two parents in diagnostics.
+    """
 
     nodes: tuple[TypeNode, ...]
     edges: tuple[tuple[int, int], ...]
     root: int
-    diagnostics: tuple[str, ...] = ()
+    diagnostics: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if any(node.id != i for i, node in enumerate(self.nodes)):
-            raise ValueError("TypeDag nodes must be numbered by position: nodes[i].id == i")
+        nodes, n = self.nodes, len(self.nodes)
+        for i, node in enumerate(nodes):
+            if node.id != i:
+                raise ValueError("TypeDag nodes must be numbered by position: nodes[i].id == i")
+            if not node.direct_members <= node.extent:
+                raise ValueError(f"node {i}: members not within extent")
+        if not 0 <= self.root < n:
+            raise ValueError(f"root {self.root!r} is not a node id")
+        parent_count: dict[int, int] = {}
+        for i, (parent, child) in enumerate(self.edges):
+            if not (0 <= parent < n and 0 <= child < n):
+                raise ValueError(f"edge {i} references unknown node")
+            # Every induced edge, tolerant ones included, strictly shrinks the
+            # extent; this also rules out self-loops and cycles.
+            if len(nodes[child].extent) >= len(nodes[parent].extent):
+                raise ValueError(f"edge {i}: child {child} is not smaller than parent {parent}")
+            parent_count[child] = parent_count.get(child, 0) + 1
+        if len(set(self.edges)) < len(self.edges):
+            i = next(i for i, edge in enumerate(self.edges) if edge in self.edges[:i])
+            raise ValueError(f"edge {i} repeats an earlier edge")
+        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        object.__setattr__(self, "diagnostics", tuple(
+            f"node {c} ({', '.join(nodes[c].characteristic_properties) or ROOT_LABEL}) has {k} parents"
+            for c, k in sorted(parent_count.items()) if k > 2
+        ))
 
     def node_by_id(self, node_id: int) -> TypeNode:
         if not 0 <= node_id < len(self.nodes):
@@ -230,19 +261,6 @@ def _covering_edges(groups: Sequence[_Group], tau: float) -> list[tuple[int, int
     return edges
 
 
-def _diagnostics(nodes: Sequence[TypeNode], edges: Sequence[tuple[int, int]]) -> tuple[str, ...]:
-    """Flag every node with more than two parents."""
-    parent_count: dict[int, int] = {}
-    for _, child in edges:
-        parent_count[child] = parent_count.get(child, 0) + 1
-    return tuple(
-        f"node {i} ({', '.join(nodes[i].characteristic_properties) or ROOT_LABEL}) "
-        f"has {parent_count[i]} parents"
-        for i in sorted(parent_count)
-        if parent_count[i] > 2
-    )
-
-
 def induce(aset: AssertionSet, cfg: InduceConfig | None = None) -> TypeDag:
     """Induce the type DAG implicit in an assertion set.
 
@@ -251,8 +269,6 @@ def induce(aset: AssertionSet, cfg: InduceConfig | None = None) -> TypeDag:
     order.
     """
     cfg = cfg or InduceConfig()
-    if not 0.0 <= cfg.tau <= 1.0:
-        raise ConfigError(f"tau must be in [0, 1], got {cfg.tau}")
     if not aset.assertions:
         raise EmptyCorpusError("cannot induce a hierarchy from an empty corpus")
     conflicts = check_consistency(aset)
@@ -286,16 +302,12 @@ def induce(aset: AssertionSet, cfg: InduceConfig | None = None) -> TypeDag:
     groups.sort(key=_group_key)
     if cfg.tau > 0:
         groups = _merge_mutual_inclusions(groups, cfg.tau)
-    edges = _covering_edges(groups, cfg.tau)
-
     # Merged extents are distinct, so one equal to the full concept set is
-    # the strictly largest group; otherwise a synthetic root goes first.
+    # the strictly largest group; otherwise a synthetic root goes first.  It is
+    # tested last and reached through any other parent, so it covers the rest.
     if groups[0].size != len(names):
-        with_parent = {child for _, child in edges}
-        edges = [(0, i + 1) for i in range(len(groups)) if i not in with_parent] + [
-            (p + 1, c + 1) for p, c in edges
-        ]
         groups.insert(0, _Group((1 << len(names)) - 1, frozenset(names), ()))
+    edges = _covering_edges(groups, cfg.tau)
 
     children: list[list[frozenset[str]]] = [[] for _ in groups]
     for u, v in edges:
@@ -310,12 +322,7 @@ def induce(aset: AssertionSet, cfg: InduceConfig | None = None) -> TypeDag:
         )
         for i, g in enumerate(groups)
     )
-    return TypeDag(
-        nodes=nodes,
-        edges=tuple(sorted(edges)),
-        root=0,
-        diagnostics=_diagnostics(nodes, edges),
-    )
+    return TypeDag(nodes=nodes, edges=edges, root=0)
 
 
 def verify(
@@ -366,7 +373,7 @@ def export_dot(dag: TypeDag, labels: Mapping[str, str] | None = None) -> str:
             caption.append("members: " + ", ".join(sorted(node.direct_members)))
         text = "\\n".join(map(_dot_escape, caption))  # DOT's line break, unescaped
         lines.append(f'  n{node.id} [label="{text}"];')
-    for parent, child in sorted(dag.edges):
+    for parent, child in dag.edges:
         lines.append(f"  n{parent} -> n{child};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -383,7 +390,7 @@ def dag_to_json(dag: TypeDag) -> dict:
             }
             for n in dag.nodes
         ],
-        "edges": [list(e) for e in sorted(dag.edges)],
+        "edges": [list(e) for e in dag.edges],
         "root": dag.root,
     }
 
@@ -401,7 +408,10 @@ def _strings(raw: dict, key: str) -> list[str]:
 
 
 def dag_from_json(data: object) -> TypeDag:
-    """Read an ontology document; values are checked, never converted."""
+    """Read an ontology document; values are checked, never converted.
+
+    This checks the JSON shape; TypeDag checks the structure.
+    """
     if not isinstance(data, dict):
         raise OntologyError("ontology JSON must be an object")
     try:
@@ -423,12 +433,10 @@ def dag_from_json(data: object) -> TypeDag:
             )
         except (KeyError, TypeError) as exc:
             raise OntologyError(f"ontology JSON: node {i}: {exc}") from exc
-        if node.id.__class__ is not int or node.id != i:
+        if node.id.__class__ is not int:
             raise OntologyError(f"ontology JSON: node {i} has id {node.id!r}, not {i}")
-        if not node.direct_members <= node.extent:
-            raise OntologyError(f"ontology JSON: node {node.id}: members not within extent")
         nodes.append(node)
-    if root.__class__ is not int or not 0 <= root < len(nodes):
+    if root.__class__ is not int:
         raise OntologyError(f"ontology JSON: root {root!r} is not a node id")
     edges = []
     for i, raw in enumerate(raw_edges):
@@ -438,21 +446,11 @@ def dag_from_json(data: object) -> TypeDag:
             raise OntologyError(f"ontology JSON: edge {i}: {exc}") from exc
         if not parent.__class__ is child.__class__ is int:
             raise OntologyError(f"ontology JSON: edge {i}: ends must be integers, got {raw!r}")
-        if not (0 <= parent < len(nodes) and 0 <= child < len(nodes)):
-            raise OntologyError(f"ontology JSON: edge {i} references unknown node")
-        # Every induced edge, tolerant ones included, strictly shrinks the
-        # extent; this also rules out self-loops and cycles.
-        if len(nodes[child].extent) >= len(nodes[parent].extent):
-            raise OntologyError(
-                f"ontology JSON: edge {i}: child {child} is not smaller than parent {parent}"
-            )
         edges.append((parent, child))
-    return TypeDag(
-        nodes=tuple(nodes),
-        edges=tuple(sorted(edges)),
-        root=root,
-        diagnostics=_diagnostics(nodes, edges),
-    )
+    try:
+        return TypeDag(nodes=tuple(nodes), edges=edges, root=root)
+    except ValueError as exc:
+        raise OntologyError(f"ontology JSON: {exc}") from exc
 
 
 def dag_from_json_text(text: str) -> TypeDag:

@@ -110,9 +110,9 @@ class LexiconEntry:
     category: str
 
     def __post_init__(self) -> None:
-        if not _TROPE_RE.match(self.trope):
+        if self.trope.__class__ is not str or not _TROPE_RE.match(self.trope):
             raise ValueError(f"trope must be a lowercase token, got {self.trope!r}")
-        if self.category not in _CATEGORIES:
+        if self.category.__class__ is not str or self.category not in _CATEGORIES:
             raise ValueError(
                 f"category must be one of {', '.join(_CATEGORIES)}, got {self.category!r}"
             )
@@ -151,9 +151,7 @@ def lexicon_from_json(data: object) -> NominalizationLexicon:
         if not isinstance(raw, dict):
             raise LexiconError(f"lexicon entry {key!r} must be an object")
         try:
-            entries[str(key)] = LexiconEntry(
-                trope=str(raw["trope"]), category=str(raw["cat"])
-            )
+            entries[key] = LexiconEntry(trope=raw["trope"], category=raw["cat"])
         except (KeyError, ValueError) as exc:
             raise LexiconError(f"lexicon entry {key!r}: {exc}") from exc
     return NominalizationLexicon(entries)
@@ -484,7 +482,7 @@ def meaning_record_from_json(data: object, *, where: str = "meaning record") -> 
     dims: dict[PrimitiveRelation, list] = {}
     for rel_name, raw_pairs in raw_dims.items():
         try:
-            relation = resolve_relation(str(rel_name))
+            relation = resolve_relation(rel_name)
         except InputDataError as exc:
             raise MeaningStoreError(f"{where}: {exc}") from exc
         # An alias or a case variant names a dimension already read.

@@ -3,7 +3,9 @@ output check it makes holds.  No timing is checked."""
 
 from __future__ import annotations
 
+import importlib
 import json
+import runpy
 import shutil
 import subprocess
 import sys
@@ -57,3 +59,15 @@ def test_traced_benchmark_run_reports_every_layer(tmp_path) -> None:
     result = _run_benchmark(tmp_path, "meaning_store", "--trace", "1")
     assert sorted(result["metrics"]) == _declared("per_layer")
     assert result["metrics"]["similarity.dimension_ms"]["value"] > 0  # spans were recorded
+
+
+def test_every_trace_target_resolves() -> None:
+    # spans.py skips a patch point whose target is gone, so a rename in the
+    # program would silently drop that layer from the traced run.
+    patch_points = runpy.run_path(str(ROOT / "perfbench" / "spans.py"))["PATCH_POINTS"]
+    for module_name, path, name, _ in patch_points:
+        owner = importlib.import_module(module_name)
+        *parents, attr = path.split(".")
+        for part in parents:
+            owner = getattr(owner, part)
+        assert callable(getattr(owner, attr)), f"{name}: {module_name}.{path}"

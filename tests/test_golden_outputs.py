@@ -1,7 +1,7 @@
 """Byte-identity guard: the sha256 of `ingest`, `induce` and `induce --tau
 0.25` stdout, and of serialize_corpus, for every corpus in tests/data, of the
-ontology JSON of a seeded interval corpus, and of the meaning-store text for a
-loaded store and for elicited records.
+ontology JSON, DOT export and diagnostics of a seeded interval corpus, and of
+the meaning-store text for a loaded store and for elicited records.
 
 A change to any digest is a change to sensekit's output format and must be
 deliberate; record the new digest together with the reason."""
@@ -17,7 +17,7 @@ import pytest
 from sensekit.cli import main
 from sensekit.corpus import parse_corpus, serialize_corpus
 from sensekit.elicitation import BOOK_FIXTURE_TEMPLATES, MockProvider, elicit
-from sensekit.hierarchy import InduceConfig, dag_to_json_text, induce
+from sensekit.hierarchy import InduceConfig, dag_to_json_text, export_dot, induce
 from sensekit.semantics import PrimitiveRelation, load_meanings, meanings_to_json_text
 
 from conftest import interval_assertion_set
@@ -50,6 +50,17 @@ DIGESTS = {
 INTERVAL_DIGESTS = {
     0.0: "7fdcbec567bd770f3de286c490609589e72f0bcca382486c002fa0a5eb0a8ff8",
     0.1: "08cd265972ab9f924c8f7170b7568dfff0db1a7b8708901fd7b5777e68beb5c0",
+}
+
+# export_dot and "\n".join(diagnostics) of the same DAGs, by tau: both read
+# the edge order; 129 and 13 diagnostics.
+INTERVAL_DOT_DIGESTS = {
+    0.0: "ce328cb844cbde8eebdc948c112e20ec7978dfc504a550e01902f2da53d2a755",
+    0.1: "372452c1f33144807c9e01e6a04d2d76eb096906dc3727500eeeca0909de11de",
+}
+INTERVAL_DIAGNOSTICS_DIGESTS = {
+    0.0: "06ca983b594e4a3747df67867121cbe7443860df125312b0bc314871978d1c29",
+    0.1: "7df006a109d5b1d6035a358f0158d53b9d131313810a53de00ac3a8f861f11e7",
 }
 
 STORE_DIGESTS = {
@@ -88,6 +99,14 @@ def interval_corpus():
 def test_interval_ontology_digest(tau: float, interval_corpus) -> None:
     dag = induce(interval_corpus, InduceConfig(tau=tau))
     assert _sha(dag_to_json_text(dag)) == INTERVAL_DIGESTS[tau]
+
+
+@pytest.mark.parametrize("tau", sorted(INTERVAL_DOT_DIGESTS))
+def test_interval_dot_and_diagnostics_digest(tau: float, interval_corpus) -> None:
+    dag = induce(interval_corpus, InduceConfig(tau=tau))
+    assert len(dag.diagnostics) == {0.0: 129, 0.1: 13}[tau]
+    assert _sha(export_dot(dag)) == INTERVAL_DOT_DIGESTS[tau]
+    assert _sha("\n".join(dag.diagnostics)) == INTERVAL_DIAGNOSTICS_DIGESTS[tau]
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))

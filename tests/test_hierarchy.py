@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from sensekit.hierarchy import (
     InduceConfig,
     TypeDag,
     TypedFact,
+    TypeNode,
     dag_from_json_text,
     dag_to_json,
     dag_to_json_text,
@@ -200,10 +202,11 @@ def test_conflict_message_matches_check_consistency() -> None:
         assert str(info.value) == conflict_message(conflicting)
 
 
-@pytest.mark.parametrize("tau", [-0.1, 1.5])
-def test_tau_out_of_range_rejected(tau: float, leaf_corpus) -> None:
-    with pytest.raises(ConfigError):
-        induce(leaf_corpus, InduceConfig(tau=tau))
+@pytest.mark.parametrize("tau", [-0.1, 1.5, float("nan")])
+def test_tau_out_of_range_rejected(tau: float) -> None:
+    # Checked once, when the config is built, not on each induce call.
+    with pytest.raises(ConfigError, match=r"tau must be in \[0, 1\]"):
+        InduceConfig(tau=tau)
 
 
 def test_tolerant_inclusion_absorbs_noise() -> None:
@@ -563,6 +566,8 @@ def _renumber_last_node(data: dict) -> None:
         lambda d: d["edges"].__setitem__(0, [float(d["edges"][0][0]), d["edges"][0][1]]),
         lambda d: d["edges"].__setitem__(0, [d["edges"][0][0] + 0.2, True]),
         lambda d: d["edges"].__setitem__(0, [str(x) for x in d["edges"][0]]),
+        # Each edge appears once.
+        lambda d: d["edges"].append(list(d["edges"][0])),
     ],
 )
 def test_ontology_json_validation(mutate, leaf_corpus) -> None:
@@ -587,6 +592,69 @@ def test_hand_built_dag_must_number_nodes_by_position(leaf_corpus) -> None:
     shuffled = (dag.nodes[-1], *dag.nodes[:-1])
     with pytest.raises(ValueError, match="numbered by position"):
         TypeDag(nodes=shuffled, edges=dag.edges, root=dag.root)
+
+
+def _three_parent_dag_parts() -> tuple[tuple[TypeNode, ...], list[tuple[int, int]]]:
+    """T over A, B and C, which all include D: node 4 has three parents."""
+    extents = [{"a", "b", "c", "d"}, {"a", "b"}, {"a", "c"}, {"a", "d"}, {"a"}]
+    members = [set(), {"b"}, {"c"}, {"d"}, {"a"}]
+    nodes = tuple(
+        TypeNode(i, frozenset(e), (p,), frozenset(m))
+        for i, (e, p, m) in enumerate(zip(extents, "TABCD", members))
+    )
+    return nodes, [(3, 4), (0, 1), (0, 2), (0, 3), (1, 4), (2, 4)]
+
+
+def test_hand_built_dag_sorts_edges_and_derives_diagnostics() -> None:
+    nodes, edges = _three_parent_dag_parts()
+    dag = TypeDag(nodes=nodes, edges=tuple(edges), root=0)
+    assert dag.edges == tuple(sorted(edges))
+    assert dag.diagnostics == ("node 4 (D) has 3 parents",)
+    assert dag_from_json_text(dag_to_json_text(dag)) == dag
+
+
+def test_diagnostics_is_not_a_constructor_argument() -> None:
+    nodes, edges = _three_parent_dag_parts()
+    with pytest.raises(TypeError):
+        TypeDag(nodes=nodes, edges=tuple(edges), root=0, diagnostics=())
+
+
+def _ghost_member(nodes: tuple[TypeNode, ...]) -> tuple[TypeNode, ...]:
+    """nodes with a direct member of node 1 that is outside its extent."""
+    ghost = dataclasses.replace(nodes[1], direct_members=nodes[1].direct_members | {"ghost"})
+    return (nodes[0], ghost, *nodes[2:])
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda n, e, r: (n, e, len(n)), "root 5 is not a node id"),
+        (lambda n, e, r: (n, e, -1), "root -1 is not a node id"),
+        (lambda n, e, r: (n, [*e, (0, len(n))], r), "edge 6 references unknown node"),
+        (lambda n, e, r: (n, [*e, (-1, 4)], r), "edge 6 references unknown node"),
+        (lambda n, e, r: (n, [*e, (2, 2)], r), "edge 6: child 2 is not smaller than parent 2"),
+        (lambda n, e, r: (n, [*e, (4, 1)], r), "edge 6: child 1 is not smaller than parent 4"),
+        (lambda n, e, r: (n, [*e, (1, 2)], r), "edge 6: child 2 is not smaller than parent 1"),
+        (lambda n, e, r: (n, [*e, e[2]], r), "edge 6 repeats an earlier edge"),
+        (lambda n, e, r: (_ghost_member(n), e, r), "node 1: members not within extent"),
+    ],
+)
+def test_type_dag_constructor_checks_structure(mutate, message) -> None:
+    nodes, edges = _three_parent_dag_parts()
+    nodes, edges, root = mutate(nodes, edges, 0)
+    with pytest.raises(ValueError, match=message):
+        TypeDag(nodes=nodes, edges=tuple(edges), root=root)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.1, 0.25])
+def test_ontology_json_round_trip_is_identity(tau: float) -> None:
+    rng = random.Random(int(tau * 100) + 71)
+    for _ in range(30):
+        aset = random_assertion_set(rng, max_properties=12, max_concepts=14)
+        if not any(a.polarity == SENSIBLE for a in aset.assertions):
+            continue
+        dag = induce(aset, InduceConfig(tau=tau))
+        assert dag_from_json_text(dag_to_json_text(dag)) == dag
 
 
 def test_node_ids_follow_size_then_member_order() -> None:

@@ -256,6 +256,28 @@ def test_lexicon_rejects_bad_trope() -> None:
         lexicon_from_json({"WISE": {"trope": "Wisdom!", "cat": "property"}})
 
 
+@pytest.mark.parametrize(
+    "value, shown", [(7, "7"), (None, "None"), (["wisdom"], "['wisdom']")]
+)
+def test_lexicon_values_are_checked_not_converted(value, shown: str) -> None:
+    with pytest.raises(LexiconError) as info:
+        lexicon_from_json({"WISE": {"trope": value, "cat": "property"}})
+    assert str(info.value) == f"lexicon entry 'WISE': trope must be a lowercase token, got {shown}"
+    with pytest.raises(LexiconError) as info:
+        lexicon_from_json({"WISE": {"trope": "wisdom", "cat": value}})
+    assert str(info.value) == (
+        "lexicon entry 'WISE': category must be one of property, state, activity, event, "
+        f"got {shown}"
+    )
+
+
+def test_lexicon_entry_refuses_non_strings() -> None:
+    with pytest.raises(ValueError, match="trope must be a lowercase token, got 7$"):
+        LexiconEntry(7, "property")
+    with pytest.raises(ValueError, match="got None$"):
+        LexiconEntry("wisdom", None)
+
+
 # --- meaning records -----------------------------------------------------------------
 
 def test_build_meaning_max_normalizes() -> None:
