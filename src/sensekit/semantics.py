@@ -18,6 +18,7 @@ import functools
 import os
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -399,7 +400,8 @@ class MeaningRecord:
         return self.dims.get(relation, ())
 
     def weights(self, relation: PrimitiveRelation) -> Mapping[str, float]:
-        """{token: weight} along one dimension; absent dimensions are empty.
+        """{token: weight} along one dimension, in token order; absent
+        dimensions are empty.
 
         The index is built on the first call and shared by later ones, so
         callers must not mutate it, just as they must not mutate dims.
@@ -407,11 +409,13 @@ class MeaningRecord:
         return self._weights.get(relation, _NO_WEIGHTS)
 
     # Not a field: cached_property writes the instance __dict__ directly, so
-    # the frozen fields, __eq__ and repr never see the index.
+    # the frozen fields, __eq__ and repr never see the index.  Lazy, so that
+    # loading or eliciting records does not pay for it.  Tokens are unique
+    # within a dimension, so the token alone fixes the order.
     @functools.cached_property
     def _weights(self) -> dict[PrimitiveRelation, dict[str, float]]:
         return {
-            relation: {token: weight for weight, token in pairs}
+            relation: {token: weight for weight, token in sorted(pairs, key=itemgetter(1))}
             for relation, pairs in self.dims.items()
         }
 

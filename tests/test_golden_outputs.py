@@ -1,7 +1,8 @@
 """Byte-identity guard: the sha256 of `ingest`, `induce` and `induce --tau
 0.25` stdout, and of serialize_corpus, for every corpus in tests/data, of the
-ontology JSON, DOT export and diagnostics of a seeded interval corpus, and of
-the meaning-store text for a loaded store and for elicited records.
+ontology JSON, DOT export and diagnostics of a seeded interval corpus, of
+the meaning-store text for a loaded store and for elicited records, and of
+the similarity reports of every ordered pair of a seeded store.
 
 A change to any digest is a change to sensekit's output format and must be
 deliberate; record the new digest together with the reason."""
@@ -18,7 +19,14 @@ from sensekit.cli import main
 from sensekit.corpus import parse_corpus, serialize_corpus
 from sensekit.elicitation import BOOK_FIXTURE_TEMPLATES, MockProvider, elicit
 from sensekit.hierarchy import InduceConfig, dag_to_json_text, export_dot, induce
-from sensekit.semantics import PrimitiveRelation, load_meanings, meanings_to_json_text
+from sensekit.semantics import (
+    DEFAULT_DIMS,
+    MeaningRecord,
+    PrimitiveRelation,
+    load_meanings,
+    meanings_to_json_text,
+)
+from sensekit.similarity import concept_similarity
 
 from conftest import interval_assertion_set
 
@@ -66,6 +74,24 @@ INTERVAL_DIAGNOSTICS_DIGESTS = {
 STORE_DIGESTS = {
     "meanings_book_publication.json": "f3d2fc709be0a793bc6f5820a85325f7df9d142a7a8ac0c939ed7b1d7764dc76",
     "elicited-book-game": "f8336860a6894cb1030e44537f7c14a54ee0209d7edeb6756a9a220f1df271ab",
+}
+
+# "\n".join of the to_json_text of concept_similarity(a, b, weights) for every
+# ordered pair (a, b) of the seeded store below, by weighting.
+SIMILARITY_DIGESTS = {
+    "custom": "286fe510be6dfd9adce163a9cac3bc1ffc39afdbd373e916e73efec5035d1923",
+    "default": "1e3a8d4a1ae6a154790e3030527fe416b4784b5915a3fb062285133d8c7ef6c4",
+}
+
+# A 0.0 weight, int weights, a relation outside DEFAULT_DIMS, and keys
+# inserted out of relation-name order.
+CUSTOM_WEIGHTS = {
+    PrimitiveRelation.PART_OF: 1.25,
+    PrimitiveRelation.HAS_PROP: 2,
+    PrimitiveRelation.AGENT_OF: 0.0,
+    PrimitiveRelation.IS_A: 3,
+    PrimitiveRelation.OBJECT_OF: 0.5,
+    PrimitiveRelation.IN_STATE: 0.75,
 }
 
 
@@ -128,3 +154,36 @@ def test_elicited_store_text_digest() -> None:
         elicit(provider, "game", dims, 15).record,
     ]
     assert _sha(meanings_to_json_text(records)) == STORE_DIGESTS["elicited-book-game"]
+
+
+@pytest.fixture(scope="module")
+def similarity_store() -> list[MeaningRecord]:
+    """40 records over 200 tokens: weights k/1000 so that ties occur, some
+    dimensions absent or empty, and pairs in draw order, not token order."""
+    rng = random.Random(1515)
+    vocabulary = [f"t{i}" for i in range(200)]  # "t10" sorts before "t2"
+    records = []
+    for n in range(40):
+        dims = {}
+        for dim in (*DEFAULT_DIMS, PrimitiveRelation.IS_A):
+            roll = rng.random()
+            if roll < 0.15:
+                continue
+            if roll < 0.25:
+                dims[dim] = ()
+                continue
+            tokens = rng.sample(vocabulary, rng.randint(1, 40))
+            dims[dim] = tuple((rng.randint(1, 1000) / 1000, token) for token in tokens)
+        records.append(MeaningRecord(f"s{n}", "", dims))
+    return records
+
+
+@pytest.mark.parametrize("weighting", sorted(SIMILARITY_DIGESTS))
+def test_similarity_reports_digest(weighting: str, similarity_store) -> None:
+    weights = CUSTOM_WEIGHTS if weighting == "custom" else None
+    text = "\n".join(
+        concept_similarity(a, b, weights).to_json_text()
+        for a in similarity_store
+        for b in similarity_store
+    )
+    assert _sha(text) == SIMILARITY_DIGESTS[weighting]

@@ -655,6 +655,7 @@ def test_prop_weights_index_each_dimension(record: MeaningRecord) -> None:
     for relation in REL:  # absent dimensions included
         assert record.weights(relation) == {t: w for w, t in record.dimension(relation)}
         assert record.weights(relation) is record.weights(relation)
+        assert list(record.weights(relation)) == sorted(record.weights(relation))
     assert repr(record) == before
     assert record == twin and twin == record
 
@@ -666,6 +667,23 @@ def test_absent_dimension_weights_are_empty_and_read_only() -> None:
     with pytest.raises(TypeError):
         absent["x"] = 1.0  # type: ignore[index]
     assert record.weights(REL.IS_A) == {}
+
+
+def test_weights_index_is_in_token_order() -> None:
+    # Pairs in weight order with tied weights: neither the pair order nor the
+    # weights may decide the index order.
+    pairs = ((1.0, "t9"), (1.0, "t10"), (0.5, "t2"), (0.5, "beta"), (0.25, "alpha"))
+    record = MeaningRecord("w", "", {REL.HAS_PROP: pairs})
+    assert list(record.weights(REL.HAS_PROP)) == ["alpha", "beta", "t10", "t2", "t9"]
+    assert record.dimension(REL.HAS_PROP) == pairs  # the pairs keep their order
+
+
+def test_loading_and_eliciting_do_not_build_the_index() -> None:
+    store = os.path.join(os.path.dirname(__file__), "data", "meanings_book_publication.json")
+    dims = (REL.AGENT_OF, REL.OBJECT_OF, REL.HAS_PROP)
+    records = [*load_meanings(store), elicit(MockProvider.from_file(), "game", dims, 15).record]
+    assert all(record.dims for record in records)
+    assert all("_weights" not in record.__dict__ for record in records)
 
 
 def test_default_dims_are_the_standard_five() -> None:

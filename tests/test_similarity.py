@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -174,6 +175,54 @@ def test_concept_similarity_rejects_bad_weights() -> None:
         concept_similarity(BOOK, PUBLICATION, {REL.HAS_PROP: 1e308, REL.AGENT_OF: 1e308})
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ({}, "dimension weights must not be empty"),
+        ({"hasProp": 1.0}, "weight key 'hasProp' is not a primitive relation"),
+        ({REL.HAS_PROP: "2"}, "weight for hasProp must be a number, got '2'"),
+        ({REL.HAS_PROP: True}, "weight for hasProp must be a number, got True"),
+        ({REL.HAS_PROP: None}, "weight for hasProp must be a number, got None"),
+        ({REL.HAS_PROP: "abc"}, "weight for hasProp must be a number, got 'abc'"),
+        ({REL.HAS_PROP: 1 + 0j}, "weight for hasProp must be a number, got (1+0j)"),
+        ({REL.HAS_PROP: math.nan}, "weight for hasProp is not finite: nan"),
+        ({REL.HAS_PROP: math.inf}, "weight for hasProp is not finite: inf"),
+        ({REL.HAS_PROP: 10**400}, "weight for hasProp is not finite: inf"),
+        # more digits than int -> str may format
+        ({REL.HAS_PROP: 10**5000}, "weight for hasProp is not finite: inf"),
+        ({REL.HAS_PROP: -(10**5000)}, "weight for hasProp is not finite: -inf"),
+        ({REL.HAS_PROP: -1.0}, "weight for hasProp is negative: -1.0"),
+        ({REL.HAS_PROP: 1.0, REL.AGENT_OF: -2}, "weight for agentOf is negative: -2"),
+        ({REL.HAS_PROP: 0.0, REL.AGENT_OF: 0}, "at least one dimension weight must be positive"),
+        (
+            {REL.HAS_PROP: 1e308, REL.AGENT_OF: 1e308},
+            "dimension weights sum to a value that is not finite",
+        ),
+        # checks run in insertion order: the negative weight comes first
+        ({REL.PART_OF: -1.0, REL.HAS_PROP: math.nan}, "weight for partOf is negative: -1.0"),
+    ],
+    ids=[
+        "empty", "key", "str", "bool", "none", "text", "complex", "nan", "inf",
+        "huge-int", "huger-int", "huger-negative-int", "negative", "negative-int",
+        "all-zero", "sum-overflow", "negative-before-nan",
+    ],
+)
+def test_concept_similarity_weight_messages(weights, message: str) -> None:
+    with pytest.raises(InputDataError) as excinfo:
+        concept_similarity(BOOK, PUBLICATION, weights)
+    assert str(excinfo.value) == message
+
+
+def test_reports_never_share_dicts() -> None:
+    for weights in (None, {REL.HAS_PROP: 2, REL.AGENT_OF: 1.0}):
+        first = concept_similarity(BOOK, PUBLICATION, weights)
+        expected = dict(first.dim_weights), dict(first.per_dim)
+        first.dim_weights[REL.HAS_PROP] = 99.0  # type: ignore[index]
+        first.per_dim[REL.HAS_PROP] = 99.0  # type: ignore[index]
+        second = concept_similarity(BOOK, PUBLICATION, weights)
+        assert (second.dim_weights, second.per_dim) == expected
+
+
 def test_report_json_shape() -> None:
     report = concept_similarity(BOOK, PUBLICATION, {REL.HAS_PROP: 1.0})
     data = report.to_json()
@@ -212,6 +261,52 @@ def test_symmetry_range_and_oracle_over_random_records() -> None:
             assert value == dimension_similarity(b, a, dim)
             assert 0.0 <= value <= 1.0
             assert value == brute_force_dimension_similarity(a, b, dim)
+
+
+def reference_report(a: MeaningRecord, b: MeaningRecord, weights):
+    """per_dim, aggregate and dim_weights by a plain loop over the brute-force
+    dimension similarity, in relation-name order."""
+    per_dim = {}
+    dim_weights = {}
+    numerator = 0.0
+    denominator = 0.0
+    for rel in sorted(weights, key=lambda r: r.value):
+        weight = float(weights[rel])
+        per_dim[rel] = brute_force_dimension_similarity(a, b, rel)
+        dim_weights[rel] = weight
+        numerator += weight * per_dim[rel]
+        denominator += weight
+    return per_dim, numerator / denominator, dim_weights
+
+
+def random_weights(rng: random.Random) -> dict[PrimitiveRelation, float]:
+    """Zeros, ints and floats over any relations, inserted in shuffled order."""
+    relations = rng.sample(list(PrimitiveRelation), rng.randint(1, 8))
+    values = [rng.choice((0, 0.0, 1, 3, 0.25, rng.uniform(0.0, 5.0))) for _ in relations]
+    values[rng.randrange(len(values))] = rng.choice((2, 0.5))  # one positive
+    return dict(zip(relations, values))
+
+
+def test_concept_similarity_equals_reference_over_random_records() -> None:
+    rng = random.Random(1515)
+    vocabulary = [f"t{i}" for i in range(40)]
+    relations = list(PrimitiveRelation)
+    for _ in range(300):
+        records = []
+        for sense in ("a", "b"):
+            dims = {}
+            for rel in rng.sample(relations, rng.randint(0, 8)):
+                tokens = rng.sample(vocabulary, rng.randint(0, 25))
+                dims[rel] = tuple((rng.randint(1, 20) / 20, tok) for tok in tokens)
+            records.append(MeaningRecord(sense, "", dims))
+        a, b = records
+        weights = random_weights(rng) if rng.random() < 0.8 else None
+        report = concept_similarity(a, b, weights)
+        per_dim, aggregate, dim_weights = reference_report(a, b, weights or equal_weights())
+        assert report.aggregate == aggregate  # bit-identical
+        assert list(report.per_dim.items()) == list(per_dim.items())
+        assert list(report.dim_weights.items()) == list(dim_weights.items())
+        assert all(type(w) is float for w in report.dim_weights.values())
 
 
 def test_dimension_similarity_is_mean_of_feature_sim_over_join() -> None:
