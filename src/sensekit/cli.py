@@ -195,12 +195,12 @@ def _text(name: str, value) -> str:
 
 
 def _number(name: str, value) -> float:
-    # bool is an int subclass, and float() of a huge int overflows.
+    # bool is an int subclass, and float() of a huge int overflows; keep its sign.
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return float(value)
         except OverflowError:
-            return math.inf
+            return math.inf if value > 0 else -math.inf
     raise ConfigError(f"{name} must be a number, got {value!r}")
 
 

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import bisect
 import re
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _encode  # the encoder jsonio.dumps uses
+from operator import attrgetter
 from typing import Iterable
 
 from . import jsonio
@@ -51,19 +51,66 @@ _BINARY_LINE_RE = re.compile(
 )
 _COMMENT_RE = re.compile(r"(?:^|(?<=\s))#")  # for str patterns, \s is str.isspace
 
+_ECHO_LIMIT = 200  # characters of an input line or token an error message repeats
 
-@dataclass(frozen=True)
-class ConceptId:
+
+def _echo(text: str) -> str:
+    """repr(text), cut to its first _ECHO_LIMIT characters and marked when longer."""
+    if len(text) <= _ECHO_LIMIT:
+        return repr(text)
+    return f"{text[:_ECHO_LIMIT]!r}... ({len(text)} characters)"
+
+
+class Value:
+    """Base of the immutable model types: an instance is the tuple of its fields.
+
+    The fields are the names a subclass annotates, in order (the annotations
+    type __init__'s parameters too), and its __init__ sets them with
+    object.__setattr__, which keeps CPython's inline attribute
+    values; writing through self.__dict__ would build a real dict and make
+    every later attribute read about three times slower.  Equality (within
+    one class), hash and repr go field by field, and assigning or deleting
+    an attribute raises AttributeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = names = tuple(cls.__dict__.get("__annotations__", cls._fields))
+        get = attrgetter(*names)  # a tuple for two names or more, else the value
+        cls._values = staticmethod(get if len(names) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ConceptId(Value):
     """A noun or noun-sense token such as ``apple`` or ``book#1``."""
 
     name: str
 
-    def __post_init__(self) -> None:
-        if not _CONCEPT_RE.match(self.name):
+    def __init__(self, name) -> None:
+        if not _CONCEPT_RE.match(name):
             raise ValueError(
-                f"invalid concept id {self.name!r}: expected a lowercase token "
+                f"invalid concept id {_echo(name)}: expected a lowercase token "
                 "with an optional #k sense suffix (k >= 1)"
             )
+        object.__setattr__(self, "name", name)
 
     @property
     def base(self) -> str:
@@ -80,8 +127,7 @@ class ConceptId:
         return self.name
 
 
-@dataclass(frozen=True)
-class PropertyKey:
+class PropertyKey(Value):
     """An applicability-property key.
 
     Unary properties (DELICIOUS) have arity 1 and no position.  Binary
@@ -91,24 +137,27 @@ class PropertyKey:
     """
 
     name: str
-    arity: int = 1
-    position: str | None = None
+    arity: int
+    position: str | None
 
-    def __post_init__(self) -> None:
-        if not _PROPERTY_RE.match(self.name):
+    def __init__(self, name, arity=1, position=None) -> None:
+        if not _PROPERTY_RE.match(name):
             raise ValueError(
-                f"invalid property name {self.name!r}: expected an uppercase token"
+                f"invalid property name {name!r}: expected an uppercase token"
             )
-        if type(self.arity) is not int or self.arity not in (1, 2):  # True and 1.0 equal 1
-            raise ValueError(f"arity must be 1 or 2, got {self.arity!r}")
-        if self.arity == 1:
-            if self.position is not None:
+        if type(arity) is not int or arity not in (1, 2):  # True and 1.0 equal 1
+            raise ValueError(f"arity must be 1 or 2, got {arity!r}")
+        if arity == 1:
+            if position is not None:
                 raise ValueError("arity-1 properties take no position")
-        elif self.position not in (AGENT, OBJECT):
+        elif position not in (AGENT, OBJECT):
             raise ValueError(
                 f"arity-2 properties need position 'agent' or 'object', "
-                f"got {self.position!r}"
+                f"got {position!r}"
             )
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "position", position)
 
     @property
     def token(self) -> str:
@@ -128,17 +177,19 @@ class PropertyKey:
         return self.token
 
 
-@dataclass(frozen=True)
-class Assertion:
+class Assertion(Value):
     """A polarity-tagged applicability fact between a property and a concept."""
 
     property: PropertyKey
     concept: ConceptId
     polarity: str
 
-    def __post_init__(self) -> None:
-        if self.polarity not in (SENSIBLE, NONSENSICAL):
-            raise ValueError(f"polarity must be sensible/nonsensical, got {self.polarity!r}")
+    def __init__(self, property, concept, polarity) -> None:
+        if polarity not in (SENSIBLE, NONSENSICAL):
+            raise ValueError(f"polarity must be sensible/nonsensical, got {polarity!r}")
+        object.__setattr__(self, "property", property)
+        object.__setattr__(self, "concept", concept)
+        object.__setattr__(self, "polarity", polarity)
 
     @property
     def is_sensible(self) -> bool:
@@ -154,8 +205,7 @@ def _property_key(a: Assertion) -> tuple[str, str]:
     return (a.property.name, a.property.position or "")
 
 
-@dataclass(frozen=True)
-class AssertionSet:
+class AssertionSet(Value):
     """A normalized collection of assertions.
 
     Construction deduplicates exact repeats and sorts assertions into a
@@ -165,11 +215,11 @@ class AssertionSet:
     """
 
     assertions: tuple[Assertion, ...]
-    concepts: frozenset[ConceptId] = field(init=False)
+    concepts: frozenset[ConceptId]  # derived, not an argument
 
-    def __post_init__(self) -> None:
+    def __init__(self, assertions) -> None:
         # The key is injective on valid assertions (arity follows from position).
-        by_key = {_assertion_key(a): a for a in self.assertions}
+        by_key = {_assertion_key(a): a for a in assertions}
         ordered = tuple(by_key[k] for k in sorted(by_key))
         object.__setattr__(self, "assertions", ordered)
         concepts = {a.concept.name: a.concept for a in ordered}
@@ -207,7 +257,7 @@ def scan_corpus(text: str) -> list[tuple[int, Assertion]]:
             continue
         m = _UNARY_LINE_RE.match(line) or _BINARY_LINE_RE.match(line)
         if m is None:
-            raise CorpusSyntaxError(lineno, f"cannot parse {line!r}: expected '+ PROP concept', "
+            raise CorpusSyntaxError(lineno, f"cannot parse {_echo(line)}: expected '+ PROP concept', "
                                     "'- PROP concept', '+ REL(a, b)', or '- REL(a, b)'")
         facts = (m.groups(),)
         if m.re is _BINARY_LINE_RE:

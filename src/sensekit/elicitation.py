@@ -15,35 +15,35 @@ from __future__ import annotations
 
 import importlib.resources
 import os
-from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence
 
 from . import jsonio
-from .corpus import AGENT, OBJECT, Assertion, AssertionSet, ConceptId, PropertyKey, SENSIBLE
+from .corpus import AGENT, OBJECT, Assertion, AssertionSet, ConceptId, PropertyKey, SENSIBLE, Value
 from .errors import ElicitationError, InputDataError, ProviderError, TemplateError
 from .semantics import MeaningRecord, PrimitiveRelation, WeightedProperty, resolve_relation
 
 _FIXTURE_RESOURCE = "masked_completions.json"
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
+class PromptTemplate(Value):
     """A sentence frame with one {X} subject slot and one [MASK] slot."""
 
     dimension: PrimitiveRelation
     pattern: str
 
-    def __post_init__(self) -> None:
-        if self.pattern.count("{X}") != 1:
+    def __init__(self, dimension, pattern) -> None:
+        if pattern.count("{X}") != 1:
             raise TemplateError(
-                f"template for {self.dimension.value} must contain exactly one "
-                f"'{{X}}' slot: {self.pattern!r}"
+                f"template for {dimension.value} must contain exactly one "
+                f"'{{X}}' slot: {pattern!r}"
             )
-        if self.pattern.count("[MASK]") != 1:
+        if pattern.count("[MASK]") != 1:
             raise TemplateError(
-                f"template for {self.dimension.value} must contain exactly one "
-                f"'[MASK]' token: {self.pattern!r}"
+                f"template for {dimension.value} must contain exactly one "
+                f"'[MASK]' token: {pattern!r}"
             )
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "pattern", pattern)
 
 
 def render(template: PromptTemplate, subject: str | ConceptId) -> str:
@@ -87,8 +87,7 @@ def rank_to_weight(rank: int, n: int) -> float:
     return (n - rank + 1) / n
 
 
-@dataclass(frozen=True)
-class CompletionList:
+class CompletionList(Value):
     """Ranked completions for one subject and dimension, deduplicated.
 
     original_ranks keeps each surviving token's 1-based rank in the raw
@@ -102,13 +101,18 @@ class CompletionList:
     original_ranks: tuple[int, ...]
     total: int
 
-    def __post_init__(self) -> None:
-        if not self.completions:
+    def __init__(self, subject, dimension, completions, original_ranks, total) -> None:
+        if not completions:
             raise InputDataError("completion list must not be empty")
-        if len(self.completions) != len(set(self.completions)):
+        if len(completions) != len(set(completions)):
             raise InputDataError("completion list must be deduplicated")
-        if len(self.original_ranks) != len(self.completions):
+        if len(original_ranks) != len(completions):
             raise InputDataError("original_ranks must parallel completions")
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "completions", completions)
+        object.__setattr__(self, "original_ranks", original_ranks)
+        object.__setattr__(self, "total", total)
 
     @classmethod
     def from_raw(
@@ -300,12 +304,18 @@ def _assertion_property(token: str, dimension: PrimitiveRelation) -> PropertyKey
         return None
 
 
-@dataclass(frozen=True)
-class ElicitResult:
+class ElicitResult(Value):
     record: MeaningRecord
     assertions: AssertionSet
-    failures: Mapping[PrimitiveRelation, str] = field(default_factory=dict)
-    warnings: tuple[str, ...] = ()
+    failures: Mapping[PrimitiveRelation, str]
+    warnings: tuple[str, ...]
+
+    def __init__(self, record, assertions, failures=None, warnings=()) -> None:
+        failures = {} if failures is None else failures  # a fresh dict per result
+        object.__setattr__(self, "record", record)
+        object.__setattr__(self, "assertions", assertions)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "warnings", warnings)
 
 
 def elicit(

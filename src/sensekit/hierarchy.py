@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from . import jsonio
-from .corpus import SENSIBLE, AssertionSet, PropertyKey, check_consistency, extent
+from .corpus import SENSIBLE, AssertionSet, PropertyKey, Value, check_consistency, extent
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -48,17 +47,16 @@ from .errors import (
 ROOT_LABEL = "entity"
 
 
-@dataclass(frozen=True)
-class InduceConfig:
-    tau: float = 0.0
+class InduceConfig(Value):
+    tau: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.tau <= 1.0:
-            raise ConfigError(f"tau must be in [0, 1], got {self.tau}")
+    def __init__(self, tau=0.0) -> None:
+        if not 0.0 <= tau <= 1.0:
+            raise ConfigError(f"tau must be in [0, 1], got {tau}")
+        object.__setattr__(self, "tau", tau)
 
 
-@dataclass(frozen=True)
-class TypeNode:
+class TypeNode(Value):
     """One induced type: a distinct property extent.
 
     characteristic_properties are the property tokens whose extent is exactly
@@ -71,27 +69,38 @@ class TypeNode:
     characteristic_properties: tuple[str, ...]
     direct_members: frozenset[str]
 
+    def __init__(self, id, extent, characteristic_properties, direct_members) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "extent", extent)
+        object.__setattr__(self, "characteristic_properties", characteristic_properties)
+        object.__setattr__(self, "direct_members", direct_members)
+
     @property
     def is_synthetic_root(self) -> bool:
         return not self.characteristic_properties
 
 
-@dataclass(frozen=True)
-class TypedFact:
+class TypedFact(Value):
     """An applicability claim at the type level: property applies to a whole type."""
 
     property: PropertyKey
     type_name: str
 
+    def __init__(self, property, type_name) -> None:
+        object.__setattr__(self, "property", property)
+        object.__setattr__(self, "type_name", type_name)
 
-@dataclass(frozen=True)
-class VerifyResult:
+
+class VerifyResult(Value):
     consistent: bool
-    violations: tuple[str, ...] = ()
+    violations: tuple[str, ...]
+
+    def __init__(self, consistent, violations=()) -> None:
+        object.__setattr__(self, "consistent", consistent)
+        object.__setattr__(self, "violations", violations)
 
 
-@dataclass(frozen=True)
-class TypeDag:
+class TypeDag(Value):
     """Type nodes, covering edges (parent id, child id) and the root; nodes[i].id == i.
 
     The constructor checks the structure (ValueError), sorts the edges, and
@@ -101,19 +110,19 @@ class TypeDag:
     nodes: tuple[TypeNode, ...]
     edges: tuple[tuple[int, int], ...]
     root: int
-    diagnostics: tuple[str, ...] = field(init=False)
+    diagnostics: tuple[str, ...]  # derived, not an argument
 
-    def __post_init__(self) -> None:
-        nodes, n = self.nodes, len(self.nodes)
+    def __init__(self, nodes, edges, root) -> None:
+        n = len(nodes)
         for i, node in enumerate(nodes):
             if node.id != i:
                 raise ValueError("TypeDag nodes must be numbered by position: nodes[i].id == i")
             if not node.direct_members <= node.extent:
                 raise ValueError(f"node {i}: members not within extent")
-        if not 0 <= self.root < n:
-            raise ValueError(f"root {self.root!r} is not a node id")
+        if not 0 <= root < n:
+            raise ValueError(f"root {root!r} is not a node id")
         parent_count: dict[int, int] = {}
-        for i, (parent, child) in enumerate(self.edges):
+        for i, (parent, child) in enumerate(edges):
             if not (0 <= parent < n and 0 <= child < n):
                 raise ValueError(f"edge {i} references unknown node")
             # Every induced edge, tolerant ones included, strictly shrinks the
@@ -121,10 +130,12 @@ class TypeDag:
             if len(nodes[child].extent) >= len(nodes[parent].extent):
                 raise ValueError(f"edge {i}: child {child} is not smaller than parent {parent}")
             parent_count[child] = parent_count.get(child, 0) + 1
-        if len(set(self.edges)) < len(self.edges):
-            i = next(i for i, edge in enumerate(self.edges) if edge in self.edges[:i])
+        if len(set(edges)) < len(edges):
+            i = next(i for i, edge in enumerate(edges) if edge in edges[:i])
             raise ValueError(f"edge {i} repeats an earlier edge")
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
+        object.__setattr__(self, "root", root)
         object.__setattr__(self, "diagnostics", tuple(
             f"node {c} ({', '.join(nodes[c].characteristic_properties) or ROOT_LABEL}) has {k} parents"
             for c, k in sorted(parent_count.items()) if k > 2

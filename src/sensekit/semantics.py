@@ -17,13 +17,12 @@ import enum
 import functools
 import os
 import re
-from dataclasses import dataclass
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from . import jsonio
-from .corpus import Assertion, ConceptId
+from .corpus import Assertion, ConceptId, Value
 from .errors import InputDataError, LexiconError, MeaningStoreError
 
 
@@ -105,28 +104,28 @@ _CATEGORIES = (CATEGORY_PROPERTY, CATEGORY_STATE, CATEGORY_ACTIVITY, CATEGORY_EV
 _TROPE_RE = re.compile(r"^[a-z][a-z0-9'_-]*$")
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
+class LexiconEntry(Value):
     trope: str
     category: str
 
-    def __post_init__(self) -> None:
-        if self.trope.__class__ is not str or not _TROPE_RE.match(self.trope):
-            raise ValueError(f"trope must be a lowercase token, got {self.trope!r}")
-        if self.category.__class__ is not str or self.category not in _CATEGORIES:
+    def __init__(self, trope, category) -> None:
+        if trope.__class__ is not str or not _TROPE_RE.match(trope):
+            raise ValueError(f"trope must be a lowercase token, got {trope!r}")
+        if category.__class__ is not str or category not in _CATEGORIES:
             raise ValueError(
-                f"category must be one of {', '.join(_CATEGORIES)}, got {self.category!r}"
+                f"category must be one of {', '.join(_CATEGORIES)}, got {category!r}"
             )
+        object.__setattr__(self, "trope", trope)
+        object.__setattr__(self, "category", category)
 
 
-@dataclass(frozen=True)
-class NominalizationLexicon:
+class NominalizationLexicon(Value):
     """Map from property key name (uppercase) to its trope noun and category."""
 
     entries: Mapping[str, LexiconEntry]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", dict(self.entries))
+    def __init__(self, entries) -> None:
+        object.__setattr__(self, "entries", dict(entries))
 
     def get(self, name: str) -> LexiconEntry | None:
         return self.entries.get(name)
@@ -200,8 +199,7 @@ def participle_stem(participle: str) -> str:
 
 # --- primitive triples ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrimitiveTriple:
+class PrimitiveTriple(Value):
     """(entity, primitive relation, filler) in canonical argument order.
 
     The filler kind depends on the relation: a type label for instanceOf/isA,
@@ -212,6 +210,11 @@ class PrimitiveTriple:
     subject: str
     relation: PrimitiveRelation
     obj: str
+
+    def __init__(self, subject, relation, obj) -> None:
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "obj", obj)
 
     def serialize(self) -> str:
         return f"{self.subject} {self.relation.value} {self.obj}"
@@ -232,8 +235,7 @@ class CopularForm(str, enum.Enum):
     MEASURE = "measure"
 
 
-@dataclass(frozen=True)
-class CopularStatement:
+class CopularStatement(Value):
     """A pre-segmented "x is P" statement.
 
     payload carries the predicate tokens: one token for every form except
@@ -244,19 +246,22 @@ class CopularStatement:
     form: CopularForm
     payload: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.form, CopularForm):
+    def __init__(self, subject, form, payload) -> None:
+        if not isinstance(form, CopularForm):
             try:
-                object.__setattr__(self, "form", CopularForm(self.form))
+                form = CopularForm(form)
             except ValueError:
-                raise InputDataError(f"unknown copular form {self.form!r}") from None
-        object.__setattr__(self, "payload", tuple(self.payload))
-        expected = 2 if self.form is CopularForm.MEASURE else 1
-        if len(self.payload) != expected:
+                raise InputDataError(f"unknown copular form {form!r}") from None
+        payload = tuple(payload)
+        expected = 2 if form is CopularForm.MEASURE else 1
+        if len(payload) != expected:
             raise InputDataError(
-                f"form {self.form.value} takes {expected} payload token(s), "
-                f"got {len(self.payload)}"
+                f"form {form.value} takes {expected} payload token(s), "
+                f"got {len(payload)}"
             )
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "payload", payload)
 
 
 def classify(
@@ -347,17 +352,15 @@ WeightedProperty = tuple[float, str]
 _NO_WEIGHTS: Mapping[str, float] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class MeaningRecord:
+class MeaningRecord(Value):
     """Weighted property sets along primitive-relation dimensions for one sense."""
 
     sense: str
     gloss: str
     dims: Mapping[PrimitiveRelation, tuple[WeightedProperty, ...]]
 
-    def __post_init__(self) -> None:
+    def __init__(self, sense, gloss, dims) -> None:
         """Refuse every record the store loader would, walking the pairs once."""
-        sense, gloss = self.sense, self.gloss
         if not sense.__class__ is gloss.__class__ is str:
             name, value = ("sense", sense) if sense.__class__ is not str else ("gloss", gloss)
             raise MeaningStoreError(f"{name!r} must be a string, got {value!r}")
@@ -366,7 +369,7 @@ class MeaningRecord:
         except ValueError as exc:
             raise MeaningStoreError(str(exc)) from None
         clean: dict[PrimitiveRelation, tuple[WeightedProperty, ...]] = {}
-        for relation, pairs in self.dims.items():
+        for relation, pairs in dims.items():
             if not isinstance(relation, PrimitiveRelation):
                 raise MeaningStoreError(
                     f"record {sense!r}: dimension key {relation!r} is not a relation"
@@ -393,6 +396,8 @@ class MeaningRecord:
                 seen.add(token)
                 normalized.append((weight, token))
             clean[relation] = tuple(normalized)
+        object.__setattr__(self, "sense", sense)
+        object.__setattr__(self, "gloss", gloss)
         object.__setattr__(self, "dims", clean)
 
     def dimension(self, relation: PrimitiveRelation) -> tuple[WeightedProperty, ...]:
@@ -409,7 +414,7 @@ class MeaningRecord:
         return self._weights.get(relation, _NO_WEIGHTS)
 
     # Not a field: cached_property writes the instance __dict__ directly, so
-    # the frozen fields, __eq__ and repr never see the index.  Lazy, so that
+    # the immutable fields, __eq__ and repr never see the index.  Lazy, so that
     # loading or eliciting records does not pay for it.  Tokens are unique
     # within a dimension, so the token alone fixes the order.
     @functools.cached_property

@@ -13,10 +13,10 @@ weighted average can never exceed 1.0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 from . import jsonio
+from .corpus import Value
 from .errors import InputDataError
 from .semantics import (
     DEFAULT_DIMS,
@@ -26,21 +26,22 @@ from .semantics import (
 )
 
 
-@dataclass(frozen=True)
-class MatchedPair:
+class MatchedPair(Value):
     """One shared property token with its weight in each record."""
 
     left: WeightedProperty
     right: WeightedProperty
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "left", (float(self.left[0]), self.left[1]))
-        object.__setattr__(self, "right", (float(self.right[0]), self.right[1]))
-        if self.left[1] != self.right[1]:
+    def __init__(self, left, right) -> None:
+        left = (float(left[0]), left[1])
+        right = (float(right[0]), right[1])
+        if left[1] != right[1]:
             raise InputDataError(
                 f"matched pair must share its property token: "
-                f"{self.left[1]!r} != {self.right[1]!r}"
+                f"{left[1]!r} != {right[1]!r}"
             )
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     @property
     def token(self) -> str:
@@ -104,13 +105,19 @@ def equal_weights(
     return {dim: 1.0 for dim in dims}
 
 
-@dataclass(frozen=True)
-class SimilarityReport:
+class SimilarityReport(Value):
     a: str
     b: str
     per_dim: Mapping[PrimitiveRelation, float]
     aggregate: float
     dim_weights: Mapping[PrimitiveRelation, float]
+
+    def __init__(self, a, b, per_dim, aggregate, dim_weights) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "per_dim", per_dim)
+        object.__setattr__(self, "aggregate", aggregate)
+        object.__setattr__(self, "dim_weights", dim_weights)
 
     def to_json(self) -> dict:
         return {

@@ -1,7 +1,7 @@
 """Independent brute-force reference implementations used as test oracles.
 
 These deliberately avoid the production code paths: normalization hashes
-the assertion dataclasses, extents and sensible properties come from a full
+the assertion value objects, extents and sensible properties come from a full
 scan of the assertions, the conflict oracle ignores assertion order,
 the hierarchy oracles work directly on the (tolerant) inclusion relation
 between extents, and the similarity and join oracles enumerate all
@@ -21,7 +21,7 @@ from sensekit.similarity import MatchedPair
 def reference_normalize(
     assertions: Iterable[Assertion],
 ) -> tuple[tuple[Assertion, ...], frozenset[ConceptId]]:
-    """AssertionSet's (assertions, concepts): dedupe by dataclass hash, sort by fields."""
+    """AssertionSet's (assertions, concepts): dedupe by field-wise hash, sort by fields."""
     ordered = tuple(sorted(
         set(assertions),
         key=lambda a: (a.property.name, a.property.position or "", a.concept.name, a.polarity),

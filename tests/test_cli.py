@@ -786,6 +786,21 @@ def test_bad_setting_exit_5(config, argv, tmp_path, leaf_file, store_file, capsy
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    ("weight", "shown"), [(10**400, "inf"), (-(10**400), "-inf")], ids=["positive", "negative"]
+)
+def test_config_weight_past_float_range_keeps_its_sign(
+    weight, shown, tmp_path, store_file, capsys
+) -> None:
+    cfg = tmp_path / "ws.json"
+    cfg.write_text(json.dumps({"dim_weights": {"hasProp": weight}}), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "sim", "book#1", "publication#3", "--store", store_file, "--config", str(cfg)
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: weight for hasProp is not finite: {shown}\n"
+
+
 SAME_AND_DIFFERENT = [
     {"sense": sense, "gloss": "", "dims": {"hasProp": [[1.0, "red"]], "agentOf": [[1.0, verb]]}}
     for sense, verb in (("a#1", "eats"), ("b#1", "eats"), ("c#1", "runs"))
@@ -810,13 +825,19 @@ def test_sim_weights_summing_past_float_max_exit_2(other, tmp_path, capsys) -> N
 
 _FOOTPRINT = """
 import contextlib, io, json, sys
+HEAVY = ("dataclasses", "inspect")
+preloaded = [m for m in HEAVY if m in sys.modules]
 import sensekit
 code = None
-if sys.argv[1:]:
+if sys.argv[1:] == ["all-layers"]:
+    import sensekit.corpus, sensekit.hierarchy, sensekit.semantics, sensekit.similarity
+    import sensekit.elicitation
+elif sys.argv[1:]:
     from sensekit.cli import main
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("sensekit."))]))
+loaded = sorted(m for m in sys.modules if m.startswith("sensekit.") or m in HEAVY)
+print(json.dumps([code, preloaded, loaded]))
 """
 
 
@@ -824,6 +845,7 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("sensekit.
     ("argv", "absent"),
     [
         ([], {"cli", "corpus", "jsonio", "hierarchy", "semantics", "similarity", "elicitation"}),
+        (["all-layers"], {"cli"}),
         (["ingest", "leaf.sense"], {"hierarchy", "semantics", "similarity", "elicitation"}),
         (["induce", "leaf.sense"], {"semantics", "similarity", "elicitation"}),
         (
@@ -831,10 +853,12 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("sensekit.
             {"hierarchy", "similarity", "elicitation"},
         ),
         (["sim", "book#1", "publication#3", "--store", "store.json"], {"hierarchy", "elicitation"}),
+        (["elicit", "--subject", "book", "--provider", "mock"], {"hierarchy", "similarity"}),
     ],
-    ids=["bare-import", "ingest", "induce", "nominalize", "sim"],
+    ids=["bare-import", "all-layers", "ingest", "induce", "nominalize", "sim", "elicit"],
 )
 def test_each_command_imports_only_its_layers(argv, absent, tmp_path) -> None:
+    """Each command loads only its layers, and no layer loads dataclasses or inspect."""
     (tmp_path / "leaf.sense").write_text(LEAF, encoding="utf-8")
     (tmp_path / "lex.json").write_text(json.dumps(LEXICON), encoding="utf-8")
     (tmp_path / "store.json").write_text(STORE, encoding="utf-8")
@@ -847,11 +871,14 @@ def test_each_command_imports_only_its_layers(argv, absent, tmp_path) -> None:
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0, proc.stderr
-    code, loaded = json.loads(proc.stdout)
-    assert code == (0 if argv else None)
+    code, preloaded, loaded = json.loads(proc.stdout)
+    assert code == (0 if argv and argv != ["all-layers"] else None)
     loaded = {name.removeprefix("sensekit.") for name in loaded}
     assert "errors" in loaded
     assert not loaded & absent, f"{argv}: loaded {sorted(loaded & absent)}"
+    if preloaded:
+        pytest.skip(f"the interpreter loaded {preloaded} before sensekit")
+    assert not loaded & {"dataclasses", "inspect"}, f"{argv}: loaded {sorted(loaded)}"
 
 
 def test_import_leaves_requests_unloaded() -> None:

@@ -117,6 +117,18 @@ def test_syntax_error_carries_line_number() -> None:
     assert "line 2" in str(err.value)
 
 
+_EXPECTED_FORMS = "expected '+ PROP concept', '- PROP concept', '+ REL(a, b)', or '- REL(a, b)'"
+
+
+@pytest.mark.parametrize("size", [200, 201, 400_000])
+def test_syntax_error_echoes_at_most_200_characters_of_the_line(size: int) -> None:
+    line = "? " + "x" * (size - 2)
+    with pytest.raises(CorpusSyntaxError) as err:
+        parse_corpus("+ OLD trip\n" + line + "\n")
+    shown = repr(line) if size <= 200 else f"{line[:200]!r}... ({size} characters)"
+    assert str(err.value) == f"line 2: cannot parse {shown}: {_EXPECTED_FORMS}"
+
+
 @pytest.mark.parametrize(
     "line",
     ["+DELICIOUS apple", "? OLD trip", "+ old trip", "+ RIDE(human)", "+ RIDE(a, b, c)", "+ OLD"],
@@ -200,6 +212,7 @@ def test_json_shares_equal_tokens() -> None:
         ("+ RIDE(trip, Bike)", "invalid concept id 'Bike'"),
         ("+ RIDE(Bike, trip)", "invalid concept id 'Bike'"),
         ("+ OLD trip#0", "invalid concept id 'trip#0'"),
+        ("+ OLD " + "X" * 201, f"invalid concept id {'X' * 200!r}... (201 characters): expected"),
     ],
 )
 def test_bad_token_on_a_late_line_reports_that_line(bad_line: str, message: str) -> None:

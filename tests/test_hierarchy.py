@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -621,7 +620,8 @@ def test_diagnostics_is_not_a_constructor_argument() -> None:
 
 def _ghost_member(nodes: tuple[TypeNode, ...]) -> tuple[TypeNode, ...]:
     """nodes with a direct member of node 1 that is outside its extent."""
-    ghost = dataclasses.replace(nodes[1], direct_members=nodes[1].direct_members | {"ghost"})
+    n = nodes[1]
+    ghost = TypeNode(n.id, n.extent, n.characteristic_properties, n.direct_members | {"ghost"})
     return (nodes[0], ghost, *nodes[2:])
 
 
