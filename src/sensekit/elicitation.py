@@ -14,6 +14,7 @@ provider speaks a single-exchange JSON protocol over HTTP.
 from __future__ import annotations
 
 import importlib.resources
+import json
 import os
 from typing import Mapping, Protocol, Sequence
 
@@ -227,7 +228,6 @@ class RemoteProvider:
         auth_env: str = "SENSEKIT_PROVIDER_TOKEN",
         timeout: float = 10.0,
         retries: int = 2,
-        session: object | None = None,
     ) -> None:
         if not endpoint:
             raise ProviderError("remote provider needs an endpoint URL")
@@ -235,46 +235,59 @@ class RemoteProvider:
         self.auth_env = auth_env
         self.timeout = float(timeout)
         self.retries = int(retries)
-        if session is None:
-            # Imported here: requests is most of the package's import time,
-            # and only a remote provider without an injected session needs it.
-            import requests
-
-            session = requests
-        self._session = session
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.auth_env, "")
         if token:
+            if not token.isprintable():  # the header check would quote it
+                raise ProviderError(f"the token in {self.auth_env} holds a control character")
             headers["Authorization"] = f"Bearer {token}"
         return headers
 
+    def _post(self, body: bytes) -> bytes:
+        """The body of a 2xx reply to one POST; ProviderError says why not.
+
+        Only http and https endpoints are opened, and a redirect is not
+        followed: it would re-send the headers, the token included, to
+        whatever host the Location names.
+        """
+        import http.client
+        import urllib.error
+        import urllib.request
+
+        class NoRedirect(urllib.request.HTTPRedirectHandler):
+            def redirect_request(self, *args):  # a 3xx stays an HTTPError
+                return None
+
+        try:
+            request = urllib.request.Request(self.endpoint, body, self._headers())
+            if request.type not in ("http", "https"):
+                raise ValueError(f"unsupported URL scheme {request.type!r}")
+            opener = urllib.request.build_opener(NoRedirect)
+            with opener.open(request, timeout=self.timeout) as response:
+                return response.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            raise ProviderError(f"provider returned HTTP {exc.code}") from None
+        # OSError covers URLError and timeouts; idna's UnicodeError and a bad
+        # IPv6 literal are ValueErrors; a control character is an InvalidURL.
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            raise ProviderError(f"request failed: {exc}") from None
+
     def complete(self, prompt: str, n: int) -> list[str]:
+        body = json.dumps({"prompt": prompt, "n": n}, allow_nan=False).encode()
         last_error = "no attempt made"
         for _ in range(self.retries + 1):
             try:
-                response = self._session.post(
-                    self.endpoint,
-                    json={"prompt": prompt, "n": n},
-                    headers=self._headers(),
-                    timeout=self.timeout,
-                )
-            # requests.RequestException subclasses OSError; urllib3 lets a
-            # ValueError through for some malformed host names.
-            except (OSError, ValueError) as exc:
-                last_error = f"request failed: {exc}"
+                reply = jsonio.loads(self._post(body), what="provider response")
+            except ProviderError as exc:
+                last_error = str(exc)
                 continue
-            status = getattr(response, "status_code", 0)
-            if not 200 <= status < 300:
-                last_error = f"provider returned HTTP {status}"
-                continue
-            try:
-                body = response.json()
-            except ValueError:
+            except InputDataError:
                 last_error = "provider response is not JSON"
                 continue
-            completions = body.get("completions") if isinstance(body, dict) else None
+            completions = reply.get("completions") if isinstance(reply, dict) else None
             if not isinstance(completions, list) or not all(
                 isinstance(t, str) for t in completions
             ):

@@ -126,7 +126,7 @@ def _reject_constant(name: str) -> Any:
     raise ValueError(f"{name} is not valid JSON")
 
 
-def loads(text: str, *, what: str) -> Any:
+def loads(text: str | bytes, *, what: str) -> Any:
     try:
         return json.loads(text, parse_constant=_reject_constant)
     # JSONDecodeError is a ValueError; so is a NaN or Infinity literal and an

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import http.server
+import json
+import os
 import random
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -18,6 +23,68 @@ from sensekit.corpus import (
 )
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+@pytest.fixture()
+def no_proxies(monkeypatch) -> None:
+    """Clear every *_proxy variable, so a URL on 127.0.0.1 is opened directly."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+
+
+class _Handler(http.server.BaseHTTPRequestHandler):
+    def do_POST(self) -> None:
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.server.received.append((self.command, self.path, self.headers, body))
+        replies = self.server.replies
+        status, payload, headers, delay = replies.pop(0) if replies else (500, b"", {}, 0.0)
+        time.sleep(delay)
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    do_GET = do_POST
+
+    def log_message(self, *args) -> None:
+        pass
+
+
+class Loopback:
+    """A completion provider on 127.0.0.1 that plays back queued replies.
+
+    Each call records (method, path, headers, body) in received; once the
+    queue is empty every call gets a 500.
+    """
+
+    def __init__(self, server: http.server.ThreadingHTTPServer) -> None:
+        self.server = server
+        self.url = f"http://127.0.0.1:{server.server_port}"
+        self.received = server.received
+
+    def reply(self, status: int = 200, payload: bytes = b"", headers=None, delay: float = 0.0) -> None:
+        self.server.replies.append((status, payload, headers or {}, delay))
+
+    def completions(self, *tokens: str) -> None:
+        self.reply(payload=json.dumps({"completions": list(tokens)}).encode())
+
+
+@pytest.fixture()
+def loopback(no_proxies):
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    server.daemon_threads = True
+    server.handle_error = lambda *args: None  # a client that timed out closed its socket
+    server.received, server.replies = [], []
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    yield Loopback(server)
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 @pytest.fixture(scope="session")

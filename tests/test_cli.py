@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
@@ -432,6 +433,28 @@ def test_elicit_remote_unreachable_exit_4(capsys) -> None:
     assert code == 4
 
 
+def test_elicit_remote_loopback_exit_0(loopback, capsys) -> None:
+    loopback.completions("fun", "long", "fun")
+    code, out, err = run_cli(
+        capsys,
+        "elicit", "--subject", "game", "--dims", "hasProp", "-n", "3",
+        "--provider", "remote", "--endpoint", loopback.url, "--retries", "0",
+    )
+    assert code == 0, err
+    assert json.loads(out)["record"]["dims"] == {"hasProp": [[1.0, "fun"], [2 / 3, "long"]]}
+
+
+def test_elicit_remote_deeply_nested_reply_exit_4(loopback, capsys) -> None:
+    loopback.reply(payload=b"[" * 100_000 + b"]" * 100_000)
+    code, out, err = run_cli(
+        capsys,
+        "elicit", "--subject", "game", "--dims", "hasProp", "-n", "3",
+        "--provider", "remote", "--endpoint", loopback.url, "--retries", "0",
+    )
+    assert (code, out) == (4, "")
+    assert "provider response is not JSON" in err
+
+
 def test_elicit_remote_without_endpoint_exit_5(tmp_path, capsys, monkeypatch) -> None:
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(
@@ -823,9 +846,12 @@ def test_sim_weights_summing_past_float_max_exit_2(other, tmp_path, capsys) -> N
     assert "not finite" in err
 
 
-_FOOTPRINT = """
+#: Modules no command may load: the dataclasses machinery and the HTTP stack,
+#: which only a remote provider's POST imports.
+_HEAVY = ("dataclasses", "inspect", "urllib.request", "http.client")
+_FOOTPRINT = f"""
 import contextlib, io, json, sys
-HEAVY = ("dataclasses", "inspect")
+HEAVY = {_HEAVY!r}
 preloaded = [m for m in HEAVY if m in sys.modules]
 import sensekit
 code = None
@@ -858,7 +884,7 @@ print(json.dumps([code, preloaded, loaded]))
     ids=["bare-import", "all-layers", "ingest", "induce", "nominalize", "sim", "elicit"],
 )
 def test_each_command_imports_only_its_layers(argv, absent, tmp_path) -> None:
-    """Each command loads only its layers, and no layer loads dataclasses or inspect."""
+    """Each command loads only its layers, and no layer loads a module of _HEAVY."""
     (tmp_path / "leaf.sense").write_text(LEAF, encoding="utf-8")
     (tmp_path / "lex.json").write_text(json.dumps(LEXICON), encoding="utf-8")
     (tmp_path / "store.json").write_text(STORE, encoding="utf-8")
@@ -878,18 +904,28 @@ def test_each_command_imports_only_its_layers(argv, absent, tmp_path) -> None:
     assert not loaded & absent, f"{argv}: loaded {sorted(loaded & absent)}"
     if preloaded:
         pytest.skip(f"the interpreter loaded {preloaded} before sensekit")
-    assert not loaded & {"dataclasses", "inspect"}, f"{argv}: loaded {sorted(loaded)}"
+    assert not loaded & set(_HEAVY), f"{argv}: loaded {sorted(loaded)}"
 
 
-def test_import_leaves_requests_unloaded() -> None:
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, sensekit.cli; print('requests' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+def test_sources_import_only_the_standard_library() -> None:
+    """sensekit runs on the standard library alone, and pyproject.toml says so."""
+    root = Path(__file__).parent.parent
+    for path in sorted((root / "src" / "sensekit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in sys.stdlib_module_names, f"{path.name}: {name}"
+    if sys.version_info < (3, 11):
+        pytest.skip("tomllib is new in Python 3.11")
+    import tomllib
+
+    with open(root / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []
 
 
 _DIM_NAMES = st.sampled_from(["hasProp", "HASPROP", "agentOf", "isa", "IsA", "hasVibes", ""])

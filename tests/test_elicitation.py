@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import json
+import re
+import socket
 
 import pytest
-import requests
 
 from sensekit.corpus import PropertyKey
 from sensekit.elicitation import (
@@ -250,102 +251,166 @@ def test_elicit_record_satisfies_invariants() -> None:
         assert all(0.0 < w <= 1.0 for w, _ in pairs)
 
 
-# --- remote provider ----------------------------------------------------------------------
+# --- remote provider, against a loopback server ---------------------------------------
 
-class _FakeResponse:
-    def __init__(self, status_code: int = 200, body: object = None) -> None:
-        self.status_code = status_code
-        self._body = body
-
-    def json(self) -> object:
-        if isinstance(self._body, Exception):
-            raise self._body
-        return self._body
+PROMPT = "The game was very [MASK]."
 
 
-class _FakeSession:
-    def __init__(self, outcomes) -> None:
-        self.outcomes = list(outcomes)
-        self.calls: list[dict] = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append(
-            {"url": url, "json": json, "headers": headers, "timeout": timeout}
-        )
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+def test_remote_provider_success(loopback) -> None:
+    loopback.completions("exciting", "boring", "fun")
+    provider = RemoteProvider(loopback.url + "/complete")
+    assert provider.timeout == 10.0
+    assert provider.complete(PROMPT, 2) == ["exciting", "boring"]
+    [(method, path, headers, body)] = loopback.received
+    assert (method, path) == ("POST", "/complete")
+    assert body == b'{"prompt": "The game was very [MASK].", "n": 2}'
+    assert headers["Content-Type"] == "application/json"
 
 
-def test_remote_provider_success() -> None:
-    session = _FakeSession([_FakeResponse(200, {"completions": ["exciting", "boring"]})])
-    provider = RemoteProvider("https://masker.example/complete", session=session)
-    assert provider.complete("The game was very [MASK].", 2) == ["exciting", "boring"]
-    call = session.calls[0]
-    assert call["json"] == {"prompt": "The game was very [MASK].", "n": 2}
-    assert call["timeout"] == 10.0
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-16", "utf-32"])
+def test_remote_provider_detects_the_reply_encoding(loopback, encoding) -> None:
+    loopback.reply(payload=json.dumps({"completions": ["süß"]}).encode(encoding))
+    assert RemoteProvider(loopback.url, retries=0).complete(PROMPT, 1) == ["süß"]
 
 
-def test_remote_provider_sends_bearer_token(monkeypatch) -> None:
+def test_remote_provider_sends_bearer_token(loopback, monkeypatch) -> None:
     monkeypatch.setenv("SENSEKIT_PROVIDER_TOKEN", "hunter2")
-    session = _FakeSession([_FakeResponse(200, {"completions": []}), _FakeResponse(200, {"completions": ["x"]})])
-    provider = RemoteProvider("https://masker.example", session=session, retries=0)
-    provider.complete("p [MASK] {q}", 1)
-    assert session.calls[0]["headers"]["Authorization"] == "Bearer hunter2"
+    loopback.completions("x")
+    RemoteProvider(loopback.url, retries=0).complete(PROMPT, 1)
+    assert loopback.received[0][2]["Authorization"] == "Bearer hunter2"
 
 
-def test_remote_provider_value_error_is_a_request_failure() -> None:
-    # urllib3 raises LocationParseError, a ValueError, for a host with an empty label
-    session = _FakeSession([ValueError("Failed to parse: 'a..b', label empty or too long")])
-    provider = RemoteProvider("http://a..b/", session=session, retries=0)
-    with pytest.raises(ProviderError, match="request failed: .*label empty"):
-        provider.complete("p [MASK]", 1)
-
-
-def test_remote_provider_retries_then_fails(monkeypatch) -> None:
+def test_remote_provider_sends_no_header_without_a_token(loopback, monkeypatch) -> None:
     monkeypatch.delenv("SENSEKIT_PROVIDER_TOKEN", raising=False)
-    session = _FakeSession(
-        [
-            requests.ConnectionError("down"),
-            requests.Timeout("slow"),
-            _FakeResponse(500, {}),
-        ]
-    )
-    provider = RemoteProvider("https://masker.example", retries=2, session=session)
-    with pytest.raises(ProviderError):
-        provider.complete("prompt [MASK]", 3)
-    assert len(session.calls) == 3
+    loopback.completions("x")
+    RemoteProvider(loopback.url, retries=0).complete(PROMPT, 1)
+    assert "Authorization" not in loopback.received[0][2]
 
 
-def test_remote_provider_recovers_within_budget() -> None:
-    session = _FakeSession(
-        [
-            requests.Timeout("slow"),
-            _FakeResponse(200, {"completions": ["a", "b", "c", "d"]}),
-        ]
-    )
-    provider = RemoteProvider("https://masker.example", retries=1, session=session)
-    assert provider.complete("prompt [MASK]", 3) == ["a", "b", "c"]
+def _refused_url() -> str:
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/complete"
 
 
-def test_remote_provider_rejects_malformed_body() -> None:
-    session = _FakeSession(
-        [
-            _FakeResponse(200, {"tokens": ["a"]}),
-            _FakeResponse(200, ValueError("not json")),
-        ]
-    )
-    provider = RemoteProvider("https://masker.example", retries=1, session=session)
-    with pytest.raises(ProviderError):
-        provider.complete("prompt [MASK]", 3)
+def test_remote_provider_error_text_never_holds_the_token(loopback, monkeypatch) -> None:
+    monkeypatch.setenv("SENSEKIT_PROVIDER_TOKEN", "hunter2")
+    loopback.reply(500, b"hunter2")
+    loopback.reply(200, b"hunter2 is not JSON")
+    loopback.reply(302, headers={"Location": "http://127.0.0.1:1/hunter2"})
+    for url in (loopback.url,) * 3 + (_refused_url(),):
+        with pytest.raises(ProviderError) as info:
+            RemoteProvider(url, retries=0).complete(PROMPT, 1)
+        assert "hunter2" not in str(info.value)
+    # http.client would quote a header value it refuses, so such a token is not sent
+    monkeypatch.setenv("SENSEKIT_PROVIDER_TOKEN", "hunter2\nX-Injected: 1")
+    with pytest.raises(ProviderError, match="control character") as info:
+        RemoteProvider(loopback.url, retries=0).complete(PROMPT, 1)
+    assert "hunter2" not in str(info.value)
+    assert len(loopback.received) == 3
 
 
-def test_remote_provider_failure_feeds_per_dimension_path() -> None:
-    session = _FakeSession([requests.ConnectionError("down"), requests.ConnectionError("down")])
-    provider = RemoteProvider("https://masker.example", retries=1, session=session)
-    with pytest.raises(ElicitationError):
-        elicit(provider, "game", (REL.HAS_PROP,), 5)
+def test_remote_provider_value_error_is_a_request_failure(no_proxies) -> None:
+    # encoding the empty label to IDNA raises UnicodeError, a ValueError
+    provider = RemoteProvider("http://a..b/", retries=0)
+    with pytest.raises(ProviderError, match="request failed: .*label empty"):
+        provider.complete(PROMPT, 1)
+
+
+def test_remote_provider_refused_port_is_a_request_failure(no_proxies) -> None:
+    with pytest.raises(ProviderError, match="after 2 attempt.*request failed: .*refused"):
+        RemoteProvider(_refused_url(), retries=1).complete(PROMPT, 1)
+
+
+def test_remote_provider_times_out(loopback) -> None:
+    loopback.reply(payload=b'{"completions": ["late"]}', delay=0.5)
+    provider = RemoteProvider(loopback.url, timeout=0.1, retries=0)
+    with pytest.raises(ProviderError, match="request failed: .*timed out"):
+        provider.complete(PROMPT, 1)
+
+
+def test_remote_provider_retries_then_fails(loopback) -> None:
+    provider = RemoteProvider(loopback.url, retries=2)
+    with pytest.raises(ProviderError, match=r"after 3 attempt\(s\): provider returned HTTP 500$"):
+        provider.complete(PROMPT, 3)
+    assert len(loopback.received) == 3
+
+
+def test_remote_provider_recovers_within_budget(loopback) -> None:
+    loopback.reply(500)
+    loopback.completions("a", "b", "c", "d")
+    provider = RemoteProvider(loopback.url, retries=1)
+    assert provider.complete(PROMPT, 3) == ["a", "b", "c"]
+    assert len(loopback.received) == 2
+
+
+def test_remote_provider_rejects_malformed_body(loopback) -> None:
+    loopback.reply(payload=b'{"tokens": ["a"]}')
+    loopback.reply(payload=b"not json")
+    provider = RemoteProvider(loopback.url, retries=1)
+    with pytest.raises(ProviderError, match="provider response is not JSON$"):
+        provider.complete(PROMPT, 3)
+    assert len(loopback.received) == 2
+
+
+@pytest.mark.parametrize(
+    ("payload", "reason"),
+    [
+        (b"\xff\xfe\xfd", "provider response is not JSON"),
+        (b'{"completions": NaN}', "provider response is not JSON"),
+        (b"[" * 100_000 + b"]" * 100_000, "provider response is not JSON"),
+        (b'{"tokens": ["a"]}', "provider response lacks a 'completions' string list"),
+        (b'{"completions": ["a", 7]}', "provider response lacks a 'completions' string list"),
+        (b'["a"]', "provider response lacks a 'completions' string list"),
+    ],
+    ids=["undecodable", "nan", "deeply-nested", "no-completions", "non-string", "list"],
+)
+def test_remote_provider_bad_reply_is_a_failed_attempt(loopback, payload, reason) -> None:
+    loopback.reply(payload=payload)
+    with pytest.raises(ProviderError, match=re.escape(reason) + "$"):
+        RemoteProvider(loopback.url, retries=0).complete(PROMPT, 1)
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_remote_provider_does_not_follow_redirects(loopback, status) -> None:
+    loopback.reply(status, headers={"Location": loopback.url + "/elsewhere"})
+    loopback.completions("followed")
+    with pytest.raises(ProviderError, match=f"provider returned HTTP {status}$"):
+        RemoteProvider(loopback.url + "/complete", retries=0).complete(PROMPT, 1)
+    assert [path for _, path, _, _ in loopback.received] == ["/complete"]
+
+
+@pytest.mark.parametrize("scheme", ["file", "data", "ftp"])
+def test_remote_provider_opens_only_http_endpoints(tmp_path, no_proxies, scheme) -> None:
+    reply = '{"completions": ["opened"]}'
+    (tmp_path / "reply.json").write_text(reply, encoding="utf-8")
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        endpoint = {
+            "file": (tmp_path / "reply.json").as_uri(),
+            "data": "data:application/json," + reply,
+            "ftp": f"ftp://127.0.0.1:{listener.getsockname()[1]}/reply.json",
+        }[scheme]
+        provider = RemoteProvider(endpoint, timeout=0.5, retries=0)
+        with pytest.raises(ProviderError, match=f"request failed: unsupported URL scheme '{scheme}'"):
+            provider.complete(PROMPT, 1)
+        listener.setblocking(False)
+        with pytest.raises(BlockingIOError):  # nothing connected
+            listener.accept()
+
+
+def test_remote_provider_uses_the_proxy_from_the_environment(loopback, monkeypatch) -> None:
+    monkeypatch.setenv("http_proxy", loopback.url)
+    loopback.completions("proxied")
+    # Refused if the proxy were bypassed: nothing listens on 127.0.0.2:1.
+    assert RemoteProvider("http://127.0.0.2:1/complete", retries=0).complete(PROMPT, 1) == ["proxied"]
+    assert loopback.received[0][1] == "http://127.0.0.2:1/complete"
+
+
+def test_remote_provider_failure_feeds_per_dimension_path(loopback) -> None:
+    provider = RemoteProvider(loopback.url, retries=1)
+    with pytest.raises(ElicitationError, match="hasProp: .*HTTP 500; agentOf: .*HTTP 500$"):
+        elicit(provider, "game", (REL.HAS_PROP, REL.AGENT_OF), 5)
+    assert len(loopback.received) == 4
 
 
 def test_mock_provider_rejects_colliding_fixture_entries() -> None:
