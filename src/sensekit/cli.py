@@ -205,9 +205,13 @@ def _number(name: str, value) -> float:
 
 
 def _seconds(name: str, value) -> float:
+    from threading import TIMEOUT_MAX  # the longest timeout a socket accepts
+
     seconds = _number(name, value)
-    if not 0.0 < seconds < math.inf:
-        raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
+    if not 0.0 < seconds <= TIMEOUT_MAX:
+        raise ConfigError(
+            f"{name} must be a positive number of seconds up to {TIMEOUT_MAX:.0f}, got {value!r}"
+        )
     return seconds
 
 

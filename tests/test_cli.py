@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -779,6 +780,9 @@ REMOTE = [
         ({"lexicon": ["x"]}, ["nominalize", "{leaf}"]),
         ({"provider": "x"}, REMOTE),
         ({"provider": {"timeout": "x"}}, REMOTE),
+        ({"provider": {"timeout": 1e300}}, REMOTE),
+        ({}, [*REMOTE, "--timeout", "1e300"]),
+        ({}, [*REMOTE, "--timeout", "9.3e9"]),
         ({"provider": {"retries": "x"}}, REMOTE),
         ({"provider": {"retries": -1}}, REMOTE),
         ({}, [*REMOTE, "--retries", "-5"]),
@@ -794,7 +798,9 @@ REMOTE = [
     ],
     ids=[
         "dims-int", "dims-int-list", "dim-weight-null", "corpus-list", "corpus-zero",
-        "corpus-one", "lexicon-list", "provider-string", "timeout-string", "retries-string",
+        "corpus-one", "lexicon-list", "provider-string", "timeout-string",
+        "timeout-past-socket-limit", "timeout-flag-past-socket-limit",
+        "timeout-flag-just-past-socket-limit", "retries-string",
         "retries-negative", "retries-flag-negative", "dims-named-twice",
         "config-int-over-digit-limit", "config-nested-too-deep",
     ],
@@ -807,6 +813,21 @@ def test_bad_setting_exit_5(config, argv, tmp_path, leaf_file, store_file, capsy
     assert code == 5
     assert out == ""
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_elicit_timeout_at_the_socket_limit_is_accepted(where, loopback, tmp_path, capsys) -> None:
+    loopback.completions("fun")
+    cfg = tmp_path / "ws.json"
+    cfg.write_text(json.dumps({"provider": {"timeout": threading.TIMEOUT_MAX}}), encoding="utf-8")
+    flags = ["--timeout", repr(threading.TIMEOUT_MAX)] if where == "flag" else ["--config", str(cfg)]
+    code, out, err = run_cli(
+        capsys,
+        "elicit", "--subject", "game", "--dims", "hasProp", "-n", "1",
+        "--provider", "remote", "--endpoint", loopback.url, "--retries", "0", *flags,
+    )
+    assert code == 0, err
+    assert json.loads(out)["record"]["dims"] == {"hasProp": [[1.0, "fun"]]}
 
 
 @pytest.mark.parametrize(

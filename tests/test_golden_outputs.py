@@ -1,8 +1,10 @@
 """Byte-identity guard: the sha256 of `ingest`, `induce` and `induce --tau
-0.25` stdout, and of serialize_corpus, for every corpus in tests/data, of the
-ontology JSON, DOT export and diagnostics of a seeded interval corpus, of
-the meaning-store text for a loaded store and for elicited records, and of
-the similarity reports of every ordered pair of a seeded store.
+0.25` stdout, and of serialize_corpus, for every corpus in tests/data, of
+`nominalize` stdout for the binary-relations corpus and a seeded mixed
+corpus, of the ontology JSON, DOT export and diagnostics of a seeded
+interval corpus, of the meaning-store text for a loaded store and for
+elicited records, and of the similarity reports of every ordered pair of a
+seeded store.
 
 A change to any digest is a change to sensekit's output format and must be
 deliberate; record the new digest together with the reason."""
@@ -10,11 +12,13 @@ deliberate; record the new digest together with the reason."""
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from pathlib import Path
 
 import pytest
 
+from sensekit import jsonio
 from sensekit.cli import main
 from sensekit.corpus import parse_corpus, serialize_corpus
 from sensekit.elicitation import BOOK_FIXTURE_TEMPLATES, MockProvider, elicit
@@ -23,8 +27,10 @@ from sensekit.semantics import (
     DEFAULT_DIMS,
     MeaningRecord,
     PrimitiveRelation,
+    load_lexicon,
     load_meanings,
     meanings_to_json_text,
+    nominalize_assertion,
 )
 from sensekit.similarity import concept_similarity
 
@@ -71,6 +77,14 @@ INTERVAL_DIAGNOSTICS_DIGESTS = {
     0.1: "7df006a109d5b1d6035a358f0158d53b9d131313810a53de00ac3a8f861f11e7",
 }
 
+# `nominalize` stdout: the binary-relations corpus with the starter lexicon,
+# and the seeded corpus of _write_mixed_corpus with its own lexicon.
+NOMINALIZE_DIGESTS = {
+    "binary_relations.sense": "786e9af81669354803f071f028f5eef05980dbcc840899aec63673510a4587a3",
+    "mixed": "3866f9701cb0f51abbec08e49f1eb306bdac9573810f8dc282cc66c7de8f5e0d",
+}
+STARTER_LEXICON = Path(jsonio.__file__).parent / "data" / "lexicon_starter.json"
+
 STORE_DIGESTS = {
     "meanings_book_publication.json": "f3d2fc709be0a793bc6f5820a85325f7df9d142a7a8ac0c939ed7b1d7764dc76",
     "elicited-book-game": "f8336860a6894cb1030e44537f7c14a54ee0209d7edeb6756a9a220f1df271ab",
@@ -114,6 +128,66 @@ def test_cli_stdout_digest(name: str, command: str, capsys) -> None:
 def test_induce_tau_stdout_digest(name: str, capsys) -> None:
     assert main(["induce", str(DATA_DIR / name), "--tau", "0.25"]) == 0
     assert _sha(capsys.readouterr().out) == DIGESTS[name]["induce_tau"]
+
+
+def _write_mixed_corpus(directory: Path) -> tuple[str, str]:
+    """A seeded corpus and its lexicon; returns their paths.
+
+    Ten unary properties (property and state tropes, one with a quote) and
+    six relations, as binary lines and as NAME@agent / NAME@object rows;
+    RIDE and MAKE have a lexicon trope, the others take their gerund (STOP
+    doubles its consonant).  Concepts carry sense suffixes, and about a
+    fifth of the rows are nonsensical, so nominalize skips them.
+    """
+    rng = random.Random(1818)
+    lexicon = {f"P{i}": {"trope": f"p{i}-ness", "cat": "state" if i % 3 == 0 else "property"}
+               for i in range(10)}
+    lexicon["P7"]["trope"] = "seven's_trope"
+    lexicon["RIDE"] = {"trope": "riding", "cat": "activity"}
+    lexicon["MAKE"] = {"trope": "manufacture", "cat": "activity"}
+    relations = ["RIDE", "MAKE", "READ", "STOP", "CARRY", "WALK-ALONG"]
+    concepts = [f"c{i}" + (f"#{rng.randint(1, 3)}" if rng.random() < 0.2 else "") for i in range(80)]
+    signs: dict[tuple[str, str], str] = {}
+    lines = []
+    for _ in range(500):
+        sign = "-" if rng.random() < 0.2 else "+"
+        roll = rng.random()
+        if roll < 0.6:
+            fact = (f"P{rng.randrange(10)}", rng.choice(concepts))
+            if signs.setdefault(fact, sign) == sign:
+                lines.append(f"{sign} {fact[0]} {fact[1]}")
+        elif roll < 0.8:
+            fact = (f"{rng.choice(relations)}@{rng.choice(('agent', 'object'))}", rng.choice(concepts))
+            if signs.setdefault(fact, sign) == sign:
+                lines.append(f"{sign} {fact[0]} {fact[1]}")
+        else:
+            name, agent, obj = rng.choice(relations), rng.choice(concepts), rng.choice(concepts)
+            halves = ((f"{name}@agent", agent), (f"{name}@object", obj))
+            if all(signs.setdefault(fact, sign) == sign for fact in halves):
+                lines.append(f"{sign} {name}({agent}, {obj})")
+    corpus, lexicon_file = directory / "mixed.sense", directory / "mixed-lexicon.json"
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lexicon_file.write_text(json.dumps(lexicon), encoding="utf-8")
+    return str(corpus), str(lexicon_file)
+
+
+def test_nominalize_binary_relations_digest(capsys) -> None:
+    corpus = str(DATA_DIR / "binary_relations.sense")
+    assert main(["nominalize", corpus, "--lexicon", str(STARTER_LEXICON)]) == 0
+    assert _sha(capsys.readouterr().out) == NOMINALIZE_DIGESTS["binary_relations.sense"]
+
+
+def test_nominalize_mixed_corpus_digest(tmp_path, capsys) -> None:
+    corpus, lexicon_file = _write_mixed_corpus(tmp_path)
+    assert main(["nominalize", corpus, "--lexicon", lexicon_file]) == 0
+    assert _sha(capsys.readouterr().out) == NOMINALIZE_DIGESTS["mixed"]
+    # The same document through the library and jsonio.dumps.
+    aset = parse_corpus(Path(corpus).read_text(encoding="utf-8"))
+    lexicon = load_lexicon(lexicon_file)
+    triples = [nominalize_assertion(a, lexicon) for a in aset.assertions if a.is_sensible]
+    assert {t.relation.value for t in triples} == {"hasProp", "inState", "agentOf", "objectOf"}
+    text = jsonio.dumps({"triples": [t.to_json() for t in triples]})
+    assert _sha(text) == NOMINALIZE_DIGESTS["mixed"]
 
 
 @pytest.fixture(scope="module")

@@ -92,16 +92,74 @@ def test_dumps_equals_stdlib(value) -> None:
     assert outcome(jsonio.dumps, value) == outcome(stdlib_dumps, value)
 
 
+class Field(str, enum.Enum):
+    """Equal to, and hashed as, the str "subject" (an Enum hashes its name)."""
+
+    subject = "subject"
+
+
+class Row(dict):
+    pass
+
+
+_record_text = _text | st.sampled_from(['"', "\\", "%", "%s", "%%", "%(a)s", "subject"])
+
+
+@st.composite
+def _record_lists(draw):
+    """1-6 dicts over one set of str keys with str values, perhaps with one
+    mutation that takes the list off the one-chunk path, at depth 0-2."""
+    keys = draw(st.lists(_record_text, min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries({key: _record_text for key in keys}),
+                         min_size=1, max_size=6))
+    mutation = draw(st.sampled_from(
+        [None, "missing-key", "extra-key", "later-value", "dict-subclass", "enum-key"]))
+    i = draw(st.integers(0, len(rows) - 1))
+    row = rows[i]
+    if mutation == "missing-key":
+        del row[draw(st.sampled_from(keys))]
+    elif mutation == "extra-key":
+        row[draw(_record_text.filter(lambda key: key not in row))] = draw(_record_text)
+    elif mutation == "later-value":
+        if len(rows) == 1:
+            rows.append(dict(row))
+        later = rows[draw(st.integers(1, len(rows) - 1))]
+        later[draw(st.sampled_from(keys))] = draw(
+            st.sampled_from([1, None, math.nan, PrimitiveRelation.HAS_PROP]))
+    elif mutation == "dict-subclass":
+        rows[i] = Row(row)
+    elif mutation == "enum-key":
+        key = "subject" if "subject" in row else draw(st.sampled_from(keys))
+        row[Field.subject if key == "subject" else PrimitiveRelation.HAS_PROP] = row.pop(key)
+    value = tuple(rows) if draw(st.booleans()) else rows
+    for _ in range(draw(st.integers(0, 2))):
+        value = {"triples": value} if draw(st.booleans()) else [value]
+    return value
+
+
+@settings(max_examples=500, deadline=None)
+@given(_record_lists())
+@example([{"%s": "x"}])
+@example([{"a": "1"}, {"b": "2"}])
+@example([{"a": "x"}, {"a": float("nan")}])
+def test_dumps_of_string_records_equals_stdlib(value) -> None:
+    assert outcome(jsonio.dumps, value) == outcome(stdlib_dumps, value)
+
+
 @pytest.mark.parametrize(
     ("value", "error"),
     [
         (math.nan, ValueError("Out of range float values are not JSON compliant: nan")),
+        (
+            [{"a": "x"}, {"a": math.nan}],
+            ValueError("Out of range float values are not JSON compliant: nan"),
+        ),
         ([math.inf], ValueError("Out of range float values are not JSON compliant: inf")),
         ({-math.inf: 1}, ValueError("Out of range float values are not JSON compliant: -inf")),
         ({"a": {1, 2}}, TypeError("Object of type set is not JSON serializable")),
         ({frozenset(): 1}, TypeError("keys must be str, int, float, bool or None, not frozenset")),
     ],
-    ids=["nan", "inf-in-list", "-inf-key", "set-value", "frozenset-key"],
+    ids=["nan", "nan-in-a-later-record", "inf-in-list", "-inf-key", "set-value", "frozenset-key"],
 )
 def test_dumps_raises_the_stdlib_error(value, error) -> None:
     with pytest.raises(type(error)) as info:
