@@ -51,6 +51,8 @@ _BINARY_LINE_RE = re.compile(
 )
 _COMMENT_RE = re.compile(r"(?:^|(?<=\s))#")  # for str patterns, \s is str.isspace
 
+_setattr = object.__setattr__  # one global read per field, not a lookup on object
+
 _ECHO_LIMIT = 200  # characters of an input line or token an error message repeats
 
 
@@ -66,11 +68,11 @@ class Value:
 
     The fields are the names a subclass annotates, in order (the annotations
     type __init__'s parameters too), and its __init__ sets them with
-    object.__setattr__, which keeps CPython's inline attribute
-    values; writing through self.__dict__ would build a real dict and make
-    every later attribute read about three times slower.  Equality (within
-    one class), hash and repr go field by field, and assigning or deleting
-    an attribute raises AttributeError.
+    object.__setattr__ (bound once, as _setattr), which keeps CPython's
+    inline attribute values; writing through self.__dict__ would build a
+    real dict and make every later attribute read about three times slower.
+    Equality (within one class), hash and repr go field by field, and
+    assigning or deleting an attribute raises AttributeError.
     """
 
     _fields: tuple[str, ...] = ()
@@ -110,7 +112,7 @@ class ConceptId(Value):
                 f"invalid concept id {_echo(name)}: expected a lowercase token "
                 "with an optional #k sense suffix (k >= 1)"
             )
-        object.__setattr__(self, "name", name)
+        _setattr(self, "name", name)
 
     @property
     def base(self) -> str:
@@ -155,9 +157,9 @@ class PropertyKey(Value):
                 f"arity-2 properties need position 'agent' or 'object', "
                 f"got {position!r}"
             )
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "position", position)
+        _setattr(self, "name", name)
+        _setattr(self, "arity", arity)
+        _setattr(self, "position", position)
 
     @property
     def token(self) -> str:
@@ -187,21 +189,17 @@ class Assertion(Value):
     def __init__(self, property, concept, polarity) -> None:
         if polarity not in (SENSIBLE, NONSENSICAL):
             raise ValueError(f"polarity must be sensible/nonsensical, got {polarity!r}")
-        object.__setattr__(self, "property", property)
-        object.__setattr__(self, "concept", concept)
-        object.__setattr__(self, "polarity", polarity)
+        _setattr(self, "property", property)
+        _setattr(self, "concept", concept)
+        _setattr(self, "polarity", polarity)
 
     @property
     def is_sensible(self) -> bool:
         return self.polarity == SENSIBLE
 
 
-def _assertion_key(a: Assertion) -> tuple[str, str, str, str]:
-    return (a.property.name, a.property.position or "", a.concept.name, a.polarity)
-
-
 def _property_key(a: Assertion) -> tuple[str, str]:
-    """The prefix of _assertion_key that identifies the property."""
+    """The fields of AssertionSet's sort key that identify the property."""
     return (a.property.name, a.property.position or "")
 
 
@@ -218,12 +216,18 @@ class AssertionSet(Value):
     concepts: frozenset[ConceptId]  # derived, not an argument
 
     def __init__(self, assertions) -> None:
-        # The key is injective on valid assertions (arity follows from position).
-        by_key = {_assertion_key(a): a for a in assertions}
-        ordered = tuple(by_key[k] for k in sorted(by_key))
-        object.__setattr__(self, "assertions", ordered)
+        # The key is property name, position or "", concept name and polarity,
+        # joined by NUL.  No valid token holds a NUL, which sorts below every
+        # other character, so the strings sort as the 4-tuples of the fields
+        # would; and the key is injective (arity follows from position).
+        by_key = {
+            f"{a.property.name}\0{a.property.position or ''}\0{a.concept.name}\0{a.polarity}": a
+            for a in assertions
+        }
+        ordered = tuple(map(by_key.__getitem__, sorted(by_key)))
+        _setattr(self, "assertions", ordered)
         concepts = {a.concept.name: a.concept for a in ordered}
-        object.__setattr__(self, "concepts", frozenset(concepts.values()))
+        _setattr(self, "concepts", frozenset(concepts.values()))
 
     def __len__(self) -> int:
         return len(self.assertions)
@@ -301,9 +305,9 @@ def extent(aset: AssertionSet, prop: PropertyKey) -> frozenset[ConceptId]:
     """Concepts with a sensible assertion for prop (closed world).
 
     Nonsensical assertions never contribute; an unknown property yields the
-    empty set rather than an error.  AssertionSet sorts by _assertion_key,
-    whose first two fields identify the property, so prop's assertions are
-    one contiguous run, found by binary search.
+    empty set rather than an error.  AssertionSet sorts by property name,
+    then position, so prop's assertions are one contiguous run, found by
+    binary search on _property_key.
     """
     run = (prop.name, prop.position or "")
     lo = bisect.bisect_left(aset.assertions, run, key=_property_key)
@@ -314,8 +318,8 @@ def extent(aset: AssertionSet, prop: PropertyKey) -> frozenset[ConceptId]:
 def check_consistency(aset: AssertionSet) -> list[tuple[PropertyKey, ConceptId]]:
     """Every (property, concept) pair asserted with both polarities, sorted.
 
-    Assertions are deduplicated and sorted by _assertion_key, which puts the
-    polarity last, so the two polarities of a pair are neighbours.
+    Assertions are deduplicated and sorted with the polarity as the last
+    field, so the two polarities of a pair are neighbours.
     """
     conflicts = [
         (a.property, a.concept)

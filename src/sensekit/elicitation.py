@@ -13,14 +13,13 @@ provider speaks a single-exchange JSON protocol over HTTP.
 
 from __future__ import annotations
 
-import importlib.resources
 import json
 import os
 from typing import Mapping, Protocol, Sequence
 
 from . import jsonio
-from .corpus import AGENT, OBJECT, Assertion, AssertionSet, ConceptId, PropertyKey, SENSIBLE, Value
-from .errors import ElicitationError, InputDataError, ProviderError, TemplateError
+from .corpus import AGENT, OBJECT, SENSIBLE, Assertion, AssertionSet, ConceptId, PropertyKey, Value, _setattr
+from .errors import ConfigError, ElicitationError, InputDataError, ProviderError, TemplateError
 from .semantics import MeaningRecord, PrimitiveRelation, WeightedProperty, resolve_relation
 
 _FIXTURE_RESOURCE = "masked_completions.json"
@@ -43,8 +42,8 @@ class PromptTemplate(Value):
                 f"template for {dimension.value} must contain exactly one "
                 f"'[MASK]' token: {pattern!r}"
             )
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "pattern", pattern)
+        _setattr(self, "dimension", dimension)
+        _setattr(self, "pattern", pattern)
 
 
 def render(template: PromptTemplate, subject: str | ConceptId) -> str:
@@ -109,38 +108,35 @@ class CompletionList(Value):
             raise InputDataError("completion list must be deduplicated")
         if len(original_ranks) != len(completions):
             raise InputDataError("original_ranks must parallel completions")
-        object.__setattr__(self, "subject", subject)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "completions", completions)
-        object.__setattr__(self, "original_ranks", original_ranks)
-        object.__setattr__(self, "total", total)
+        # rank_to_weight's checks, made once here so weighted() need not.
+        if total < 1:
+            raise InputDataError(f"completion list length must be >= 1, got {total}")
+        if not 1 <= min(original_ranks) <= max(original_ranks) <= total:
+            rank = next(r for r in original_ranks if not 1 <= r <= total)
+            raise InputDataError(f"rank {rank} out of range 1..{total}")
+        _setattr(self, "subject", subject)
+        _setattr(self, "dimension", dimension)
+        _setattr(self, "completions", completions)
+        _setattr(self, "original_ranks", original_ranks)
+        _setattr(self, "total", total)
 
     @classmethod
     def from_raw(
         cls, subject: str, dimension: PrimitiveRelation, raw: Sequence[str]
     ) -> "CompletionList":
-        seen: set[str] = set()
-        tokens: list[str] = []
-        ranks: list[int] = []
+        first_rank: dict[str, int] = {}
         for rank, token in enumerate(raw, start=1):
-            if token in seen:
-                continue
-            seen.add(token)
-            tokens.append(token)
-            ranks.append(rank)
-        return cls(
-            subject=subject,
-            dimension=dimension,
-            completions=tuple(tokens),
-            original_ranks=tuple(ranks),
-            total=len(raw),
-        )
+            if token not in first_rank:
+                first_rank[token] = rank
+        return cls(subject, dimension, tuple(first_rank), tuple(first_rank.values()), len(raw))
 
     def weighted(self) -> tuple[WeightedProperty, ...]:
-        return tuple(
-            (rank_to_weight(rank, self.total), token)
+        """rank_to_weight(rank, total) for each completion, in rank order."""
+        total = self.total
+        return tuple([
+            ((total - rank + 1) / total, token)
             for rank, token in zip(self.original_ranks, self.completions)
-        )
+        ])
 
 
 class CompletionProvider(Protocol):
@@ -193,6 +189,9 @@ class MockProvider:
     @classmethod
     def from_file(cls, path: str | None = None) -> "MockProvider":
         if path is None:
+            # Only the shipped fixture needs it, and it pulls in pathlib and zipfile.
+            import importlib.resources
+
             text = (
                 importlib.resources.files("sensekit.data")
                 .joinpath(_FIXTURE_RESOURCE)
@@ -220,6 +219,9 @@ class RemoteProvider:
     The bearer token is read from the environment variable named by
     auth_env (never from config files).  A request is retried up to
     `retries` additional times; exhausting the budget raises ProviderError.
+    timeout (an int or float in (0, threading.TIMEOUT_MAX] seconds) and
+    retries (an int >= 0) are kept as given; any other value is refused with
+    ConfigError, and nothing is converted.
     """
 
     def __init__(
@@ -229,12 +231,24 @@ class RemoteProvider:
         timeout: float = 10.0,
         retries: int = 2,
     ) -> None:
+        from threading import TIMEOUT_MAX  # the longest timeout a socket accepts
+
         if not endpoint:
             raise ProviderError("remote provider needs an endpoint URL")
+        # bool is an int subclass; NaN and numbers past the range fail the comparison.
+        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not (
+            0 < timeout <= TIMEOUT_MAX
+        ):
+            raise ConfigError(
+                f"provider timeout must be a positive number of seconds up to "
+                f"{TIMEOUT_MAX:.0f}, got {timeout!r}"
+            )
+        if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
+            raise ConfigError(f"provider retries must be a non-negative integer, got {retries!r}")
         self.endpoint = endpoint
         self.auth_env = auth_env
-        self.timeout = float(timeout)
-        self.retries = int(retries)
+        self.timeout = timeout
+        self.retries = retries
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -306,17 +320,6 @@ _DIM_POSITION = {
 }
 
 
-def _assertion_property(token: str, dimension: PrimitiveRelation) -> PropertyKey | None:
-    name = token.strip().upper().replace(" ", "-")
-    position = _DIM_POSITION.get(dimension)
-    try:
-        if position is None:
-            return PropertyKey(name)
-        return PropertyKey(name, arity=2, position=position)
-    except ValueError:
-        return None
-
-
 class ElicitResult(Value):
     record: MeaningRecord
     assertions: AssertionSet
@@ -325,10 +328,10 @@ class ElicitResult(Value):
 
     def __init__(self, record, assertions, failures=None, warnings=()) -> None:
         failures = {} if failures is None else failures  # a fresh dict per result
-        object.__setattr__(self, "record", record)
-        object.__setattr__(self, "assertions", assertions)
-        object.__setattr__(self, "failures", failures)
-        object.__setattr__(self, "warnings", warnings)
+        _setattr(self, "record", record)
+        _setattr(self, "assertions", assertions)
+        _setattr(self, "failures", failures)
+        _setattr(self, "warnings", warnings)
 
 
 def elicit(
@@ -375,9 +378,13 @@ def elicit(
             continue
         completion_list = CompletionList.from_raw(concept.name, dimension, raw)
         entries[dimension] = completion_list.weighted()
+        # A token names a property of the dimension's arity and position.
+        position = _DIM_POSITION.get(dimension)
+        arity = 1 if position is None else 2
         for token in completion_list.completions:
-            prop = _assertion_property(token, dimension)
-            if prop is None:
+            try:
+                prop = PropertyKey(token.strip().upper().replace(" ", "-"), arity, position)
+            except ValueError:
                 warnings.append(
                     f"{dimension.value}: completion {token!r} is not a usable "
                     "property token; no assertion recorded"
@@ -388,10 +395,5 @@ def elicit(
         detail = "; ".join(f"{d.value}: {msg}" for d, msg in failures.items())
         raise ElicitationError(f"all dimensions failed: {detail}")
 
-    record = MeaningRecord(sense=concept.name, gloss="", dims=entries)
-    return ElicitResult(
-        record=record,
-        assertions=AssertionSet(tuple(assertions)),
-        failures=failures,
-        warnings=tuple(warnings),
-    )
+    record = MeaningRecord(concept.name, "", entries)
+    return ElicitResult(record, AssertionSet(assertions), failures, tuple(warnings))

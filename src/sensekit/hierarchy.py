@@ -35,7 +35,7 @@ import math
 from typing import Mapping, Sequence
 
 from . import jsonio
-from .corpus import SENSIBLE, AssertionSet, PropertyKey, Value, check_consistency, extent
+from .corpus import SENSIBLE, AssertionSet, PropertyKey, Value, _setattr, check_consistency, extent
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -53,7 +53,7 @@ class InduceConfig(Value):
     def __init__(self, tau=0.0) -> None:
         if not 0.0 <= tau <= 1.0:
             raise ConfigError(f"tau must be in [0, 1], got {tau}")
-        object.__setattr__(self, "tau", tau)
+        _setattr(self, "tau", tau)
 
 
 class TypeNode(Value):
@@ -70,10 +70,10 @@ class TypeNode(Value):
     direct_members: frozenset[str]
 
     def __init__(self, id, extent, characteristic_properties, direct_members) -> None:
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "extent", extent)
-        object.__setattr__(self, "characteristic_properties", characteristic_properties)
-        object.__setattr__(self, "direct_members", direct_members)
+        _setattr(self, "id", id)
+        _setattr(self, "extent", extent)
+        _setattr(self, "characteristic_properties", characteristic_properties)
+        _setattr(self, "direct_members", direct_members)
 
     @property
     def is_synthetic_root(self) -> bool:
@@ -87,8 +87,8 @@ class TypedFact(Value):
     type_name: str
 
     def __init__(self, property, type_name) -> None:
-        object.__setattr__(self, "property", property)
-        object.__setattr__(self, "type_name", type_name)
+        _setattr(self, "property", property)
+        _setattr(self, "type_name", type_name)
 
 
 class VerifyResult(Value):
@@ -96,8 +96,8 @@ class VerifyResult(Value):
     violations: tuple[str, ...]
 
     def __init__(self, consistent, violations=()) -> None:
-        object.__setattr__(self, "consistent", consistent)
-        object.__setattr__(self, "violations", violations)
+        _setattr(self, "consistent", consistent)
+        _setattr(self, "violations", violations)
 
 
 class TypeDag(Value):
@@ -133,10 +133,10 @@ class TypeDag(Value):
         if len(set(edges)) < len(edges):
             i = next(i for i, edge in enumerate(edges) if edge in edges[:i])
             raise ValueError(f"edge {i} repeats an earlier edge")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", tuple(sorted(edges)))
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "diagnostics", tuple(
+        _setattr(self, "nodes", nodes)
+        _setattr(self, "edges", tuple(sorted(edges)))
+        _setattr(self, "root", root)
+        _setattr(self, "diagnostics", tuple(
             f"node {c} ({', '.join(nodes[c].characteristic_properties) or ROOT_LABEL}) has {k} parents"
             for c, k in sorted(parent_count.items()) if k > 2
         ))

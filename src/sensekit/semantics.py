@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from . import jsonio
-from .corpus import Assertion, ConceptId, Value
+from .corpus import SENSIBLE, Assertion, ConceptId, Value, _setattr
 from .errors import InputDataError, LexiconError, MeaningStoreError
 
 
@@ -115,8 +115,8 @@ class LexiconEntry(Value):
             raise ValueError(
                 f"category must be one of {', '.join(_CATEGORIES)}, got {category!r}"
             )
-        object.__setattr__(self, "trope", trope)
-        object.__setattr__(self, "category", category)
+        _setattr(self, "trope", trope)
+        _setattr(self, "category", category)
 
 
 class NominalizationLexicon(Value):
@@ -125,7 +125,7 @@ class NominalizationLexicon(Value):
     entries: Mapping[str, LexiconEntry]
 
     def __init__(self, entries) -> None:
-        object.__setattr__(self, "entries", dict(entries))
+        _setattr(self, "entries", dict(entries))
 
     def get(self, name: str) -> LexiconEntry | None:
         return self.entries.get(name)
@@ -212,15 +212,16 @@ class PrimitiveTriple(Value):
     obj: str
 
     def __init__(self, subject, relation, obj) -> None:
-        object.__setattr__(self, "subject", subject)
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "obj", obj)
+        _setattr(self, "subject", subject)
+        _setattr(self, "relation", relation)
+        _setattr(self, "obj", obj)
 
     def serialize(self) -> str:
         return f"{self.subject} {self.relation.value} {self.obj}"
 
     def to_json(self) -> dict:
-        return {"subject": self.subject, "relation": self.relation.value, "object": self.obj}
+        # _value_ is what the enum's .value property returns, without the property.
+        return {"subject": self.subject, "relation": self.relation._value_, "object": self.obj}
 
 
 # --- copular statement classification -------------------------------------------
@@ -259,9 +260,9 @@ class CopularStatement(Value):
                 f"form {form.value} takes {expected} payload token(s), "
                 f"got {len(payload)}"
             )
-        object.__setattr__(self, "subject", subject)
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "payload", payload)
+        _setattr(self, "subject", subject)
+        _setattr(self, "form", form)
+        _setattr(self, "payload", payload)
 
 
 def classify(
@@ -316,7 +317,7 @@ def nominalize_assertion(
     need no lexicon: the relation name becomes a gerund (lexicon trope wins
     when present).
     """
-    if not assertion.is_sensible:
+    if assertion.polarity != SENSIBLE:
         raise InputDataError(
             f"cannot nominalize nonsensical assertion "
             f"({assertion.property.token}, {assertion.concept.name}): "
@@ -324,8 +325,8 @@ def nominalize_assertion(
         )
     prop = assertion.property
     subject = assertion.concept.name
+    entry = lexicon.entries.get(prop.name)
     if prop.arity == 2:
-        entry = lexicon.get(prop.name)
         noun = entry.trope if entry is not None else gerund(prop.name.lower())
         relation = (
             PrimitiveRelation.AGENT_OF
@@ -333,7 +334,8 @@ def nominalize_assertion(
             else PrimitiveRelation.OBJECT_OF
         )
         return PrimitiveTriple(subject, relation, noun)
-    entry = lexicon.require(prop.name)
+    if entry is None:
+        raise LexiconError(f"no lexicon entry for property {prop.name!r}")
     if entry.category == CATEGORY_PROPERTY:
         return PrimitiveTriple(subject, PrimitiveRelation.HAS_PROP, entry.trope)
     if entry.category == CATEGORY_STATE:
@@ -374,7 +376,6 @@ class MeaningRecord(Value):
                 raise MeaningStoreError(
                     f"record {sense!r}: dimension key {relation!r} is not a relation"
                 )
-            where = f"record {sense!r}, dimension {relation.value!r}"
             seen: set[str] = set()
             normalized: list[WeightedProperty] = []
             for pair in pairs:
@@ -388,17 +389,20 @@ class MeaningRecord(Value):
                     except OverflowError as exc:  # an int past float range
                         raise MeaningStoreError(str(exc)) from None
                 if weight.__class__ is not float or token.__class__ is not str:
-                    raise MeaningStoreError(f"{where}: malformed pair {pair!r}")
-                if not 0.0 < weight <= 1.0:
-                    raise MeaningStoreError(f"{where}: weight {weight} outside (0, 1]")
-                if token in seen:
-                    raise MeaningStoreError(f"{where}: duplicate property token {token!r}")
-                seen.add(token)
-                normalized.append((weight, token))
+                    problem = f"malformed pair {pair!r}"
+                elif not 0.0 < weight <= 1.0:
+                    problem = f"weight {weight} outside (0, 1]"
+                elif token in seen:
+                    problem = f"duplicate property token {token!r}"
+                else:
+                    seen.add(token)
+                    normalized.append((weight, token))
+                    continue
+                raise MeaningStoreError(f"record {sense!r}, dimension {relation.value!r}: {problem}")
             clean[relation] = tuple(normalized)
-        object.__setattr__(self, "sense", sense)
-        object.__setattr__(self, "gloss", gloss)
-        object.__setattr__(self, "dims", clean)
+        _setattr(self, "sense", sense)
+        _setattr(self, "gloss", gloss)
+        _setattr(self, "dims", clean)
 
     def dimension(self, relation: PrimitiveRelation) -> tuple[WeightedProperty, ...]:
         """Pairs along one dimension; absent dimensions are empty, not errors."""

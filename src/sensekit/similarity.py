@@ -16,7 +16,7 @@ import math
 from typing import Mapping
 
 from . import jsonio
-from .corpus import Value
+from .corpus import Value, _setattr
 from .errors import InputDataError
 from .semantics import (
     DEFAULT_DIMS,
@@ -40,8 +40,8 @@ class MatchedPair(Value):
                 f"matched pair must share its property token: "
                 f"{left[1]!r} != {right[1]!r}"
             )
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
 
     @property
     def token(self) -> str:
@@ -113,11 +113,11 @@ class SimilarityReport(Value):
     dim_weights: Mapping[PrimitiveRelation, float]
 
     def __init__(self, a, b, per_dim, aggregate, dim_weights) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "per_dim", per_dim)
-        object.__setattr__(self, "aggregate", aggregate)
-        object.__setattr__(self, "dim_weights", dim_weights)
+        _setattr(self, "a", a)
+        _setattr(self, "b", b)
+        _setattr(self, "per_dim", per_dim)
+        _setattr(self, "aggregate", aggregate)
+        _setattr(self, "dim_weights", dim_weights)
 
     def to_json(self) -> dict:
         return {

@@ -397,16 +397,18 @@ def test_prop_extent_monotonicity(aset: AssertionSet, extra: Assertion) -> None:
 
 
 # Names whose (name, position) order differs from their token order: A-B
-# precedes A@agent as a token but follows it by name.
+# precedes A@agent as a token but follows it by name.  Names and concepts
+# that are prefixes of one another check that AssertionSet's sort key orders
+# them as the 4-tuple (name, position, concept, polarity) would.
 _neighbour_props = st.sampled_from(
-    [PropertyKey("A"), PropertyKey("A-B"), PropertyKey("A0"), PropertyKey("AB")]
+    [PropertyKey("A"), PropertyKey("A-B"), PropertyKey("A_B"), PropertyKey("A0"), PropertyKey("AB")]
     + [PropertyKey(n, arity=2, position=p) for n in ("A", "A-B") for p in (AGENT, OBJECT)]
 )
 _neighbour_lists = st.lists(
     st.builds(
         Assertion,
         property=st.one_of(_neighbour_props, _unary, _binary),
-        concept=(_concepts | st.sampled_from(["c0#1", "c0#2"])).map(ConceptId),
+        concept=(_concepts | st.sampled_from(["c0#1", "c0#2", "a", "a#1", "a#10", "a-b"])).map(ConceptId),
         polarity=st.sampled_from([SENSIBLE, NONSENSICAL]),
     ),
     max_size=60,

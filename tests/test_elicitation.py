@@ -19,6 +19,7 @@ from sensekit.elicitation import (
     render,
 )
 from sensekit.errors import (
+    ConfigError,
     ElicitationError,
     InputDataError,
     ProviderError,
@@ -102,6 +103,35 @@ def test_completion_list_dedupes_keeping_first_rank() -> None:
 def test_completion_list_rejects_empty() -> None:
     with pytest.raises(InputDataError):
         CompletionList.from_raw("book", REL.AGENT_OF, [])
+
+
+@pytest.mark.parametrize("repeats", [False, True], ids=["distinct", "with-repeats"])
+def test_completion_weights_equal_rank_to_weight(repeats: bool) -> None:
+    for total in range(1, 61):
+        raw = [f"t{i // 3 if repeats else i}" for i in range(total)]
+        clist = CompletionList.from_raw("book", REL.AGENT_OF, raw)
+        expected = tuple(
+            (rank_to_weight(rank, total), token)
+            for rank, token in zip(clist.original_ranks, clist.completions)
+        )
+        assert clist.weighted() == expected  # exact floats, not approx
+
+
+@pytest.mark.parametrize(
+    ("ranks", "total"),
+    [((0, 2), 5), ((1, 6), 5), ((1, 2), 2), ((1, 2), 0), ((1, 2), -3)],
+    ids=["rank-0", "rank-above-total", "rank-equal-total-ok", "total-0", "total-negative"],
+)
+def test_completion_list_checks_its_ranks_when_built(ranks: tuple, total: int) -> None:
+    args = ("book", REL.AGENT_OF, ("a", "b"), ranks, total)
+    try:
+        expected = [rank_to_weight(rank, total) for rank in ranks]
+    except InputDataError as exc:
+        with pytest.raises(InputDataError) as info:
+            CompletionList(*args)
+        assert str(info.value) == str(exc)
+    else:
+        assert [w for w, _ in CompletionList(*args).weighted()] == expected
 
 
 # --- mock provider ---------------------------------------------------------------------
@@ -320,6 +350,36 @@ def test_remote_provider_value_error_is_a_request_failure(no_proxies) -> None:
 def test_remote_provider_refused_port_is_a_request_failure(no_proxies) -> None:
     with pytest.raises(ProviderError, match="after 2 attempt.*request failed: .*refused"):
         RemoteProvider(_refused_url(), retries=1).complete(PROMPT, 1)
+
+
+@pytest.mark.parametrize(
+    ("option", "value"),
+    [
+        ("timeout", 1e300),  # past threading.TIMEOUT_MAX: an OverflowError when spent
+        ("timeout", 10**400),
+        ("timeout", float("inf")),
+        ("timeout", float("nan")),
+        ("timeout", -1.0),
+        ("timeout", 0),
+        ("timeout", "5"),
+        ("timeout", True),
+        ("timeout", None),
+        ("retries", -1),
+        ("retries", 2.7),
+        ("retries", 2.0),
+        ("retries", "5"),
+        ("retries", True),
+        ("retries", None),
+    ],
+)
+def test_remote_provider_refuses_a_bad_option(option: str, value) -> None:
+    with pytest.raises(ConfigError, match=f"provider {option} must be"):
+        RemoteProvider("http://127.0.0.1:9/", **{option: value})
+
+
+def test_remote_provider_keeps_its_options_as_given() -> None:
+    provider = RemoteProvider("http://127.0.0.1:9/", timeout=3, retries=0)
+    assert (type(provider.timeout), provider.timeout, provider.retries) == (int, 3, 0)
 
 
 def test_remote_provider_times_out(loopback) -> None:

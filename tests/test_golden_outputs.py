@@ -3,7 +3,8 @@
 `nominalize` stdout for the binary-relations corpus and a seeded mixed
 corpus, of the ontology JSON, DOT export and diagnostics of a seeded
 interval corpus, of the meaning-store text for a loaded store and for
-elicited records, and of the similarity reports of every ordered pair of a
+elicited records, of a seeded elicitation run (records, assertions, warnings
+and failures), and of the similarity reports of every ordered pair of a
 seeded store.
 
 A change to any digest is a change to sensekit's output format and must be
@@ -20,8 +21,9 @@ import pytest
 
 from sensekit import jsonio
 from sensekit.cli import main
-from sensekit.corpus import parse_corpus, serialize_corpus
+from sensekit.corpus import corpus_to_json_text, parse_corpus, serialize_corpus
 from sensekit.elicitation import BOOK_FIXTURE_TEMPLATES, MockProvider, elicit
+from sensekit.errors import ElicitationError
 from sensekit.hierarchy import InduceConfig, dag_to_json_text, export_dot, induce
 from sensekit.semantics import (
     DEFAULT_DIMS,
@@ -89,6 +91,9 @@ STORE_DIGESTS = {
     "meanings_book_publication.json": "f3d2fc709be0a793bc6f5820a85325f7df9d142a7a8ac0c939ed7b1d7764dc76",
     "elicited-book-game": "f8336860a6894cb1030e44537f7c14a54ee0209d7edeb6756a9a220f1df271ab",
 }
+
+# The seeded elicitation run of _elicitation_fixture (see _elicitation_text).
+ELICITATION_RUN_DIGEST = "b49dcd996a2f7018f3e21c70a745a3cf088f27067dd187239f6419cb10115405"
 
 # "\n".join of the to_json_text of concept_similarity(a, b, weights) for every
 # ordered pair (a, b) of the seeded store below, by weighting.
@@ -228,6 +233,63 @@ def test_elicited_store_text_digest() -> None:
         elicit(provider, "game", dims, 15).record,
     ]
     assert _sha(meanings_to_json_text(records)) == STORE_DIGESTS["elicited-book-game"]
+
+
+def _elicitation_fixture() -> dict:
+    """24 subjects over hasProp, agentOf and objectOf, drawn with repeats.
+
+    Tokens come in mixed case, with inner and outer spaces, and some name
+    one property twice ("Fun" and "fun", "very good" and "very-good").  Some
+    are unusable as property names: "rock'n'roll", a lone "-", "", a tab, a
+    NUL, a leading digit and non-ASCII letters.  Every fourth subject lacks
+    objectOf, one has an empty hasProp list, and one has no lists at all.
+    """
+    rng = random.Random(1919)
+    usable = [f"word{i}" for i in range(30)] + [
+        "exciting", "Fun", "fun", "MiXeD", "very good", "very-good", " padded ",
+        "well_known", "a0", "A", "a-b", "a_b",
+    ]
+    unusable = ["rock'n'roll", "-", "", "tab\there", "nul\0byte", "3d", "süß", "comma,word"]
+    fixture: dict[str, dict[str, list[str]]] = {}
+    for i in range(24):
+        subject = f"s{i}#2" if i % 5 == 0 else f"s{i}"
+        lists = {}
+        for dim in ("hasProp", "agentOf", "objectOf"):
+            if dim == "objectOf" and i % 4 == 3:
+                continue
+            pool = usable if rng.random() < 0.5 else usable + unusable
+            lists[dim] = [rng.choice(pool) for _ in range(rng.randint(1, 20))]
+        fixture[subject] = lists
+    fixture["s7"]["hasProp"] = []
+    fixture["s11"] = {}
+    return fixture
+
+
+def _elicitation_text() -> str:
+    """Per subject: the assertions' corpus_to_json_text, the warnings and the
+    failures, or the ElicitationError; then the store text of the records."""
+    dims = (PrimitiveRelation.HAS_PROP, PrimitiveRelation.AGENT_OF, PrimitiveRelation.OBJECT_OF)
+    fixture = _elicitation_fixture()
+    provider = MockProvider(fixture)
+    parts, records = [], []
+    for subject in fixture:
+        try:
+            result = elicit(provider, subject, dims, 12)
+        except ElicitationError as exc:
+            parts.append(f"{subject}: {exc}")
+            continue
+        records.append(result.record)
+        parts.append(corpus_to_json_text(result.assertions))
+        parts.extend(result.warnings)
+        parts.extend(f"{d.value}: {msg}" for d, msg in result.failures.items())
+    parts.append(meanings_to_json_text(records))
+    return "\n".join(parts)
+
+
+def test_elicitation_run_digest() -> None:
+    text = _elicitation_text()
+    assert "rock'n'roll" in text and "VERY-GOOD" in text and "no completions" in text
+    assert _sha(text) == ELICITATION_RUN_DIGEST
 
 
 @pytest.fixture(scope="module")
