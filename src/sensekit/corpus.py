@@ -40,15 +40,12 @@ NONSENSICAL = "nonsensical"
 AGENT = "agent"
 OBJECT = "object"
 
-_CONCEPT_RE = re.compile(r"^[a-z][a-z0-9_-]*(?:#[1-9][0-9]*)?$")
-_PROPERTY_RE = re.compile(r"^[A-Z][A-Z0-9_-]*$")
+# Token grammars, for fullmatch: "$" would accept a trailing "\n".
+_CONCEPT_RE = re.compile(r"[a-z][a-z0-9_-]*(?:#[1-9][0-9]*)?")
+_PROPERTY_RE = re.compile(r"[A-Z][A-Z0-9_-]*")
+_PROPERTY_TOKEN_RE = re.compile(r"[A-Z][A-Z0-9_-]*(?:@(?:agent|object))?")  # a unary line's 2nd field
 
-_UNARY_LINE_RE = re.compile(
-    r"^([+-])\s+([A-Z][A-Z0-9_-]*(?:@(?:agent|object))?)\s+(\S+)$"
-)
-_BINARY_LINE_RE = re.compile(
-    r"^([+-])\s+([A-Z][A-Z0-9_-]*)\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)$"
-)
+_BINARY_LINE_RE = re.compile(r"^([+-])\s+([A-Z][A-Z0-9_-]*)\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)$")
 _COMMENT_RE = re.compile(r"(?:^|(?<=\s))#")  # for str patterns, \s is str.isspace
 
 _setattr = object.__setattr__  # one global read per field, not a lookup on object
@@ -56,11 +53,18 @@ _setattr = object.__setattr__  # one global read per field, not a lookup on obje
 _ECHO_LIMIT = 200  # characters of an input line or token an error message repeats
 
 
-def _echo(text: str) -> str:
-    """repr(text), cut to its first _ECHO_LIMIT characters and marked when longer."""
-    if len(text) <= _ECHO_LIMIT:
-        return repr(text)
-    return f"{text[:_ECHO_LIMIT]!r}... ({len(text)} characters)"
+def _echo(value: object) -> str:
+    """repr(value), cut to _ECHO_LIMIT characters and marked when longer.  A str is
+    cut before repr; a value holding an int too long to print is named by type."""
+    if value.__class__ is str:
+        text, shown = value, repr(value[:_ECHO_LIMIT])
+    else:
+        try:
+            text = repr(value)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            return f"<{type(value).__name__} too large to print>"
+        shown = text[:_ECHO_LIMIT]
+    return shown if len(text) <= _ECHO_LIMIT else f"{shown}... ({len(text)} characters)"
 
 
 class Value:
@@ -107,11 +111,9 @@ class ConceptId(Value):
     name: str
 
     def __init__(self, name) -> None:
-        if not _CONCEPT_RE.match(name):
-            raise ValueError(
-                f"invalid concept id {_echo(name)}: expected a lowercase token "
-                "with an optional #k sense suffix (k >= 1)"
-            )
+        if not _CONCEPT_RE.fullmatch(name):
+            raise ValueError(f"invalid concept id {_echo(name)}: expected a lowercase token "
+                             "with an optional #k sense suffix (k >= 1)")
         _setattr(self, "name", name)
 
     @property
@@ -143,20 +145,15 @@ class PropertyKey(Value):
     position: str | None
 
     def __init__(self, name, arity=1, position=None) -> None:
-        if not _PROPERTY_RE.match(name):
-            raise ValueError(
-                f"invalid property name {name!r}: expected an uppercase token"
-            )
+        if not _PROPERTY_RE.fullmatch(name):
+            raise ValueError(f"invalid property name {_echo(name)}: expected an uppercase token")
         if type(arity) is not int or arity not in (1, 2):  # True and 1.0 equal 1
-            raise ValueError(f"arity must be 1 or 2, got {arity!r}")
+            raise ValueError(f"arity must be 1 or 2, got {_echo(arity)}")
         if arity == 1:
             if position is not None:
                 raise ValueError("arity-1 properties take no position")
         elif position not in (AGENT, OBJECT):
-            raise ValueError(
-                f"arity-2 properties need position 'agent' or 'object', "
-                f"got {position!r}"
-            )
+            raise ValueError(f"arity-2 properties need position 'agent' or 'object', got {_echo(position)}")
         _setattr(self, "name", name)
         _setattr(self, "arity", arity)
         _setattr(self, "position", position)
@@ -188,7 +185,7 @@ class Assertion(Value):
 
     def __init__(self, property, concept, polarity) -> None:
         if polarity not in (SENSIBLE, NONSENSICAL):
-            raise ValueError(f"polarity must be sensible/nonsensical, got {polarity!r}")
+            raise ValueError(f"polarity must be sensible/nonsensical, got {_echo(polarity)}")
         _setattr(self, "property", property)
         _setattr(self, "concept", concept)
         _setattr(self, "polarity", polarity)
@@ -233,48 +230,47 @@ class AssertionSet(Value):
         return len(self.assertions)
 
 
-def _interned(memo: dict, make, *fields):
-    """make(*fields), built and validated once per memo.  A constructor that raises
-    stores nothing, and unhashable fields skip the memo to reach its check."""
-    key = (make, *fields)
-    try:
-        return memo[key]
-    except KeyError:
-        made = memo[key] = make(*fields)
-    except TypeError:
-        made = make(*fields)
-    return made
-
-
 def scan_corpus(text: str) -> list[tuple[int, Assertion]]:
     """Parse corpus text into (line number, assertion) pairs.
 
     Binary lines contribute two entries with the same line number.  Equal
     tokens share one object, and so do repeated facts.  Raises
     CorpusSyntaxError with the offending line number on any malformed line.
+
+    A unary or positional line is keyed in the fact memo by its str.split()
+    fields, so a line seen before costs one probe; any other line must be binary.
     """
     out: list[tuple[int, Assertion]] = []
-    memo: dict = {}  # (sign, prop token, concept token) -> Assertion, and _interned's keys
+    facts: dict[tuple[str, ...], Assertion] = {}  # (sign, property token, concept token)
+    props: dict[str, PropertyKey] = {}
+    concepts: dict[str, ConceptId] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = (_COMMENT_RE.split(raw, 1)[0] if "#" in raw else raw).strip()
-        if not line:
+        line = _COMMENT_RE.split(raw, 1)[0] if "#" in raw else raw
+        fact = tuple(line.split())
+        a = facts.get(fact)
+        if a is not None:
+            out.append((lineno, a))
             continue
-        m = _UNARY_LINE_RE.match(line) or _BINARY_LINE_RE.match(line)
-        if m is None:
-            raise CorpusSyntaxError(lineno, f"cannot parse {_echo(line)}: expected '+ PROP concept', "
-                                    "'- PROP concept', '+ REL(a, b)', or '- REL(a, b)'")
-        facts = (m.groups(),)
-        if m.re is _BINARY_LINE_RE:
-            sign, name, agent_tok, object_tok = facts[0]
-            facts = ((sign, f"{name}@{AGENT}", agent_tok), (sign, f"{name}@{OBJECT}", object_tok))
-        for fact in facts:
-            a = memo.get(fact)
+        if len(fact) == 3 and fact[0] in ("+", "-") and (
+                fact[1] in props or _PROPERTY_TOKEN_RE.fullmatch(fact[1])):
+            line_facts = (fact,)
+        elif fact:
+            m = _BINARY_LINE_RE.match(line.strip())
+            if m is None:
+                raise CorpusSyntaxError(lineno, f"cannot parse {_echo(line.strip())}: expected '+ PROP concept', "
+                                        "'- PROP concept', '+ REL(a, b)', or '- REL(a, b)'")
+            sign, name, agent_tok, object_tok = m.groups()
+            line_facts = ((sign, f"{name}@{AGENT}", agent_tok), (sign, f"{name}@{OBJECT}", object_tok))
+        else:
+            continue
+        for fact in line_facts:
+            a = facts.get(fact)
             if a is None:
                 sign, prop_tok, concept_tok = fact
                 try:
-                    a = memo[fact] = Assertion(
-                        _interned(memo, PropertyKey.from_token, prop_tok),
-                        _interned(memo, ConceptId, concept_tok),
+                    a = facts[fact] = Assertion(
+                        props.get(prop_tok) or props.setdefault(prop_tok, PropertyKey.from_token(prop_tok)),
+                        concepts.get(concept_tok) or concepts.setdefault(concept_tok, ConceptId(concept_tok)),
                         SENSIBLE if sign == "+" else NONSENSICAL,
                     )
                 except ValueError as exc:
@@ -399,21 +395,25 @@ def corpus_from_json(data: object) -> AssertionSet:
     if not isinstance(data, dict) or not isinstance(data.get("assertions"), list):
         raise InputDataError("corpus JSON must be an object with an 'assertions' list")
     assertions = []
-    memo: dict = {}
+    props: dict[tuple, PropertyKey] = {}  # (name, arity, position)
+    concepts: dict[str, ConceptId] = {}
     for i, entry in enumerate(data["assertions"]):
         if not isinstance(entry, dict):
             raise InputDataError(f"corpus JSON: assertion {i} is not an object")
         try:
             name, concept, polarity = entry["prop"], entry["concept"], entry["polarity"]
             if not name.__class__ is concept.__class__ is polarity.__class__ is str:
-                key = next(k for k in ("prop", "concept", "polarity")
-                           if entry[k].__class__ is not str)
-                raise ValueError(f"{key} must be a string, got {entry[key]!r}")
+                key = next(k for k in ("prop", "concept", "polarity") if entry[k].__class__ is not str)
+                raise ValueError(f"{key} must be a string, got {_echo(entry[key])}")
             arity = entry.get("arity", 1)
             if type(arity) is not int:  # PropertyKey rejects other ints after the name
-                raise ValueError(f"arity must be 1 or 2, got {arity!r}")
-            prop = _interned(memo, PropertyKey, name, arity, entry.get("position"))
-            concept = _interned(memo, ConceptId, concept)
+                raise ValueError(f"arity must be 1 or 2, got {_echo(arity)}")
+            prop_key = (name, arity, entry.get("position"))
+            try:
+                prop = props.get(prop_key) or props.setdefault(prop_key, PropertyKey(*prop_key))
+            except TypeError:  # an unhashable position, which PropertyKey refuses
+                prop = PropertyKey(*prop_key)
+            concept = concepts.get(concept) or concepts.setdefault(concept, ConceptId(concept))
             assertions.append(Assertion(prop, concept, polarity))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputDataError(f"corpus JSON: assertion {i}: {exc}") from exc

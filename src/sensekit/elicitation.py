@@ -18,7 +18,7 @@ import os
 from typing import Mapping, Protocol, Sequence
 
 from . import jsonio
-from .corpus import AGENT, OBJECT, SENSIBLE, Assertion, AssertionSet, ConceptId, PropertyKey, Value, _setattr
+from .corpus import AGENT, OBJECT, SENSIBLE, Assertion, AssertionSet, ConceptId, PropertyKey, Value, _echo, _setattr
 from .errors import ConfigError, ElicitationError, InputDataError, ProviderError, TemplateError
 from .semantics import MeaningRecord, PrimitiveRelation, WeightedProperty, resolve_relation
 
@@ -241,10 +241,10 @@ class RemoteProvider:
         ):
             raise ConfigError(
                 f"provider timeout must be a positive number of seconds up to "
-                f"{TIMEOUT_MAX:.0f}, got {timeout!r}"
+                f"{TIMEOUT_MAX:.0f}, got {_echo(timeout)}"
             )
         if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
-            raise ConfigError(f"provider retries must be a non-negative integer, got {retries!r}")
+            raise ConfigError(f"provider retries must be a non-negative integer, got {_echo(retries)}")
         self.endpoint = endpoint
         self.auth_env = auth_env
         self.timeout = timeout

@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from . import jsonio
-from .corpus import SENSIBLE, Assertion, ConceptId, Value, _setattr
+from .corpus import SENSIBLE, Assertion, ConceptId, Value, _echo, _setattr
 from .errors import InputDataError, LexiconError, MeaningStoreError
 
 
@@ -101,7 +101,7 @@ CATEGORY_ACTIVITY = "activity"
 CATEGORY_EVENT = "event"
 
 _CATEGORIES = (CATEGORY_PROPERTY, CATEGORY_STATE, CATEGORY_ACTIVITY, CATEGORY_EVENT)
-_TROPE_RE = re.compile(r"^[a-z][a-z0-9'_-]*$")
+_TROPE_RE = re.compile(r"[a-z][a-z0-9'_-]*")  # for fullmatch: "$" accepts a trailing "\n"
 
 
 class LexiconEntry(Value):
@@ -109,11 +109,11 @@ class LexiconEntry(Value):
     category: str
 
     def __init__(self, trope, category) -> None:
-        if trope.__class__ is not str or not _TROPE_RE.match(trope):
-            raise ValueError(f"trope must be a lowercase token, got {trope!r}")
+        if trope.__class__ is not str or not _TROPE_RE.fullmatch(trope):
+            raise ValueError(f"trope must be a lowercase token, got {_echo(trope)}")
         if category.__class__ is not str or category not in _CATEGORIES:
             raise ValueError(
-                f"category must be one of {', '.join(_CATEGORIES)}, got {category!r}"
+                f"category must be one of {', '.join(_CATEGORIES)}, got {_echo(category)}"
             )
         _setattr(self, "trope", trope)
         _setattr(self, "category", category)

@@ -4,16 +4,19 @@ These deliberately avoid the production code paths: normalization hashes
 the assertion value objects, extents and sensible properties come from a full
 scan of the assertions, the conflict oracle ignores assertion order,
 the hierarchy oracles work directly on the (tolerant) inclusion relation
-between extents, and the similarity and join oracles enumerate all
-cross-pairs instead of probing a token index.  All are slow and obviously
+between extents, the similarity and join oracles enumerate all
+cross-pairs instead of probing a token index, and the corpus scanner matches
+each line against a unary, then a binary regex.  All are slow and obviously
 correct.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
-from sensekit.corpus import Assertion, AssertionSet, ConceptId, PropertyKey
+from sensekit.corpus import AGENT, NONSENSICAL, OBJECT, SENSIBLE, Assertion, AssertionSet, ConceptId, PropertyKey
+from sensekit.errors import CorpusSyntaxError
 from sensekit.semantics import MeaningRecord, PrimitiveRelation
 from sensekit.similarity import MatchedPair
 
@@ -176,3 +179,74 @@ def reference_dimension_join(
         for right in b.dimension(dim)
         if left[1] == right[1]
     )
+
+
+_UNARY_LINE_RE = re.compile(
+    r"^([+-])\s+([A-Z][A-Z0-9_-]*(?:@(?:agent|object))?)\s+(\S+)$"
+)
+_BINARY_LINE_RE = re.compile(
+    r"^([+-])\s+([A-Z][A-Z0-9_-]*)\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)$"
+)
+_COMMENT_RE = re.compile(r"(?:^|(?<=\s))#")  # for str patterns, \s is str.isspace
+
+_ECHO_LIMIT = 200  # characters of an input line or token an error message repeats
+
+
+def _echo(text: str) -> str:
+    """repr(text), cut to its first _ECHO_LIMIT characters and marked when longer."""
+    if len(text) <= _ECHO_LIMIT:
+        return repr(text)
+    return f"{text[:_ECHO_LIMIT]!r}... ({len(text)} characters)"
+
+
+def _interned(memo: dict, make, *fields):
+    """make(*fields), built and validated once per memo.  A constructor that raises
+    stores nothing, and unhashable fields skip the memo to reach its check."""
+    key = (make, *fields)
+    try:
+        return memo[key]
+    except KeyError:
+        made = memo[key] = make(*fields)
+    except TypeError:
+        made = make(*fields)
+    return made
+
+
+def reference_scan_corpus(text: str) -> list[tuple[int, Assertion]]:
+    """Parse corpus text into (line number, assertion) pairs, one regex match a line.
+
+    The line-regex scanner that corpus.scan_corpus replaced, kept verbatim
+    (with the regexes and helpers above) as its differential oracle.
+
+    Binary lines contribute two entries with the same line number.  Equal
+    tokens share one object, and so do repeated facts.  Raises
+    CorpusSyntaxError with the offending line number on any malformed line.
+    """
+    out: list[tuple[int, Assertion]] = []
+    memo: dict = {}  # (sign, prop token, concept token) -> Assertion, and _interned's keys
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = (_COMMENT_RE.split(raw, 1)[0] if "#" in raw else raw).strip()
+        if not line:
+            continue
+        m = _UNARY_LINE_RE.match(line) or _BINARY_LINE_RE.match(line)
+        if m is None:
+            raise CorpusSyntaxError(lineno, f"cannot parse {_echo(line)}: expected '+ PROP concept', "
+                                    "'- PROP concept', '+ REL(a, b)', or '- REL(a, b)'")
+        facts = (m.groups(),)
+        if m.re is _BINARY_LINE_RE:
+            sign, name, agent_tok, object_tok = facts[0]
+            facts = ((sign, f"{name}@{AGENT}", agent_tok), (sign, f"{name}@{OBJECT}", object_tok))
+        for fact in facts:
+            a = memo.get(fact)
+            if a is None:
+                sign, prop_tok, concept_tok = fact
+                try:
+                    a = memo[fact] = Assertion(
+                        _interned(memo, PropertyKey.from_token, prop_tok),
+                        _interned(memo, ConceptId, concept_tok),
+                        SENSIBLE if sign == "+" else NONSENSICAL,
+                    )
+                except ValueError as exc:
+                    raise CorpusSyntaxError(lineno, str(exc)) from exc
+            out.append((lineno, a))
+    return out

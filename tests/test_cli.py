@@ -126,6 +126,15 @@ def test_induce_accepts_normalized_json(tmp_path, leaf_file, capsys) -> None:
     assert from_json == from_text
 
 
+def test_induce_refuses_a_json_token_with_a_trailing_newline(tmp_path, capsys) -> None:
+    row = {"prop": "RED", "arity": 1, "position": None, "concept": "apple\n", "polarity": "sensible"}
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"assertions": [row]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "induce", str(path))
+    assert (code, out) == (2, "")
+    assert "invalid concept id 'apple\\n'" in err
+
+
 def test_induce_idempotent_byte_identical(leaf_file, capsys) -> None:
     code1, out1, _ = run_cli(capsys, "induce", leaf_file)
     code2, out2, _ = run_cli(capsys, "induce", leaf_file)

@@ -4,7 +4,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sensekit import jsonio
 from sensekit.corpus import (
@@ -30,7 +30,7 @@ from sensekit.corpus import (
 from sensekit.errors import CorpusSyntaxError, InputDataError
 
 from conftest import random_assertion_set
-from oracles import full_scan_extent, reference_normalize
+from oracles import full_scan_extent, reference_normalize, reference_scan_corpus
 
 
 # --- domain type validation ---------------------------------------------------
@@ -68,6 +68,32 @@ def test_property_key_positions() -> None:
 def test_property_key_rejects_invalid(kwargs: dict) -> None:
     with pytest.raises(ValueError):
         PropertyKey(**kwargs)
+
+
+@pytest.mark.parametrize("make", [ConceptId, PropertyKey, lambda t: PropertyKey(t, 2, AGENT)])
+@pytest.mark.parametrize("end", ["\n", "\r", "\x00", " "])
+def test_tokens_refuse_a_trailing_character(make, end: str) -> None:
+    token = "apple" if make is ConceptId else "RED"
+    make(token)
+    with pytest.raises(ValueError, match="invalid"):
+        make(token + end)
+
+
+@pytest.mark.parametrize(
+    ("kwargs", "shown"),
+    [
+        ({"arity": 10**5000}, "arity must be 1 or 2, got <int too large to print>"),
+        ({"arity": [10**5000]}, "arity must be 1 or 2, got <list too large to print>"),
+        ({"arity": 10**300}, f"arity must be 1 or 2, got {str(10**300)[:200]}... (301 characters)"),
+        ({"arity": 2, "position": 10**5000},
+         "arity-2 properties need position 'agent' or 'object', got <int too large to print>"),
+    ],
+    ids=["huge-arity", "list-of-huge-arity", "long-arity", "huge-position"],
+)
+def test_property_key_echoes_a_huge_value_bounded(kwargs: dict, shown: str) -> None:
+    with pytest.raises(ValueError) as err:
+        PropertyKey("A", **kwargs)
+    assert str(err.value) == shown
 
 
 def test_assertion_rejects_bad_polarity() -> None:
@@ -193,6 +219,96 @@ def test_scan_shares_equal_tokens_and_repeated_facts() -> None:
     assert again is old
     assert written is agent
     assert agent.property.token == "RIDE@agent" and obj.property.token == "RIDE@object"
+
+
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_line_breaks_are_every_splitlines_break() -> None:
+    breaks = {c for c in map(chr, range(sys.maxunicode + 1)) if len(f"a{c}b".splitlines()) == 2}
+    assert breaks == set(_LINE_BREAKS) - {"\r\n"}
+
+
+_gap = st.text(st.sampled_from(_IN_LINE_SPACES), min_size=1, max_size=2)
+_pad = st.text(st.sampled_from(_IN_LINE_SPACES), max_size=2)
+
+
+def _fact_lines(sign, prop, rel, concept):
+    """Unary or positional lines ('+ OLD trip') and binary ones ('- RIDE( a ,b)')."""
+    return st.one_of(
+        st.builds("{}{}{}{}{}".format, sign, _gap, prop, _gap, concept),
+        st.builds("{}{}{}({}{}{},{}{}{})".format, sign, _gap, rel, _pad, concept, _pad, _pad, concept, _pad),
+    )
+
+
+_signs = st.sampled_from(["+", "-"])
+_props = st.sampled_from(["OLD", "NEW", "A-B", "RIDE@agent", "RIDE@object", "A-B@agent"])
+_rels = st.sampled_from(["RIDE", "A-B"])
+_concepts_tok = st.sampled_from(["trip", "car", "book#1", "book#12", "a-b_c0"])
+_good_line = st.one_of(_fact_lines(_signs, _props, _rels, _concepts_tok), st.just(""))
+_bad_line = st.one_of(
+    _fact_lines(
+        _signs | st.sampled_from(["", "?", "+-", "--"]),
+        _props | st.sampled_from(["old", "RIDE@driver", "OLD@", "R(X", "X" * 201]),
+        _rels | st.sampled_from(["ride", "RIDE@agent", "R X"]),
+        _concepts_tok | st.sampled_from(["Trip", "trip#0", "#1", "tr(ip", "a,b", "x" * 201]),
+    ),
+    st.text(st.sampled_from(list("+-#(),@ aZ1\t") + ["\u3000"]), max_size=12),
+)
+# A comment starts after any in-line space; a '#' glued to a token is part of it.
+_comment = st.builds(
+    "{}#{}".format, st.sampled_from(_IN_LINE_SPACES + [""]), st.sampled_from(["", " note", "#", "1", "x#1"])
+)
+
+
+def _framed(body):
+    return st.builds("{}{}{}{}".format, _pad, body, st.just("") | _comment, _pad)
+
+
+# Mostly good lines, so that texts scan far and repeat facts, then at most one
+# line that may be bad; each line ends in any str.splitlines() break, or none.
+_corpus_texts = st.builds(
+    lambda rows, bad, at, end: "".join(rows[:at] + bad + rows[at:]) + end,
+    st.lists(st.builds(str.__add__, _framed(_good_line), st.sampled_from(_LINE_BREAKS)), max_size=12),
+    st.lists(st.builds(str.__add__, _framed(_bad_line), st.sampled_from(_LINE_BREAKS)), max_size=1),
+    st.integers(0, 12),
+    st.just("") | _framed(_good_line | _bad_line),
+)
+
+
+def _scan_outcome(scan, text: str):
+    """The (line, message) of the CorpusSyntaxError scan raises, or its pairs with
+    the first index of each assertion, concept and property object (same `is`)."""
+    try:
+        pairs = scan(text)
+    except CorpusSyntaxError as exc:
+        return exc.line, str(exc)
+
+    def sharing(objects) -> list[int]:
+        first: dict[int, int] = {}
+        return [first.setdefault(id(o), i) for i, o in enumerate(objects)]
+
+    return (pairs, sharing(a for _, a in pairs), sharing(a.concept for _, a in pairs),
+            sharing(a.property for _, a in pairs))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_corpus_texts)
+@example("+- OLD trip\n")
+@example("+ OLD trip extra\n+ RIDE (a, b)\n")
+@example("+ RIDE(a,b) # c\n+ RIDE@agent a\n- RIDE( a , b )\n+ OLD a\n+\tOLD\u3000a\n")
+@example("+ OLD trip\x1f#\x1fnote\r\n+ OLD trip#1\u2028+ OLD  trip")
+def test_prop_scan_equals_reference_scanner(text: str) -> None:
+    assert _scan_outcome(scan_corpus, text) == _scan_outcome(reference_scan_corpus, text)
+
+
+@pytest.mark.parametrize("brk", _LINE_BREAKS, ids=lambda b: "+".join(f"U+{ord(c):04X}" for c in b))
+def test_scan_equals_reference_scanner_for_every_in_line_space(brk: str) -> None:
+    for space in _IN_LINE_SPACES:
+        lines = [f"+{space}OLD{space}trip{space}#{space}note", f"-{space}RIDE({space}a,b){space}#",
+                 f"{space}# only", "+ NEW x#2", f"+ RIDE@agent{space}a", f"+{space}old{space}trip"]
+        for text in (brk.join(lines[:-1]), brk.join(lines)):
+            assert _scan_outcome(scan_corpus, text) == _scan_outcome(reference_scan_corpus, text)
 
 
 def test_json_shares_equal_tokens() -> None:

@@ -278,6 +278,12 @@ def test_lexicon_entry_refuses_non_strings() -> None:
         LexiconEntry("wisdom", None)
 
 
+def test_lexicon_entry_refuses_a_trailing_newline() -> None:
+    LexiconEntry("wise", "property")
+    with pytest.raises(ValueError, match=r"got 'wise\\n'$"):
+        LexiconEntry("wise\n", "property")
+
+
 # --- meaning records -----------------------------------------------------------------
 
 def test_build_meaning_max_normalizes() -> None:
