@@ -19,13 +19,14 @@ import contextlib
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from . import __version__, jsonio
 from .errors import ConfigError, ConsistencyError, InputDataError, SensekitError
 
 # Each command imports the layers it runs when it runs, so `sensekit ingest`
 # never loads the hierarchy, semantics, similarity or elicitation modules.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .corpus import AssertionSet
     from .semantics import PrimitiveRelation

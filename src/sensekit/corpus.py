@@ -25,11 +25,11 @@ Absence of an assertion means "unknown", which extent() treats as
 
 from __future__ import annotations
 
-import bisect
 import re
+from collections.abc import Iterable
+from functools import cached_property
 from json.encoder import encode_basestring as _encode  # the encoder jsonio.dumps uses
-from operator import attrgetter
-from typing import Iterable
+from operator import attrgetter, itemgetter
 
 from . import jsonio
 from .errors import CorpusSyntaxError, InputDataError
@@ -49,6 +49,8 @@ _BINARY_LINE_RE = re.compile(r"^([+-])\s+([A-Z][A-Z0-9_-]*)\(\s*([^,()\s]+)\s*,\
 _COMMENT_RE = re.compile(r"(?:^|(?<=\s))#")  # for str patterns, \s is str.isspace
 
 _setattr = object.__setattr__  # one global read per field, not a lookup on object
+
+_BAD_POLARITY = "polarity must be sensible/nonsensical, got {}"
 
 _ECHO_LIMIT = 200  # characters of an input line or token an error message repeats
 
@@ -111,7 +113,7 @@ class ConceptId(Value):
     name: str
 
     def __init__(self, name) -> None:
-        if not _CONCEPT_RE.fullmatch(name):
+        if not isinstance(name, str) or not _CONCEPT_RE.fullmatch(name):
             raise ValueError(f"invalid concept id {_echo(name)}: expected a lowercase token "
                              "with an optional #k sense suffix (k >= 1)")
         _setattr(self, "name", name)
@@ -145,7 +147,7 @@ class PropertyKey(Value):
     position: str | None
 
     def __init__(self, name, arity=1, position=None) -> None:
-        if not _PROPERTY_RE.fullmatch(name):
+        if not isinstance(name, str) or not _PROPERTY_RE.fullmatch(name):
             raise ValueError(f"invalid property name {_echo(name)}: expected an uppercase token")
         if type(arity) is not int or arity not in (1, 2):  # True and 1.0 equal 1
             raise ValueError(f"arity must be 1 or 2, got {_echo(arity)}")
@@ -185,7 +187,7 @@ class Assertion(Value):
 
     def __init__(self, property, concept, polarity) -> None:
         if polarity not in (SENSIBLE, NONSENSICAL):
-            raise ValueError(f"polarity must be sensible/nonsensical, got {_echo(polarity)}")
+            raise ValueError(_BAD_POLARITY.format(_echo(polarity)))
         _setattr(self, "property", property)
         _setattr(self, "concept", concept)
         _setattr(self, "polarity", polarity)
@@ -195,39 +197,76 @@ class Assertion(Value):
         return self.polarity == SENSIBLE
 
 
-def _property_key(a: Assertion) -> tuple[str, str]:
-    """The fields of AssertionSet's sort key that identify the property."""
-    return (a.property.name, a.property.position or "")
-
-
 class AssertionSet(Value):
-    """A normalized collection of assertions.
+    """A normalized collection of assertions, stored one property at a time.
 
-    Construction deduplicates exact repeats and sorts assertions into a
-    canonical order, so equal corpora compare equal regardless of input
-    order.  Conflicting polarities for the same (property, concept) pair are
-    retained; check_consistency() reports them.
+    Equal corpora compare equal regardless of input order and repeats, and
+    conflicting polarities are kept for check_consistency().  _runs maps
+    (property name, position or "") to (PropertyKey, sensible concept names,
+    nonsensical concept names), all sorted; .assertions is built on first use.
     """
 
     assertions: tuple[Assertion, ...]
     concepts: frozenset[ConceptId]  # derived, not an argument
 
     def __init__(self, assertions) -> None:
-        # The key is property name, position or "", concept name and polarity,
-        # joined by NUL.  No valid token holds a NUL, which sorts below every
-        # other character, so the strings sort as the 4-tuples of the fields
-        # would; and the key is injective (arity follows from position).
-        by_key = {
-            f"{a.property.name}\0{a.property.position or ''}\0{a.concept.name}\0{a.polarity}": a
-            for a in assertions
-        }
-        ordered = tuple(map(by_key.__getitem__, sorted(by_key)))
-        _setattr(self, "assertions", ordered)
-        concepts = {a.concept.name: a.concept for a in ordered}
-        _setattr(self, "concepts", frozenset(concepts.values()))
+        groups: dict[int, tuple] = {}  # by id(property), so no Value.__hash__ runs per fact
+        for a in assertions:
+            group = groups.get(id(a.property)) or groups.setdefault(id(a.property), (a.property, {}, {}))
+            group[1 if a.polarity == SENSIBLE else 2][a.concept.name] = a.concept
+        self._store(*_runs_of(groups.values()))
+
+    def _store(self, runs: dict, concept_ids: dict[str, ConceptId]) -> AssertionSet:
+        _setattr(self, "_runs", runs)
+        _setattr(self, "_concept_ids", concept_ids)
+        _setattr(self, "concepts", frozenset(concept_ids.values()))
+        return self
+
+    @cached_property
+    def assertions(self) -> tuple[Assertion, ...]:
+        ids = self._concept_ids
+        return tuple(Assertion(prop, ids[name], polarity) for prop, run in _by_concept(self) for name, polarity in run)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._runs == other._runs and self.concepts == other.concepts
+
+    def __hash__(self) -> int:
+        return hash((*self._runs.values(), self.concepts))
 
     def __len__(self) -> int:
-        return len(self.assertions)
+        return sum(len(sensible) + len(nonsensical) for _, sensible, nonsensical in self._runs.values())
+
+
+def _runs_of(groups: Iterable[tuple]) -> tuple[dict, dict[str, ConceptId]]:
+    """(runs, concept ids) from (property, sensible, nonsensical) groups of {name: ConceptId}."""
+    merged: dict[tuple[str, str], tuple] = {}
+    for prop, sensible, nonsensical in groups:  # the groups of equal properties merge
+        run = merged.setdefault((prop.name, prop.position or ""), (prop, {}, {}))
+        run[1].update(sensible)
+        run[2].update(nonsensical)
+    runs, concept_ids = {}, {}
+    for key in sorted(merged):
+        prop, sensible, nonsensical = merged[key]
+        concept_ids.update(sensible)
+        concept_ids.update(nonsensical)
+        runs[key] = (prop, tuple(sorted(sensible)), tuple(sorted(nonsensical)))
+    return runs, concept_ids
+
+
+def _sensible_of(concept: ConceptId, props: Iterable[PropertyKey]) -> AssertionSet:
+    """The set asserting each of props sensible of concept, built as its runs."""
+    keyed = {(prop.name, prop.position or ""): prop for prop in props}
+    runs = {key: (keyed[key], (concept.name,), ()) for key in sorted(keyed)}
+    return object.__new__(AssertionSet)._store(runs, {concept.name: concept} if runs else {})
+
+
+def _by_concept(aset: AssertionSet):
+    """(property, [(name, polarity), ...]) per run, in canonical order: nonsensical first on a tie."""
+    for prop, sensible, nonsensical in aset._runs.values():
+        pairs = [(name, NONSENSICAL) for name in nonsensical] + [(name, SENSIBLE) for name in sensible]
+        yield prop, sorted(pairs, key=itemgetter(0))
 
 
 def scan_corpus(text: str) -> list[tuple[int, Assertion]]:
@@ -281,7 +320,7 @@ def scan_corpus(text: str) -> list[tuple[int, Assertion]]:
 
 def parse_corpus(text: str) -> AssertionSet:
     """Parse corpus text into a normalized AssertionSet."""
-    return AssertionSet(tuple(a for _, a in scan_corpus(text)))
+    return AssertionSet(a for _, a in scan_corpus(text))
 
 
 def serialize_corpus(aset: AssertionSet) -> str:
@@ -291,8 +330,8 @@ def serialize_corpus(aset: AssertionSet) -> str:
     facts come back as their positional halves.
     """
     lines = [
-        f"{'+' if a.is_sensible else '-'} {a.property.token} {a.concept.name}"
-        for a in aset.assertions
+        f"{'+' if polarity == SENSIBLE else '-'} {token} {name}"
+        for prop, run in _by_concept(aset) for token in (prop.token,) for name, polarity in run
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -301,26 +340,22 @@ def extent(aset: AssertionSet, prop: PropertyKey) -> frozenset[ConceptId]:
     """Concepts with a sensible assertion for prop (closed world).
 
     Nonsensical assertions never contribute; an unknown property yields the
-    empty set rather than an error.  AssertionSet sorts by property name,
-    then position, so prop's assertions are one contiguous run, found by
-    binary search on _property_key.
+    empty set rather than an error.  prop's run is one dict lookup away.
     """
-    run = (prop.name, prop.position or "")
-    lo = bisect.bisect_left(aset.assertions, run, key=_property_key)
-    hi = bisect.bisect_right(aset.assertions, run, lo=lo, key=_property_key)
-    return frozenset(a.concept for a in aset.assertions[lo:hi] if a.is_sensible)
+    run = aset._runs.get((prop.name, prop.position or ""))
+    return frozenset(map(aset._concept_ids.__getitem__, run[1])) if run else frozenset()
 
 
 def check_consistency(aset: AssertionSet) -> list[tuple[PropertyKey, ConceptId]]:
     """Every (property, concept) pair asserted with both polarities, sorted.
 
-    Assertions are deduplicated and sorted with the polarity as the last
-    field, so the two polarities of a pair are neighbours.
+    A run holds its sensible and its nonsensical concepts, so its conflicts
+    are the concepts on both sides.
     """
     conflicts = [
-        (a.property, a.concept)
-        for prev, a in zip(aset.assertions, aset.assertions[1:])
-        if a.concept.name == prev.concept.name and a.property == prev.property
+        (prop, aset._concept_ids[name])
+        for prop, sensible, nonsensical in aset._runs.values() if nonsensical
+        for name in set(nonsensical).intersection(sensible)
     ]
     # Token order: A-B precedes A@agent as a token but follows it by name.
     conflicts.sort(key=lambda pc: (pc[0].token, pc[1].name))
@@ -355,14 +390,8 @@ def corpus_to_json(aset: AssertionSet) -> dict:
     """
     return {
         "assertions": [
-            {
-                "prop": a.property.name,
-                "arity": a.property.arity,
-                "position": a.property.position,
-                "concept": a.concept.name,
-                "polarity": a.polarity,
-            }
-            for a in aset.assertions
+            {"prop": prop.name, "arity": prop.arity, "position": prop.position, "concept": name, "polarity": polarity}
+            for prop, run in _by_concept(aset) for name, polarity in run
         ]
     }
 
@@ -372,20 +401,18 @@ def corpus_to_json_text(aset: AssertionSet) -> str:
 
     An assertion's object is its property's head (up to ``"concept": ``),
     the encoded concept, and a tail from ``"polarity"`` to the closing brace,
-    with the keys in the sorted order dumps() writes.  A property's
-    assertions are one run of the sorted set, so its head and tails are made
-    once per run.  Strings go through dumps()'s own encoder.
+    with the keys in the sorted order dumps() writes, made once per property.
+    An encoded name ends in a quote, which sorts below any character of a
+    concept name, so a run's objects sort by concept, then polarity.
     """
     objects = []
-    prop = None
-    for a in aset.assertions:
-        if a.property is not prop:
-            prop = a.property
-            head = f'{{\n      "arity": {prop.arity},\n      "concept": '
-            position = "null" if prop.position is None else _encode(prop.position)
-            tail = f',\n      "position": {position},\n      "prop": {_encode(prop.name)}\n    }}'
-            tails = {p: f',\n      "polarity": {_encode(p)}{tail}' for p in (SENSIBLE, NONSENSICAL)}
-        objects.append(head + _encode(a.concept.name) + tails[a.polarity])
+    for prop, sensible, nonsensical in aset._runs.values():
+        head = f'{{\n      "arity": {prop.arity},\n      "concept": '
+        position = "null" if prop.position is None else _encode(prop.position)
+        tail = f',\n      "position": {position},\n      "prop": {_encode(prop.name)}\n    }}'
+        tails = [f',\n      "polarity": {_encode(polarity)}{tail}' for polarity in (NONSENSICAL, SENSIBLE)]
+        run = [f"{head}{_encode(name)}{end}" for end, names in zip(tails, (nonsensical, sensible)) for name in names]
+        objects += sorted(run) if sensible and nonsensical else run
     if not objects:
         return '{\n  "assertions": []\n}\n'
     return '{\n  "assertions": [\n    ' + ",\n    ".join(objects) + "\n  ]\n}\n"
@@ -394,8 +421,7 @@ def corpus_to_json_text(aset: AssertionSet) -> str:
 def corpus_from_json(data: object) -> AssertionSet:
     if not isinstance(data, dict) or not isinstance(data.get("assertions"), list):
         raise InputDataError("corpus JSON must be an object with an 'assertions' list")
-    assertions = []
-    props: dict[tuple, PropertyKey] = {}  # (name, arity, position)
+    groups: dict[tuple, tuple] = {}  # (name, arity, position) -> (PropertyKey, sensible, nonsensical)
     concepts: dict[str, ConceptId] = {}
     for i, entry in enumerate(data["assertions"]):
         if not isinstance(entry, dict):
@@ -410,14 +436,17 @@ def corpus_from_json(data: object) -> AssertionSet:
                 raise ValueError(f"arity must be 1 or 2, got {_echo(arity)}")
             prop_key = (name, arity, entry.get("position"))
             try:
-                prop = props.get(prop_key) or props.setdefault(prop_key, PropertyKey(*prop_key))
-            except TypeError:  # an unhashable position, which PropertyKey refuses
-                prop = PropertyKey(*prop_key)
-            concept = concepts.get(concept) or concepts.setdefault(concept, ConceptId(concept))
-            assertions.append(Assertion(prop, concept, polarity))
+                group = groups.get(prop_key) or groups.setdefault(prop_key, (PropertyKey(*prop_key), {}, {}))
+            except TypeError:  # an unhashable position: PropertyKey raises its ValueError
+                PropertyKey(*prop_key)
+                raise
+            cid = concepts.get(concept) or concepts.setdefault(concept, ConceptId(concept))
+            if polarity not in (SENSIBLE, NONSENSICAL):
+                raise ValueError(_BAD_POLARITY.format(_echo(polarity)))
+            group[1 if polarity == SENSIBLE else 2][concept] = cid
         except (KeyError, TypeError, ValueError) as exc:
             raise InputDataError(f"corpus JSON: assertion {i}: {exc}") from exc
-    return AssertionSet(tuple(assertions))
+    return object.__new__(AssertionSet)._store(*_runs_of(groups.values()))
 
 
 def corpus_from_json_text(text: str) -> AssertionSet:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Mapping, Protocol, Sequence
+from collections.abc import Mapping, Sequence
 
 from . import jsonio
-from .corpus import AGENT, OBJECT, SENSIBLE, Assertion, AssertionSet, ConceptId, PropertyKey, Value, _echo, _setattr
+from .corpus import AGENT, OBJECT, AssertionSet, ConceptId, PropertyKey, Value, _echo, _sensible_of, _setattr
 from .errors import ConfigError, ElicitationError, InputDataError, ProviderError, TemplateError
 from .semantics import MeaningRecord, PrimitiveRelation, WeightedProperty, resolve_relation
 
@@ -139,10 +139,12 @@ class CompletionList(Value):
         ])
 
 
-class CompletionProvider(Protocol):
+class CompletionProvider:
+    """What elicit() asks of a provider; any object with a complete() method will do."""
+
     def complete(self, prompt: str, n: int) -> list[str]:
         """Return up to n ranked completions for the [MASK] in prompt."""
-        ...
+        raise NotImplementedError
 
 
 class MockProvider:
@@ -359,7 +361,7 @@ def elicit(
     concept = ConceptId(subject)
 
     entries: dict[PrimitiveRelation, tuple[WeightedProperty, ...]] = {}
-    assertions: list[Assertion] = []
+    props: list[PropertyKey] = []
     failures: dict[PrimitiveRelation, str] = {}
     warnings: list[str] = []
     for dimension in dims:
@@ -390,10 +392,10 @@ def elicit(
                     "property token; no assertion recorded"
                 )
                 continue
-            assertions.append(Assertion(prop, concept, SENSIBLE))
+            props.append(prop)
     if not entries:
         detail = "; ".join(f"{d.value}: {msg}" for d, msg in failures.items())
         raise ElicitationError(f"all dimensions failed: {detail}")
 
     record = MeaningRecord(concept.name, "", entries)
-    return ElicitResult(record, AssertionSet(assertions), failures, tuple(warnings))
+    return ElicitResult(record, _sensible_of(concept, props), failures, tuple(warnings))

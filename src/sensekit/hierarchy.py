@@ -18,9 +18,9 @@ steps repeat until no pair is left.  tau = 0 is the exact procedure and the
 default.
 
 Induction works on integer bitsets: each concept owns one bit, an extent is
-the sum of its members' bits, and |A \\ B| is (A & ~B).bit_count().  The
-assertions are sorted by property, so one pass reads each property's run,
-keeping its token once and its concept names as the node extent.  Two groups
+the sum of its members' bits, and |A \\ B| is (A & ~B).bit_count().  An
+AssertionSet stores each property's run, so induction reads each property's
+token once and its sensible concept names as the node extent.  Two groups
 can include each other only if their sizes lie within a factor 1 - tau, so
 each pair inside that size window is tested once and, after a merge, only
 the merged group's window again: at most O(G^2) inclusion tests for G
@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from . import jsonio
-from .corpus import SENSIBLE, AssertionSet, PropertyKey, Value, _setattr, check_consistency, extent
+from .corpus import AssertionSet, PropertyKey, Value, _setattr, check_consistency, extent
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -280,7 +280,7 @@ def induce(aset: AssertionSet, cfg: InduceConfig | None = None) -> TypeDag:
     order.
     """
     cfg = cfg or InduceConfig()
-    if not aset.assertions:
+    if not aset.concepts:
         raise EmptyCorpusError("cannot induce a hierarchy from an empty corpus")
     conflicts = check_consistency(aset)
     if conflicts:
@@ -291,22 +291,10 @@ def induce(aset: AssertionSet, cfg: InduceConfig | None = None) -> TypeDag:
 
     names = sorted(c.name for c in aset.concepts)
     bit = {name: 1 << (len(names) - 1 - i) for i, name in enumerate(names)}
-    # Assertions are sorted by property, so each property is one run: its
-    # token is read once, and its sensible concepts are distinct.
-    runs: dict[str, list[str]] = {}
-    prop = None
-    for a in aset.assertions:
-        if a.property is not prop:
-            prop = a.property
-            run = runs.setdefault(prop.token, [])
-        if a.polarity == SENSIBLE:
-            run.append(a.concept.name)
-
-    by_extent: dict[int, tuple[list[str], list[str]]] = {}
-    for token in sorted(runs):
-        if runs[token]:
-            bits = sum(map(bit.__getitem__, runs[token]))
-            by_extent.setdefault(bits, (runs[token], []))[1].append(token)
+    by_extent: dict[int, tuple[tuple[str, ...], list[str]]] = {}  # bits -> (sensible names, tokens)
+    for token, run in sorted((prop.token, sensible) for prop, sensible, _ in aset._runs.values()):
+        if run:
+            by_extent.setdefault(sum(map(bit.__getitem__, run)), (run, []))[1].append(token)
     if not by_extent:
         raise EmptyCorpusError("corpus has no sensible assertions")
     groups = [_Group(b, frozenset(run), tuple(props)) for b, (run, props) in by_extent.items()]

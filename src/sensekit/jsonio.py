@@ -31,14 +31,13 @@ import json
 from itertools import chain
 from json.encoder import encode_basestring as _encode
 from operator import itemgetter
-from typing import Any
 
 from .errors import ConfigError, InputDataError
 
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))
 
 
-def dumps(obj: Any) -> str:
+def dumps(obj: object) -> str:
     """Indented, key-sorted, strict JSON text of obj, ending in a newline.
 
     Cyclic values are not detected: every caller passes a fresh tree, built
@@ -69,7 +68,7 @@ _SCALARS = {
 }
 
 
-def _key(key: Any) -> str:
+def _key(key: object) -> str:
     """A dict key that is not a str, converted as the stdlib converts it."""
     if isinstance(key, float):
         return _float(key)
@@ -80,7 +79,7 @@ def _key(key: Any) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-def _write(value: Any, out: list[str], sep: str, nl: str) -> None:
+def _write(value: object, out: list[str], sep: str, nl: str) -> None:
     """Append sep followed by the JSON text of value to out.
 
     A scalar, a list of str or a list of string records (see _records) is
@@ -168,11 +167,11 @@ def _records(value: list | tuple, first: dict, nl: str) -> str | None:
     return ("," + nl).join([template] * len(value)) % encoded
 
 
-def _reject_constant(name: str) -> Any:
+def _reject_constant(name: str) -> object:
     raise ValueError(f"{name} is not valid JSON")
 
 
-def loads(text: str | bytes, *, what: str) -> Any:
+def loads(text: str | bytes, *, what: str) -> object:
     try:
         return json.loads(text, parse_constant=_reject_constant)
     # JSONDecodeError is a ValueError; so is a NaN or Infinity literal and an

@@ -19,7 +19,7 @@ import os
 import re
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from . import jsonio
 from .corpus import SENSIBLE, Assertion, ConceptId, Value, _echo, _setattr

@@ -13,7 +13,7 @@ weighted average can never exceed 1.0.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from collections.abc import Mapping
 
 from . import jsonio
 from .corpus import Value, _setattr

@@ -27,10 +27,11 @@ from sensekit.corpus import (
     scan_corpus,
     serialize_corpus,
 )
+from sensekit.corpus import _sensible_of
 from sensekit.errors import CorpusSyntaxError, InputDataError
 
 from conftest import random_assertion_set
-from oracles import full_scan_extent, reference_normalize, reference_scan_corpus
+from oracles import brute_force_conflicts, full_scan_extent, reference_normalize, reference_scan_corpus
 
 
 # --- domain type validation ---------------------------------------------------
@@ -41,8 +42,8 @@ def test_concept_id_accepts_sense_suffix() -> None:
     assert c.sense == 1
 
 
-@pytest.mark.parametrize("bad", ["", "Apple", "has space", "book#0", "#1", "a#"])
-def test_concept_id_rejects_invalid(bad: str) -> None:
+@pytest.mark.parametrize("bad", ["", "Apple", "has space", "book#0", "#1", "a#", None, 5, b"apple", ["apple"]])
+def test_concept_id_rejects_invalid(bad: object) -> None:
     with pytest.raises(ValueError):
         ConceptId(bad)
 
@@ -63,11 +64,32 @@ def test_property_key_positions() -> None:
         {"name": "RIDE", "arity": 3, "position": AGENT},
         {"name": "OLD", "arity": True},
         {"name": "RIDE", "arity": 2.0, "position": AGENT},
+        {"name": 5},
+        {"name": None},
+        {"name": b"RED"},
+        {"name": ["RED"], "arity": 2, "position": AGENT},
     ],
 )
 def test_property_key_rejects_invalid(kwargs: dict) -> None:
     with pytest.raises(ValueError):
         PropertyKey(**kwargs)
+
+
+@pytest.mark.parametrize(
+    ("make", "shown"),
+    [
+        (lambda: ConceptId(None), "invalid concept id None: expected a lowercase token"),
+        (lambda: ConceptId(5), "invalid concept id 5: expected a lowercase token"),
+        (lambda: PropertyKey(5), "invalid property name 5: expected an uppercase token"),
+        (lambda: PropertyKey(None, 2, AGENT), "invalid property name None: expected an uppercase token"),
+        (lambda: PropertyKey([10**5000]), "invalid property name <list too large to print>: expected"),
+    ],
+    ids=["concept-None", "concept-int", "property-int", "property-None", "property-huge-list"],
+)
+def test_tokens_reject_a_non_str_with_their_own_message(make, shown: str) -> None:
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value).startswith(shown)
 
 
 @pytest.mark.parametrize("make", [ConceptId, PropertyKey, lambda t: PropertyKey(t, 2, AGENT)])
@@ -467,6 +489,55 @@ def test_json_property_errors_keep_their_message(entries: list[dict], message: s
     assert str(err.value) == message
 
 
+_OLD_TRIP = {"prop": "OLD", "concept": "trip", "polarity": "sensible"}
+
+
+@pytest.mark.parametrize(
+    ("rows", "message"),
+    [
+        # One row bad in several fields reports the first check that fails:
+        # the field types, then arity, then the property, the concept and the
+        # polarity.
+        ([{"prop": 5, "concept": None, "polarity": 1, "arity": 3}], "assertion 0: prop must be a string, got 5"),
+        ([{"prop": "OLD", "concept": None, "polarity": 1, "arity": 3}],
+         "assertion 0: concept must be a string, got None"),
+        ([{"prop": "bad", "concept": "Bad", "polarity": "maybe", "arity": 1.0}],
+         "assertion 0: arity must be 1 or 2, got 1.0"),
+        ([{"prop": "bad", "concept": "Bad", "polarity": "maybe", "arity": 3}],
+         "assertion 0: invalid property name 'bad': expected an uppercase token"),
+        ([{"prop": "RIDE", "arity": 2, "position": "driver", "concept": "Bad", "polarity": "maybe"}],
+         "assertion 0: arity-2 properties need position 'agent' or 'object', got 'driver'"),
+        ([{"prop": "OLD", "concept": "Bad", "polarity": "maybe"}],
+         "assertion 0: invalid concept id 'Bad': expected a lowercase token with an optional #k sense "
+         "suffix (k >= 1)"),
+        ([{"prop": "OLD", "concept": "trip", "polarity": "maybe", "position": "agent"}],
+         "assertion 0: arity-1 properties take no position"),
+        ([{"prop": "OLD", "concept": "trip", "polarity": "maybe"}],
+         "assertion 0: polarity must be sensible/nonsensical, got 'maybe'"),
+        ([{"concept": "Bad", "polarity": "maybe"}], "assertion 0: 'prop'"),
+        # A bad row after rows that introduce a new property and concept is
+        # reported by its own index, with the same first failing check.
+        ([_OLD_TRIP, {**_OLD_TRIP, "prop": "NEW", "concept": "bike"},
+          {**_OLD_TRIP, "prop": "NEW", "concept": "bike", "polarity": "maybe"}],
+         "assertion 2: polarity must be sensible/nonsensical, got 'maybe'"),
+        ([_OLD_TRIP, {**_OLD_TRIP, "prop": "NEW", "concept": "bike"},
+          {**_OLD_TRIP, "prop": "NEW", "concept": "Bike", "polarity": "maybe"}],
+         "assertion 2: invalid concept id 'Bike': expected a lowercase token with an optional #k sense "
+         "suffix (k >= 1)"),
+        ([_OLD_TRIP, {**_OLD_TRIP, "prop": "NEW", "concept": "bike", "arity": 2, "position": "agent"},
+          {**_OLD_TRIP, "prop": "NEW", "concept": "bike", "arity": 2}],
+         "assertion 2: arity-2 properties need position 'agent' or 'object', got None"),
+        ([_OLD_TRIP, {**_OLD_TRIP, "prop": "NEW", "concept": "bike", "polarity": "nonsensical"},
+          {**_OLD_TRIP, "prop": "NEW", "concept": "bike", "position": ["agent"]}],
+         "assertion 2: arity-1 properties take no position"),
+    ],
+)
+def test_json_reports_the_first_bad_field_of_the_first_bad_row(rows: list[dict], message: str) -> None:
+    with pytest.raises(InputDataError) as err:
+        corpus_from_json({"assertions": rows})
+    assert str(err.value) == f"corpus JSON: {message}"
+
+
 # --- property-based invariants --------------------------------------------------------
 
 _concepts = st.sampled_from([f"c{i}" for i in range(6)] + ["c0#1", "c3#2"])
@@ -572,3 +643,66 @@ def test_random_sets_parse_back(leaf_corpus) -> None:
     for _ in range(25):
         aset = random_assertion_set(rng)
         assert parse_corpus(serialize_corpus(aset)) == aset
+
+
+# (name, arity, position) of the _neighbour_props names, as corpus JSON rows spell them.
+_ROW_PROPS = [("A", 1, None), ("A-B", 1, None), ("A_B", 1, None), ("A0", 1, None)] + [
+    (name, 2, position) for name in ("A", "A-B") for position in (AGENT, OBJECT)
+]
+_row_facts = st.tuples(
+    st.sampled_from(_ROW_PROPS),
+    st.sampled_from(["c0", "c0#1", "c0#2", "c1", "a", "a#1", "a#10", "a-b"]),
+    st.sampled_from([SENSIBLE, NONSENSICAL]),
+)
+
+
+def _reference_json_text(ordered: tuple[Assertion, ...]) -> str:
+    return jsonio.dumps({"assertions": [
+        {"prop": a.property.name, "arity": a.property.arity, "position": a.property.position,
+         "concept": a.concept.name, "polarity": a.polarity}
+        for a in ordered
+    ]})
+
+
+@given(st.lists(_row_facts, max_size=40), st.randoms(use_true_random=False))
+@example([], random.Random(0))
+def test_prop_json_rows_and_assertions_make_equal_sets(facts: list, rng: random.Random) -> None:
+    """corpus_from_json fills the runs from rows, AssertionSet from Assertions:
+    on shuffled, repeated and conflicting rows they agree with each other and
+    with the oracles."""
+    facts = facts + [f for f in facts if rng.random() < 0.3]
+    rng.shuffle(facts)
+    rows = []
+    for (name, arity, position), concept, polarity in facts:
+        row = {"prop": name, "concept": concept, "polarity": polarity}
+        if arity == 2 or rng.random() < 0.5:  # a unary row may leave out arity and position
+            row.update(arity=arity, position=position)
+        rows.append(row)
+    # A fresh PropertyKey and ConceptId per fact, so equal properties come in
+    # distinct objects and their groups merge.
+    items = [Assertion(PropertyKey(*prop), ConceptId(concept), polarity) for prop, concept, polarity in facts]
+    from_rows = corpus_from_json({"assertions": rows})
+    from_items = AssertionSet(items)
+    assert from_rows == from_items and hash(from_rows) == hash(from_items)
+    ordered, concepts = reference_normalize(items)
+    serialized = "".join(f"{'+' if a.is_sensible else '-'} {a.property.token} {a.concept.name}\n" for a in ordered)
+    for aset in (from_rows, from_items):
+        assert (aset.assertions, aset.concepts) == (ordered, concepts)
+        assert len(aset) == len(ordered)
+        # Every property a row may name, present or absent, and one no row names.
+        for prop in [PropertyKey(*prop) for prop in _ROW_PROPS] + [PropertyKey("AB")]:
+            assert extent(aset, prop) == full_scan_extent(aset, prop)
+        assert check_consistency(aset) == brute_force_conflicts(aset)
+        assert corpus_to_json_text(aset) == _reference_json_text(ordered) == jsonio.dumps(corpus_to_json(aset))
+        assert serialize_corpus(aset) == serialized
+
+
+@given(st.lists(st.one_of(_neighbour_props, _unary, _binary), max_size=12), _concepts)
+def test_prop_sensible_of_equals_the_constructor(props: list[PropertyKey], concept: str) -> None:
+    """elicit's set, built straight into runs, equals the one built from Assertions."""
+    subject = ConceptId(concept)
+    built = _sensible_of(subject, props)
+    want = AssertionSet(Assertion(prop, subject, SENSIBLE) for prop in props)
+    assert built == want and hash(built) == hash(want)
+    assert (built.assertions, built.concepts, len(built)) == (want.assertions, want.concepts, len(want))
+    assert corpus_to_json_text(built) == corpus_to_json_text(want)

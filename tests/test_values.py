@@ -222,7 +222,7 @@ def test_concepts_is_not_a_constructor_argument() -> None:
     ids=["AssertionSet.concepts", "TypeDag.diagnostics"],
 )
 def test_derived_fields_count_in_equality(value, field) -> None:
-    altered = type(value)(*(getattr(value, name) for name in vars(value) if name != field))
+    altered = type(value)(*(getattr(value, name) for name in value._fields if name != field))
     assert altered == value
     altered.__dict__[field] = ("altered",)  # past the immutability, to isolate the field
     assert altered != value
