@@ -22,7 +22,8 @@ from .corpus import AGENT, OBJECT, AssertionSet, ConceptId, PropertyKey, Value, 
 from .errors import ConfigError, ElicitationError, InputDataError, ProviderError, TemplateError
 from .semantics import MeaningRecord, PrimitiveRelation, WeightedProperty, resolve_relation
 
-_FIXTURE_RESOURCE = "masked_completions.json"
+#: The shipped mock fixture, read as a plain file next to this module.
+_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "masked_completions.json")
 
 
 class PromptTemplate(Value):
@@ -190,17 +191,7 @@ class MockProvider:
 
     @classmethod
     def from_file(cls, path: str | None = None) -> "MockProvider":
-        if path is None:
-            # Only the shipped fixture needs it, and it pulls in pathlib and zipfile.
-            import importlib.resources
-
-            text = (
-                importlib.resources.files("sensekit.data")
-                .joinpath(_FIXTURE_RESOURCE)
-                .read_text(encoding="utf-8")
-            )
-        else:
-            text = jsonio.read_text(path, "completion fixture")
+        text = jsonio.read_text(_FIXTURE if path is None else path, "completion fixture")
         data = jsonio.loads(text, what="completion fixture")
         if not isinstance(data, dict):
             raise InputDataError("completion fixture must map subjects to dimensions")

@@ -363,46 +363,7 @@ class MeaningRecord(Value):
 
     def __init__(self, sense, gloss, dims) -> None:
         """Refuse every record the store loader would, walking the pairs once."""
-        if not sense.__class__ is gloss.__class__ is str:
-            name, value = ("sense", sense) if sense.__class__ is not str else ("gloss", gloss)
-            raise MeaningStoreError(f"{name!r} must be a string, got {value!r}")
-        try:
-            ConceptId(sense)  # validates the token shape
-        except ValueError as exc:
-            raise MeaningStoreError(str(exc)) from None
-        clean: dict[PrimitiveRelation, tuple[WeightedProperty, ...]] = {}
-        for relation, pairs in dims.items():
-            if not isinstance(relation, PrimitiveRelation):
-                raise MeaningStoreError(
-                    f"record {sense!r}: dimension key {relation!r} is not a relation"
-                )
-            seen: set[str] = set()
-            normalized: list[WeightedProperty] = []
-            for pair in pairs:
-                try:
-                    weight, token = pair
-                except (TypeError, ValueError):
-                    weight = token = None
-                if weight.__class__ is int:  # not bool, whose class is bool
-                    try:
-                        weight = float(weight)
-                    except OverflowError as exc:  # an int past float range
-                        raise MeaningStoreError(str(exc)) from None
-                if weight.__class__ is not float or token.__class__ is not str:
-                    problem = f"malformed pair {pair!r}"
-                elif not 0.0 < weight <= 1.0:
-                    problem = f"weight {weight} outside (0, 1]"
-                elif token in seen:
-                    problem = f"duplicate property token {token!r}"
-                else:
-                    seen.add(token)
-                    normalized.append((weight, token))
-                    continue
-                raise MeaningStoreError(f"record {sense!r}, dimension {relation.value!r}: {problem}")
-            clean[relation] = tuple(normalized)
-        _setattr(self, "sense", sense)
-        _setattr(self, "gloss", gloss)
-        _setattr(self, "dims", clean)
+        _fill(self, sense, gloss, dims, None)
 
     def dimension(self, relation: PrimitiveRelation) -> tuple[WeightedProperty, ...]:
         """Pairs along one dimension; absent dimensions are empty, not errors."""
@@ -427,6 +388,57 @@ class MeaningRecord(Value):
             relation: {token: weight for weight, token in sorted(pairs, key=itemgetter(1))}
             for relation, pairs in self.dims.items()
         }
+
+
+def _fill(record: MeaningRecord, sense, gloss, dims, share) -> None:
+    """Check and set a new record's fields, as MeaningRecord.__init__ documents.
+
+    share is None, or a store load's dict.setdefault: each valid token is
+    then replaced by the first equal one the load has kept, so a store holds
+    one str per distinct token.
+    """
+    if not sense.__class__ is gloss.__class__ is str:
+        name, value = ("sense", sense) if sense.__class__ is not str else ("gloss", gloss)
+        raise MeaningStoreError(f"{name!r} must be a string, got {value!r}")
+    try:
+        ConceptId(sense)  # validates the token shape
+    except ValueError as exc:
+        raise MeaningStoreError(str(exc)) from None
+    clean: dict[PrimitiveRelation, tuple[WeightedProperty, ...]] = {}
+    for relation, pairs in dims.items():
+        if not isinstance(relation, PrimitiveRelation):
+            raise MeaningStoreError(
+                f"record {sense!r}: dimension key {relation!r} is not a relation"
+            )
+        seen: set[str] = set()
+        normalized: list[WeightedProperty] = []
+        for pair in pairs:
+            try:
+                weight, token = pair
+            except (TypeError, ValueError):
+                weight = token = None
+            if weight.__class__ is int:  # not bool, whose class is bool
+                try:
+                    weight = float(weight)
+                except OverflowError as exc:  # an int past float range
+                    raise MeaningStoreError(str(exc)) from None
+            if weight.__class__ is not float or token.__class__ is not str:
+                problem = f"malformed pair {pair!r}"
+            elif not 0.0 < weight <= 1.0:
+                problem = f"weight {weight} outside (0, 1]"
+            elif token in seen:
+                problem = f"duplicate property token {token!r}"
+            else:
+                if share is not None:
+                    token = share(token, token)
+                seen.add(token)
+                normalized.append((weight, token))
+                continue
+            raise MeaningStoreError(f"record {sense!r}, dimension {relation.value!r}: {problem}")
+        clean[relation] = tuple(normalized)
+    _setattr(record, "sense", sense)
+    _setattr(record, "gloss", gloss)
+    _setattr(record, "dims", clean)
 
 
 def build_meaning(
@@ -482,6 +494,11 @@ def meaning_record_to_json(record: MeaningRecord) -> dict:
 
 
 def meaning_record_from_json(data: object, *, where: str = "meaning record") -> MeaningRecord:
+    return _record_from_json(data, where, None)
+
+
+def _record_from_json(data: object, where: str, share) -> MeaningRecord:
+    """meaning_record_from_json(); share is passed on to _fill."""
     if not isinstance(data, dict):
         raise MeaningStoreError(f"{where}: record must be an object")
     try:
@@ -506,10 +523,12 @@ def meaning_record_from_json(data: object, *, where: str = "meaning record") -> 
                 f"{where}, dimension {rel_name!r}: expected a list of [weight, token]"
             )
         dims[relation] = raw_pairs
+    record = MeaningRecord.__new__(MeaningRecord)
     try:
-        return MeaningRecord(sense=sense, gloss=gloss, dims=dims)
+        _fill(record, sense, gloss, dims, share)
     except MeaningStoreError as exc:
         raise MeaningStoreError(f"{where}: {exc}") from exc
+    return record
 
 
 def meanings_to_json_text(records: Iterable[MeaningRecord]) -> str:
@@ -561,13 +580,28 @@ def meanings_to_json_text(records: Iterable[MeaningRecord]) -> str:
 
 
 def meanings_from_json_text(text: str, *, what: str = "meaning store") -> tuple[MeaningRecord, ...]:
-    data = jsonio.loads(text, what=what)
-    if not isinstance(data, list):
+    """The records of a store's text, checked in order as MeaningRecord checks them.
+
+    The records share one str per distinct token, across the whole store,
+    and each parsed row is released once its record is built, so the load
+    ends holding only its records.  The text is the caller's and lives until
+    the call returns; load_meanings() releases the text it reads as soon as
+    it is parsed.
+    """
+    return _meanings_from_rows(jsonio.loads(text, what=what), what)
+
+
+def _meanings_from_rows(rows: object, what: str) -> tuple[MeaningRecord, ...]:
+    """The records of a parsed store; rows belongs to the load and is emptied."""
+    if not isinstance(rows, list):
         raise MeaningStoreError(f"{what}: expected a JSON array of records")
+    # The first str read for each token; the sharing ends with the load.
+    share = {}.setdefault
     records = []
     seen: set[str] = set()
-    for i, raw in enumerate(data):
-        record = meaning_record_from_json(raw, where=f"{what}: record {i}")
+    for i, raw in enumerate(rows):
+        rows[i] = None  # raw holds the row alone, until the next row replaces it
+        record = _record_from_json(raw, f"{what}: record {i}", share)
         if record.sense in seen:
             raise MeaningStoreError(f"{what}: record {i}: duplicate sense {record.sense!r}")
         seen.add(record.sense)
@@ -606,4 +640,14 @@ def save_meanings(records: Iterable[MeaningRecord], path: str) -> None:
 
 
 def load_meanings(path: str) -> tuple[MeaningRecord, ...]:
-    return meanings_from_json_text(jsonio.read_text(path, "meaning store"), what=f"meaning store {path}")
+    """The records of the store at path, as meanings_from_json_text() reads them.
+
+    The text is released once parsed, before the first record is built.  It
+    is dropped here, where it is read: on Python 3.10 an argument stays
+    referenced until the call returns, so a callee cannot release it.
+    """
+    what = f"meaning store {path}"
+    text = jsonio.read_text(path, "meaning store")
+    rows = jsonio.loads(text, what=what)
+    del text
+    return _meanings_from_rows(rows, what)

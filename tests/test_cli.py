@@ -879,7 +879,7 @@ def test_sim_weights_summing_past_float_max_exit_2(other, tmp_path, capsys) -> N
 
 #: Modules no command may load: the dataclasses machinery, typing, the HTTP
 #: stack, which only a remote provider's POST imports, and importlib.resources
-#: (pathlib, zipfile, tempfile, typing), which only the shipped mock fixture needs.
+#: (pathlib, zipfile, tempfile, typing).
 _HEAVY = ("dataclasses", "inspect", "typing", "urllib.request", "http.client", "importlib.resources")
 _FOOTPRINT = f"""
 import contextlib, io, json, sys
@@ -923,9 +923,8 @@ print(json.dumps([code, preloaded, loaded]))
     ],
 )
 def test_each_command_imports_only_its_layers(argv, absent, tmp_path) -> None:
-    """Each command loads only its layers, and no layer loads a module of _HEAVY
-    (the shipped mock fixture may load importlib.resources, which loads
-    typing).  -S keeps site's .pth files from loading modules first; any that
+    """Each command loads only its layers, and no layer loads a module of
+    _HEAVY.  -S keeps site's .pth files from loading modules first; any that
     are loaded anyway are excused."""
     (tmp_path / "leaf.sense").write_text(LEAF, encoding="utf-8")
     (tmp_path / "lex.json").write_text(json.dumps(LEXICON), encoding="utf-8")
@@ -948,9 +947,7 @@ def test_each_command_imports_only_its_layers(argv, absent, tmp_path) -> None:
     loaded = {name.removeprefix("sensekit.") for name in loaded}
     assert "errors" in loaded
     assert not loaded & absent, f"{argv}: loaded {sorted(loaded & absent)}"
-    mock = argv[:1] == ["elicit"] and "--fixtures" not in argv
-    allowed = {"importlib.resources", "typing"} if mock else set()
-    heavy = loaded & set(_HEAVY) - set(preloaded) - allowed
+    heavy = loaded & set(_HEAVY) - set(preloaded)
     assert not heavy, f"{argv}: loaded {sorted(heavy)}"
 
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
+import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -617,6 +620,187 @@ def test_prop_constructor_refuses_exactly_what_loading_rejects(sense, gloss, dim
         assert str(err.value) == f"meaning store: record 0: {exc}"
         return
     assert meanings_from_json_text(text) == (built,)
+
+
+# --- the store loader: shared tokens and released rows ---------------------------
+
+#: A few dimensions, each under its canonical name, an alias or a case variant.
+_SPELLINGS = {
+    REL.HAS_PROP: ["hasProp", "HASPROP", "hasprop"],
+    REL.INSTANCE_OF: ["instanceOf", "Inst", "INST"],
+    REL.PART_OF: ["partOf", "Part"],
+    REL.AGENT_OF: ["agentOf", "HasAgent"],
+}
+# Longer than one character: CPython keeps one str per one-character Latin-1
+# text anyway, so those would share without the loader.
+_SHARED_TOKEN = st.sampled_from(["alpha", "beta", "gamma", "délta", "t#1", "two words",
+                                 "€€"])
+
+
+@st.composite
+def _store_rows(draw) -> list[dict]:
+    """Valid store rows in no sense order; tokens recur across records and
+    dimensions, and some weights are ints."""
+    senses = draw(st.permutations(["w", "b#1", "b#2", "game", "x#3", "zz"]))
+    rows = []
+    for sense in senses[: draw(st.integers(0, len(senses)))]:
+        dims = {}
+        for relation in draw(st.lists(st.sampled_from(list(_SPELLINGS)), unique=True, max_size=4)):
+            tokens = draw(st.lists(_SHARED_TOKEN, unique=True, max_size=5))
+            dims[draw(st.sampled_from(_SPELLINGS[relation]))] = [
+                [draw(_GOOD_WEIGHT), token] for token in tokens
+            ]
+        row = {"sense": sense, "dims": dims}
+        if draw(st.booleans()):
+            row["gloss"] = draw(st.sampled_from(["", "a gloss"]))
+        rows.append(row)
+    return rows
+
+
+def _append(*pairs):
+    def defect(row: dict) -> None:
+        first = next(iter(row["dims"].values()), None)
+        (row["dims"].setdefault("hasProp", []) if first is None else first).extend(pairs)
+    return defect
+
+
+#: One fault each, made in one row: name -> row -> None.
+_DEFECTS = {
+    "not-an-object": lambda row: row.clear(),
+    "no-dims": lambda row: row.pop("dims"),
+    "bad-sense": lambda row: row.update(sense="Book"),
+    "bad-gloss": lambda row: row.update(gloss=7),
+    "unknown-dimension": lambda row: row["dims"].update(hasColour=[]),
+    "dimension-twice": lambda row: row["dims"].update(Inst=[], instanceOf=[]),
+    "pairs-not-a-list": lambda row: row["dims"].update(HasAgent={"alpha": 1.0}),
+    "int-token": _append([0.5, 7]),
+    "heavy-weight": _append([1.5, "omega"]),
+    "bool-weight": _append([True, "omega"]),
+    "huge-int-weight": _append([10**400, "omega"]),
+    "duplicate-token": _append([1.0, "omega"], [0.5, "omega"]),
+}
+
+
+def _first_store_error(rows: list, what: str = "meaning store") -> str | None:
+    """The message for a store's first bad record or pair, checked record by
+    record with meaning_record_from_json(); None for a valid store."""
+    seen = set()
+    for i, row in enumerate(rows):
+        try:
+            record = meaning_record_from_json(row, where=f"{what}: record {i}")
+        except MeaningStoreError as exc:
+            return str(exc)
+        if record.sense in seen:
+            return f"{what}: record {i}: duplicate sense {record.sense!r}"
+        seen.add(record.sense)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _store_rows(),
+    st.dictionaries(st.integers(0, 6), st.sampled_from(sorted(_DEFECTS)), max_size=2),
+    st.integers(0, 5),
+)
+def test_prop_store_load_shares_tokens_and_keeps_its_checks(rows, defects, twin) -> None:
+    if rows and twin % 3 == 0:  # a repeated sense, about a third of the time
+        rows.append({"sense": rows[twin % len(rows)]["sense"], "dims": {}})
+    for at, name in defects.items():  # at most one fault a row
+        if at < len(rows):
+            _DEFECTS[name](rows[at])
+    rows = [row if row else [] for row in rows]  # "not-an-object" emptied the row
+    text = json.dumps(rows)
+    expected = _first_store_error(json.loads(text))
+    if expected is not None:
+        with pytest.raises(MeaningStoreError) as err:
+            meanings_from_json_text(text)
+        assert str(err.value) == expected
+        return
+    loaded = meanings_from_json_text(text)
+    assert loaded == tuple(
+        MeaningRecord(row["sense"], row.get("gloss", ""),
+                      {resolve_relation(name): pairs for name, pairs in row["dims"].items()})
+        for row in rows
+    )
+    kept: dict[str, str] = {}
+    for record in loaded:
+        for pairs in record.dims.values():
+            for _, token in pairs:
+                assert kept.setdefault(token, token) is token
+
+
+_W = {"sense": "w", "dims": {"hasProp": [[1.0, "x"]]}}
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ('{"sense": "w"}', "meaning store: expected a JSON array of records"),
+        (json.dumps([_W, []]), "meaning store: record 1: record must be an object"),
+        (json.dumps([{"sense": "w"}]), "meaning store: record 0: missing field 'dims'"),
+        (json.dumps([{"sense": "w", "dims": [["hasProp"]]}]),
+         "meaning store: record 0: 'dims' must be an object"),
+        (json.dumps([_W, {"sense": "v", "dims": {"hasColour": []}}]),
+         "meaning store: record 1: unknown primitive relation 'hasColour'"),
+        (json.dumps([{"sense": "w", "dims": {"Inst": [], "instanceof": []}}]),
+         "meaning store: record 0 names dimension 'instanceOf' twice"),
+        (json.dumps([{"sense": "w", "dims": {"HasAgent": {"x": 1.0}}}]),
+         "meaning store: record 0, dimension 'HasAgent': expected a list of [weight, token]"),
+        (json.dumps([{"sense": "Book", "dims": {}}]),
+         "meaning store: record 0: invalid concept id 'Book': expected a lowercase token "
+         "with an optional #k sense suffix (k >= 1)"),
+        (json.dumps([{"sense": "w", "gloss": 7, "dims": {}}]),
+         "meaning store: record 0: 'gloss' must be a string, got 7"),
+        (json.dumps([_W, {"sense": "v", "dims": {"hasProp": [[1.0, "x"], [0.5, 7]]}}]),
+         "meaning store: record 1: record 'v', dimension 'hasProp': malformed pair [0.5, 7]"),
+        (json.dumps([{"sense": "w", "dims": {"isA": [[1, "x"], [1.5, "y"]]}}]),
+         "meaning store: record 0: record 'w', dimension 'isA': weight 1.5 outside (0, 1]"),
+        (json.dumps([{"sense": "w", "dims": {"hasProp": [[1.0, "x"]],
+                                             "Part": [[1.0, "x"], [0.5, "x"]]}}]),
+         "meaning store: record 0: record 'w', dimension 'partOf': duplicate property token 'x'"),
+        (json.dumps([_W, {"sense": "v", "dims": {}}, {"sense": "w", "dims": {}}]),
+         "meaning store: record 2: duplicate sense 'w'"),
+        ('[{"sense": "w", "dims": {"hasProp": [[1' + "0" * 400 + ', "x"]]}}]',
+         "meaning store: record 0: int too large to convert to float"),
+    ],
+    ids=["not-an-array", "not-an-object", "no-dims", "dims-not-an-object", "unknown-dimension",
+         "dimension-twice", "pairs-not-a-list", "bad-sense", "bad-gloss", "malformed-pair",
+         "weight-range", "duplicate-token", "duplicate-sense", "huge-int-weight"],
+)
+def test_store_load_messages(text: str, message: str) -> None:
+    with pytest.raises(MeaningStoreError) as err:
+        meanings_from_json_text(text)
+    assert str(err.value) == message
+    assert err.value.exit_code == 2
+
+
+def test_store_load_peaks_near_its_parse() -> None:
+    """A load holds little beyond its parsed rows: the records share their
+    tokens, and each row is released once its record is built."""
+    rng = random.Random(5)
+    vocab = [f"token{i:03d}" for i in range(300)]
+    rows = [  # 30 records x 5 dimensions x 30 pairs, each token about 15 times
+        {"sense": f"m{i:03d}", "gloss": "", "dims": {
+            relation.value: [[rng.randint(1, 1000) / 1000, token] for token in rng.sample(vocab, 30)]
+            for relation in DEFAULT_DIMS
+        }}
+        for i in range(30)
+    ]
+    text = json.dumps(rows)
+    del rows
+
+    def peak(load) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            load(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    parsed = peak(lambda t: jsonio.loads(t, what="meaning store"))
+    loaded = peak(meanings_from_json_text)
+    assert loaded <= 1.1 * parsed, f"load peaked at {loaded / parsed:.2f}x its parse"
 
 
 # --- the token -> weight index ---------------------------------------------------
