@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import enum
 import functools
+import json
 import os
 import re
+from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from . import jsonio
 from .corpus import SENSIBLE, Assertion, ConceptId, Value, _echo, _setattr
@@ -484,13 +486,23 @@ def meaning_record_to_json(record: MeaningRecord) -> dict:
         "sense": record.sense,
         "gloss": record.gloss,
         "dims": {
-            relation.value: [
-                [weight, token]
-                for weight, token in sorted(pairs, key=lambda p: (-p[0], p[1]))
-            ]
+            relation.value: [[weight, token] for weight, token in _by_weight(pairs)]
             for relation, pairs in sorted(record.dims.items(), key=lambda kv: kv[0].value)
         },
     }
+
+
+def _by_weight(pairs: Iterable[WeightedProperty]) -> list[WeightedProperty]:
+    """pairs by weight, heaviest first, and equal weights by token.
+
+    Two sorts with no Python key function: as tuples (weight, then the
+    token, unique in a dimension), then stably by weight alone.  Cheaper
+    than one sort on (-weight, token), most of all on pairs already in
+    this order, as built, elicited and loaded records hold them.
+    """
+    ordered = sorted(pairs)
+    ordered.sort(key=itemgetter(0), reverse=True)  # reverse keeps ties in order
+    return ordered
 
 
 def meaning_record_from_json(data: object, *, where: str = "meaning record") -> MeaningRecord:
@@ -535,10 +547,22 @@ def meanings_to_json_text(records: Iterable[MeaningRecord]) -> str:
     """jsonio.dumps() of the records' meaning_record_to_json(), sorted by sense,
     rendered without building the dicts.
 
-    A record is its dims, gloss and sense in dumps()'s key order; each
-    dimension's pairs are one join of weight and token texts at their fixed
-    indents.  Senses, glosses and tokens go through dumps()'s own encoder;
-    relation names need no escaping.
+    The text is the join of the store's chunks, one per record, which
+    save_meanings() writes one at a time instead.
+    """
+    return "".join([text for _, text in _store_chunks(records)])
+
+
+def _store_chunks(records: Iterable[MeaningRecord]) -> Iterator[tuple[str, str]]:
+    """(sense, text) of each record of meanings_to_json_text(records), in order.
+
+    The records are sorted, and a repeated sense refused, before the first
+    chunk.  A record's text is its dims, gloss and sense in dumps()'s key
+    order, led by the bracket or comma before it; the last one also holds
+    the closing bracket, and an empty store is the one chunk ("", "[]\\n").
+    Each dimension's pairs are one join of weight and token texts at their
+    fixed indents.  Senses, glosses and tokens go through dumps()'s own
+    encoder; relation names need no escaping.
     """
     ordered = sorted(records, key=lambda r: r.sense)
     senses = [r.sense for r in ordered]
@@ -546,7 +570,8 @@ def meanings_to_json_text(records: Iterable[MeaningRecord]) -> str:
         if a == b:
             raise MeaningStoreError(f"duplicate sense {a!r} in meaning store")
     if not ordered:
-        return "[]\n"
+        yield "", "[]\n"
+        return
     encode = jsonio._encode
     # Texts of the weights seen so far.  The MeaningRecord constructor stores
     # every weight as an exact float in (0, 1], so no -0.0 (equal to 0.0 but
@@ -554,12 +579,13 @@ def meanings_to_json_text(records: Iterable[MeaningRecord]) -> str:
     # memoise floats for that reason.  Tokens are encoded each time: the C
     # encoder is faster than a dict lookup.
     numbers: dict[float, str] = {}
-    objects = []
+    last = ordered[-1]
+    sep = "[\n  "
     for record in ordered:
         dims = []
         for relation, pairs in sorted(record.dims.items(), key=lambda kv: kv[0].value):
             items = []
-            for weight, token in sorted(pairs, key=lambda p: (-p[0], p[1])):
+            for weight, token in _by_weight(pairs):
                 number = numbers.get(weight)
                 if number is None:
                     number = numbers[weight] = float.__repr__(weight)
@@ -570,25 +596,77 @@ def meanings_to_json_text(records: Iterable[MeaningRecord]) -> str:
             dims.append(f'      "{relation.value}": [{listed}]')
         gloss = encode(record.gloss)
         body = "{\n" + ",\n".join(dims) + "\n    }" if dims else "{}"
-        objects.append(
-            f'{{\n    "dims": {body},\n    "gloss": {gloss},\n    "sense": {encode(record.sense)}\n  }}'
+        end = "\n]\n" if record is last else ""
+        yield record.sense, (
+            f'{sep}{{\n    "dims": {body},\n    "gloss": {gloss},\n'
+            f'    "sense": {encode(record.sense)}\n  }}{end}'
         )
-    # The brackets join the end records, so the store text is copied once.
-    objects[0] = "[\n  " + objects[0]
-    objects[-1] += "\n]\n"
-    return ",\n  ".join(objects)
+        sep = ",\n  "
+
+
+#: The stdlib decoder's scanner, configured as jsonio.loads() configures it.
+_SCAN = json.JSONDecoder(parse_constant=jsonio._reject_constant).scan_once
+_SKIP_SPACE = json.decoder.WHITESPACE.match
 
 
 def meanings_from_json_text(text: str, *, what: str = "meaning store") -> tuple[MeaningRecord, ...]:
     """The records of a store's text, checked in order as MeaningRecord checks them.
 
-    The records share one str per distinct token, across the whole store,
-    and each parsed row is released once its record is built, so the load
-    ends holding only its records.  The text is the caller's and lives until
-    the call returns; load_meanings() releases the text it reads as soon as
-    it is parsed.
+    The top-level array is decoded one record at a time, and each record
+    is built before the next is decoded, so the load holds the text, the
+    records built so far and one decoded row.  The records share one str
+    per distinct token, across the whole store.
+
+    A text the walk does not expect (not a str, not an array, a JSON fault,
+    a bad or repeated record, trailing data) is read again as one parsed
+    tree, which raises what the tree has always raised: a JSON fault
+    anywhere before a record fault.
     """
-    return _meanings_from_rows(jsonio.loads(text, what=what), what)
+    records = _walk_store(text, what) if text.__class__ is str else None
+    if records is None:
+        records = _meanings_from_rows(jsonio.loads(text, what=what), what)
+    return records
+
+
+def _walk_store(text: str, what: str) -> tuple[MeaningRecord, ...] | None:
+    """The records of a valid store text, decoded one at a time; None at
+    anything else.
+
+    It accepts what json.loads() accepts, with the scanner and the
+    whitespace json.loads() uses between the array's items, save one edge:
+    a row starts a few stack frames shallower than under json.loads(), so
+    a row nested to within those few levels of the recursion limit loads
+    here where the parsed tree would exceed the limit.
+    """
+    skip, scan = _SKIP_SPACE, _SCAN
+    at = skip(text).end()
+    if not text.startswith("[", at):
+        return None
+    share = {}.setdefault  # the first str read for each token
+    records: list[MeaningRecord] = []
+    seen: set[str] = set()
+    at = skip(text, at + 1).end()
+    if not text.startswith("]", at):
+        try:
+            while True:
+                row, at = scan(text, at)
+                record = _record_from_json(row, f"{what}: record {len(records)}", share)
+                row = None  # released before the next row is decoded
+                if record.sense in seen:
+                    return None
+                seen.add(record.sense)
+                records.append(record)
+                at = skip(text, at).end()
+                if not text.startswith(",", at):
+                    break
+                at = skip(text, at + 1).end()
+        # No value at `at`, a JSON fault, deep nesting or a bad record.  The
+        # tree path then raises its error with no context from this one.
+        except (StopIteration, ValueError, RecursionError, MeaningStoreError):
+            return None
+    if not text.startswith("]", at) or skip(text, at + 1).end() != len(text):
+        return None
+    return tuple(records)
 
 
 def _meanings_from_rows(rows: object, what: str) -> tuple[MeaningRecord, ...]:
@@ -609,14 +687,37 @@ def _meanings_from_rows(rows: object, what: str) -> tuple[MeaningRecord, ...]:
     return tuple(records)
 
 
+def _escape_surrogates(sense: str, text: str) -> str:
+    """A record's chunk that UTF-8 cannot encode, with each lone surrogate
+    written as a \\uXXXX escape, which loads back as the same surrogate.
+
+    A high surrogate directly followed by a low one is refused: JSON loads
+    that escaped pair back as the one character it encodes.  (The patterns
+    are compiled here, on this rare path, not when the module is imported.)
+    """
+    if re.search("[\ud800-\udbff][\udc00-\udfff]", text):
+        raise MeaningStoreError(
+            f"record {sense!r} holds a surrogate pair, which the store would "
+            "load back as one character"
+        )
+    return re.sub("[\ud800-\udfff]", lambda m: f"\\u{ord(m[0]):04x}", text)
+
+
 def save_meanings(records: Iterable[MeaningRecord], path: str) -> None:
     """Write the store atomically (single writer, readers never see partial files).
+
+    The text is meanings_to_json_text(records), written one record at a
+    time; a record whose gloss or tokens hold a lone surrogate, which UTF-8
+    cannot encode, has it written as a \\uXXXX escape.  A repeated sense is
+    refused before any file is made; a failure after that removes the
+    temporary file and leaves the target as it was.
 
     A file that is replaced keeps its permission bits (not setuid, setgid or
     sticky); a new one gets the mode open(path, "w") would give it, 0o666 less
     the umask.
     """
-    text = meanings_to_json_text(records)
+    chunks = _store_chunks(records)
+    first = next(chunks)  # sorts the records and refuses a repeated sense
     try:
         mode = os.stat(path).st_mode & 0o777
     except FileNotFoundError:
@@ -631,7 +732,13 @@ def save_meanings(records: Iterable[MeaningRecord], path: str) -> None:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             if mode is not None:
                 os.chmod(tmp, mode)
-            fh.write(text)
+            # A chunk that fails to encode writes nothing: TextIOWrapper
+            # encodes the whole chunk before it buffers any of it.
+            for sense, text in chain((first,), chunks):
+                try:
+                    fh.write(text)
+                except UnicodeEncodeError:
+                    fh.write(_escape_surrogates(sense, text))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -640,14 +747,7 @@ def save_meanings(records: Iterable[MeaningRecord], path: str) -> None:
 
 
 def load_meanings(path: str) -> tuple[MeaningRecord, ...]:
-    """The records of the store at path, as meanings_from_json_text() reads them.
-
-    The text is released once parsed, before the first record is built.  It
-    is dropped here, where it is read: on Python 3.10 an argument stays
-    referenced until the call returns, so a callee cannot release it.
-    """
-    what = f"meaning store {path}"
-    text = jsonio.read_text(path, "meaning store")
-    rows = jsonio.loads(text, what=what)
-    del text
-    return _meanings_from_rows(rows, what)
+    """The records of the store at path, as meanings_from_json_text() reads them."""
+    return meanings_from_json_text(
+        jsonio.read_text(path, "meaning store"), what=f"meaning store {path}"
+    )

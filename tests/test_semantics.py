@@ -6,6 +6,7 @@ import os
 import random
 import re
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -40,6 +41,7 @@ from sensekit.semantics import (
     resolve_relation,
     save_meanings,
 )
+from sensekit.semantics import _meanings_from_rows
 
 REL = PrimitiveRelation
 
@@ -514,6 +516,13 @@ def test_failed_save_leaves_the_store_untouched(tmp_path) -> None:
     assert os.listdir(tmp_path) == ["meanings.json"]
 
 
+def test_save_refuses_a_repeated_sense_before_it_makes_a_file(tmp_path, monkeypatch) -> None:
+    monkeypatch.setattr(os, "open", lambda *args: pytest.fail("a file was made"))
+    twice = MeaningRecord("game", "again", {})
+    with pytest.raises(MeaningStoreError, match=r"^duplicate sense 'game' in meaning store$"):
+        save_meanings([*_sample_records(), twice], str(tmp_path / "meanings.json"))
+
+
 @pytest.mark.skipif(os.name != "posix", reason="os.chmod sets only the read-only flag here")
 def test_save_keeps_the_file_mode(tmp_path) -> None:
     path = tmp_path / "meanings.json"
@@ -541,6 +550,52 @@ def test_save_takes_a_target_name_up_to_name_max(tmp_path) -> None:
     save_meanings(_sample_records(), str(path))
     assert load_meanings(str(path)) == tuple(sorted(_sample_records(), key=lambda r: r.sense))
     assert os.listdir(tmp_path) == [path.name]
+
+
+def test_save_failing_after_its_first_chunk_leaves_the_store_untouched(tmp_path, monkeypatch) -> None:
+    path = tmp_path / "meanings.json"
+    save_meanings(_sample_records(), str(path))
+    before = path.read_bytes()
+    removed: list[int] = []
+    unlink = os.unlink
+    monkeypatch.setattr(os, "unlink", lambda p: (removed.append(os.path.getsize(p)), unlink(p)))
+    paired = MeaningRecord("zz", "\ud83d\ude00", {})  # sorts last: fails on the third chunk
+    with pytest.raises(MeaningStoreError, match=r"^record 'zz' holds a surrogate pair"):
+        save_meanings([*_sample_records(), paired], str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["meanings.json"]
+    # The temporary file it removed held the two records before the failing one.
+    assert removed == [len(before) - len("\n]\n")]
+
+
+def test_save_escapes_lone_surrogates(tmp_path) -> None:
+    # A lone surrogate, each kind at an end of its text, one before an
+    # escaped control character, and a low one before a high one.
+    records = [
+        MeaningRecord("w", "g\ud800", {REL.HAS_PROP: ((1.0, "\udfffa"), (0.5, "\ud800\x01"))}),
+        MeaningRecord("v", "", {REL.IN_STATE: ((1.0, "\udc00\ud800"),), REL.IS_A: ((0.5, "ok"),)}),
+    ]
+    path = tmp_path / "meanings.json"
+    save_meanings(records, str(path))
+    saved = path.read_bytes().decode("utf-8")
+    assert "\\ud800" in saved and "\ud800" not in saved
+    assert json.loads(saved) == json.loads(meanings_to_json_text(records))
+    assert load_meanings(str(path)) == tuple(sorted(records, key=lambda r: r.sense))
+
+
+@pytest.mark.parametrize(
+    "record",
+    [MeaningRecord("w", "a\ud83d\ude00", {}),
+     MeaningRecord("w", "", {REL.HAS_PROP: ((1.0, "\udbff\udfff"),)})],
+    ids=["gloss", "token"],
+)
+def test_save_refuses_a_surrogate_pair(record: MeaningRecord, tmp_path) -> None:
+    # Escaped, the two would load back as the one character they encode.
+    with pytest.raises(MeaningStoreError) as err:
+        save_meanings([record], str(tmp_path / "meanings.json"))
+    assert str(err.value) == ("record 'w' holds a surrogate pair, which the store would load "
+                              "back as one character")
+    assert os.listdir(tmp_path) == []
 
 
 _STORE_TEXT = st.text(st.sampled_from(["a", "z", "\u00e9", "\u20ac", "\U0001f600", '"', "\\",
@@ -580,6 +635,11 @@ def test_prop_store_text_equals_dumps_of_json(records: list[MeaningRecord]) -> N
         return
     expected = jsonio.dumps([meaning_record_to_json(r) for r in ordered])
     assert meanings_to_json_text(records) == expected
+    for record in ordered:  # each dimension heaviest first, equal weights by token
+        assert meaning_record_to_json(record)["dims"] == {
+            relation.value: [list(p) for p in sorted(pairs, key=lambda p: (-p[0], p[1]))]
+            for relation, pairs in record.dims.items()
+        }
 
 
 _GOOD_WEIGHT = st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.just(1))
@@ -729,7 +789,89 @@ def test_prop_store_load_shares_tokens_and_keeps_its_checks(rows, defects, twin)
                 assert kept.setdefault(token, token) is token
 
 
+def _tree_outcome(text) -> object:
+    """The records of text read as one parsed tree, or the type and message
+    of the error that read raises."""
+    try:
+        return _meanings_from_rows(jsonio.loads(text, what="meaning store"), "meaning store")
+    except (InputDataError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+def _reader_outcome(text) -> object:
+    """meanings_from_json_text(text), or the type and message of its error."""
+    try:
+        return meanings_from_json_text(text)
+    except (InputDataError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+def _layouts(rows: list) -> list[str]:
+    """One store as indent-2, minified, tab-indented and CRLF text."""
+    indented = json.dumps(rows, indent=2, ensure_ascii=False)
+    return [indented, json.dumps(rows, separators=(",", ":")), json.dumps(rows, indent="\t"),
+            indented.replace("\n", "\r\n")]
+
+
+#: What a one-character mutation writes: structure, JSON whitespace and
+#: other space, number and literal characters, a backslash and a BOM.
+_MUTANTS = list('[]{},:" \t\r\n\x0b0159.-+eEaINfn\\\ufeff') + [""]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_store_rows(), st.integers(0, 3), st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.sampled_from(_MUTANTS), st.booleans()),
+    max_size=1,
+))
+def test_prop_store_reader_equals_the_tree_load(rows, layout, mutations) -> None:
+    """The streaming reader gives the records of the whole-tree load, or its
+    error with the same type and message, on valid stores in every layout
+    and on their one-character mutations."""
+    text = _layouts(rows)[layout]
+    for where, char, insert in mutations:
+        at = int(where * len(text))
+        text = text[:at] + char + text[at + (not insert):]
+    expected = _tree_outcome(text)
+    if mutations:
+        assert _reader_outcome(text) == expected
+        return
+    # A valid store is read by the walk alone, never as a parsed tree.
+    with mock.patch.object(jsonio, "loads", side_effect=AssertionError("parsed as a tree")):
+        assert meanings_from_json_text(text) == expected
+
+
 _W = {"sense": "w", "dims": {"hasProp": [[1.0, "x"]]}}
+_BAD = {"sense": "Book", "dims": {}}
+#: A bad record 0 followed by a JSON fault later in the text.
+_BAD_THEN_FAULT = {
+    "open-array": json.dumps([_BAD, _W])[:-1],
+    "trailing-data": json.dumps([_BAD, _W]) + " x",
+    "extra-bracket": json.dumps([_BAD, _W]) + "]",
+    "nan": json.dumps([_BAD, {"sense": "w", "dims": {"hasProp": [[float("nan"), "x"]]}}]),
+}
+
+
+@pytest.mark.parametrize("text", _BAD_THEN_FAULT.values(), ids=_BAD_THEN_FAULT.keys())
+def test_store_json_fault_wins_over_an_earlier_bad_record(text: str) -> None:
+    with pytest.raises(InputDataError) as err:
+        meanings_from_json_text(text)
+    assert str(err.value).startswith("meaning store: invalid JSON: ")
+    assert _reader_outcome(text) == _tree_outcome(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [json.dumps([_W, _W, 7])[:-1], json.dumps([_W, _BAD])[:-2] + "}", "\ufeff" + json.dumps([_W]),
+     json.dumps([_W]).encode(), json.dumps([_BAD, _W]).encode(), " [ ] \r\n", "[,]",
+     "[" + json.dumps(_W) + ",]", json.dumps([_W]).replace(", ", ",\x0b"), "", "[",
+     json.dumps([_W]) + "x", json.dumps([_W]) + " \n]", "[] []", json.dumps([_W]) + "\x0c"],
+    ids=["repeated-sense-then-open-array", "bad-last-record-then-open-array", "bom", "bytes",
+         "bytes-bad-record", "empty-spaced", "lone-comma", "trailing-comma", "vertical-tab",
+         "empty-text", "open-bracket", "trailing-text", "trailing-bracket", "two-arrays",
+         "trailing-form-feed"],
+)
+def test_store_reader_equals_the_tree_load(text) -> None:
+    assert _reader_outcome(text) == _tree_outcome(text)
 
 
 @pytest.mark.parametrize(
@@ -774,33 +916,57 @@ def test_store_load_messages(text: str, message: str) -> None:
     assert err.value.exit_code == 2
 
 
-def test_store_load_peaks_near_its_parse() -> None:
-    """A load holds little beyond its parsed rows: the records share their
-    tokens, and each row is released once its record is built."""
+def _peak_store_text() -> str:
+    """A store of 30 records x 5 dimensions x 30 pairs, each token about 15 times."""
     rng = random.Random(5)
     vocab = [f"token{i:03d}" for i in range(300)]
-    rows = [  # 30 records x 5 dimensions x 30 pairs, each token about 15 times
+    return json.dumps([
         {"sense": f"m{i:03d}", "gloss": "", "dims": {
             relation.value: [[rng.randint(1, 1000) / 1000, token] for token in rng.sample(vocab, 30)]
             for relation in DEFAULT_DIMS
         }}
         for i in range(30)
-    ]
-    text = json.dumps(rows)
-    del rows
+    ])
 
-    def peak(load) -> int:
-        gc.collect()
-        tracemalloc.start()
-        try:
-            load(text)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    parsed = peak(lambda t: jsonio.loads(t, what="meaning store"))
-    loaded = peak(meanings_from_json_text)
+def _traced_peak(call, *args, **kwargs) -> int:
+    """The most memory call(*args, **kwargs) held at once, as tracemalloc counts it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_store_load_peaks_near_its_parse() -> None:
+    """A load holds little beyond its parsed rows: the records share their
+    tokens, and each row is released once its record is built."""
+    text = _peak_store_text()
+    parsed = _traced_peak(jsonio.loads, text, what="meaning store")
+    loaded = _traced_peak(meanings_from_json_text, text)
     assert loaded <= 1.1 * parsed, f"load peaked at {loaded / parsed:.2f}x its parse"
+
+
+def test_store_load_peaks_below_its_parse() -> None:
+    """The load decodes one record at a time, so it never holds the whole
+    parsed tree: its text, its records and one row stay well below it."""
+    text = _peak_store_text()
+    parsed = _traced_peak(jsonio.loads, text, what="meaning store")
+    loaded = _traced_peak(meanings_from_json_text, text)
+    assert loaded <= 0.75 * parsed, f"load peaked at {loaded / parsed:.2f}x its parse"
+
+
+def test_store_save_peaks_below_its_text(tmp_path) -> None:
+    """The save writes one record at a time, so it never holds the store's
+    text, let alone the text and its UTF-8 bytes."""
+    records = meanings_from_json_text(_peak_store_text())
+    text = meanings_to_json_text(records)
+    path = tmp_path / "meanings.json"
+    saved = _traced_peak(save_meanings, records, str(path))
+    assert path.read_text(encoding="utf-8") == text
+    assert saved <= 0.75 * len(text.encode()), f"save peaked at {saved / len(text):.2f}x its text"
 
 
 # --- the token -> weight index ---------------------------------------------------
