@@ -255,9 +255,20 @@ def _runs_of(groups: Iterable[tuple]) -> tuple[dict, dict[str, ConceptId]]:
     return runs, concept_ids
 
 
-def _sensible_of(concept: ConceptId, props: Iterable[PropertyKey]) -> AssertionSet:
-    """The set asserting each of props sensible of concept, built as its runs."""
-    keyed = {(prop.name, prop.position or ""): prop for prop in props}
+def _key_of(name: str, position: str | None) -> PropertyKey:
+    """PropertyKey(name, 1 if position is None else 2, position), built without
+    its checks: the caller has fullmatched name against _PROPERTY_RE, and
+    position is None, AGENT or OBJECT."""
+    prop = object.__new__(PropertyKey)
+    _setattr(prop, "name", name)
+    _setattr(prop, "arity", 1 if position is None else 2)
+    _setattr(prop, "position", position)
+    return prop
+
+
+def _sensible_of(concept: ConceptId, keyed: dict[tuple[str, str], PropertyKey]) -> AssertionSet:
+    """The set asserting each property of keyed sensible of concept, built as
+    its runs; keyed maps (name, position or "") to the property, its run key."""
     runs = {key: (keyed[key], (concept.name,), ()) for key in sorted(keyed)}
     return object.__new__(AssertionSet)._store(runs, {concept.name: concept} if runs else {})
 

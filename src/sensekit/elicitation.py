@@ -18,9 +18,12 @@ import os
 from collections.abc import Mapping, Sequence
 
 from . import jsonio
-from .corpus import AGENT, OBJECT, AssertionSet, ConceptId, PropertyKey, Value, _echo, _sensible_of, _setattr
+from .corpus import (
+    _PROPERTY_RE, AGENT, OBJECT, AssertionSet, ConceptId, PropertyKey, Value, _echo, _key_of, _sensible_of,
+    _setattr,
+)
 from .errors import ConfigError, ElicitationError, InputDataError, ProviderError, TemplateError
-from .semantics import MeaningRecord, PrimitiveRelation, WeightedProperty, resolve_relation
+from .semantics import MeaningRecord, PrimitiveRelation, WeightedProperty, _record_of, resolve_relation
 
 #: The shipped mock fixture, read as a plain file next to this module.
 _FIXTURE = os.path.join(os.path.dirname(__file__), "data", "masked_completions.json")
@@ -125,11 +128,24 @@ class CompletionList(Value):
     def from_raw(
         cls, subject: str, dimension: PrimitiveRelation, raw: Sequence[str]
     ) -> "CompletionList":
+        """raw's distinct tokens, each at the 1-based rank it first holds in raw,
+        out of len(raw).  An empty raw is refused as __init__ refuses it; the
+        rest of __init__'s checks hold by construction, so it is not called:
+        the dict dedupes the tokens and enumerate ranks them in 1..len(raw).
+        """
+        if not raw:
+            raise InputDataError("completion list must not be empty")
         first_rank: dict[str, int] = {}
         for rank, token in enumerate(raw, start=1):
             if token not in first_rank:
                 first_rank[token] = rank
-        return cls(subject, dimension, tuple(first_rank), tuple(first_rank.values()), len(raw))
+        clist = object.__new__(cls)
+        _setattr(clist, "subject", subject)
+        _setattr(clist, "dimension", dimension)
+        _setattr(clist, "completions", tuple(first_rank))
+        _setattr(clist, "original_ranks", tuple(first_rank.values()))
+        _setattr(clist, "total", len(raw))
+        return clist
 
     def weighted(self) -> tuple[WeightedProperty, ...]:
         """rank_to_weight(rank, total) for each completion, in rank order."""
@@ -138,6 +154,19 @@ class CompletionList(Value):
             ((total - rank + 1) / total, token)
             for rank, token in zip(self.original_ranks, self.completions)
         ])
+
+
+def _has_surrogate(tokens: Sequence[str]) -> bool:
+    """Whether the str tokens hold a surrogate code point, the one kind UTF-8
+    cannot encode: one join and, for text that is not ASCII, one encode."""
+    text = "".join(tokens)
+    if text.isascii():
+        return False
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return True
+    return False
 
 
 class CompletionProvider:
@@ -171,6 +200,11 @@ class MockProvider:
                 if not set(map(type, tokens)) <= {str}:
                     raise InputDataError(
                         f"completion fixture: {subject!r} {dim_name!r} has a non-string token"
+                    )
+                if _has_surrogate(tokens):
+                    raise InputDataError(
+                        f"completion fixture: {subject!r} {dim_name!r} has a token "
+                        "holding a surrogate code point, which UTF-8 cannot encode"
                     )
                 for templates in TEMPLATE_SETS.values():
                     template = templates.get(dimension)
@@ -336,9 +370,19 @@ def elicit(
 ) -> ElicitResult:
     """Build a draft meaning record and draft assertions for one subject.
 
-    Dimensions are processed in declaration order; a provider failure on one
-    dimension is recorded in failures and does not discard the others.  Only
-    when every dimension fails is ElicitationError raised.
+    Each of dims must be a PrimitiveRelation (InputDataError otherwise) with
+    a template in templates (TemplateError otherwise), both checked before
+    the provider is asked anything.  Dimensions are processed in declaration
+    order; a provider failure on one dimension is recorded in failures and
+    does not discard the others.  A dimension also fails when its completions
+    are empty or hold a token that is not a str or that UTF-8 cannot encode.
+    Only when every dimension fails is ElicitationError raised.
+
+    Each completion is normalized once (stripped, uppercased, spaces made
+    hyphens); a property name becomes a sensible assertion of the dimension's
+    arity and position, anything else a warning.  The record, the completion
+    lists and the property keys are built from these checked values, not
+    checked again by their constructors.
     """
     if templates is None:
         templates = DEFAULT_TEMPLATES
@@ -346,15 +390,19 @@ def elicit(
         raise InputDataError(f"completion count must be >= 1, got {n}")
     if not dims:
         raise InputDataError("at least one dimension is required")
+    for dimension in dims:
+        if not isinstance(dimension, PrimitiveRelation):
+            raise InputDataError(f"dimension {_echo(dimension)} is not a primitive relation")
     missing = [d.value for d in dims if d not in templates]
     if missing:
         raise TemplateError(f"no template for dimension(s): {', '.join(missing)}")
     concept = ConceptId(subject)
 
     entries: dict[PrimitiveRelation, tuple[WeightedProperty, ...]] = {}
-    props: list[PropertyKey] = []
+    keyed: dict[tuple[str, str], PropertyKey] = {}  # _sensible_of's run keys
     failures: dict[PrimitiveRelation, str] = {}
     warnings: list[str] = []
+    fullmatch = _PROPERTY_RE.fullmatch
     for dimension in dims:
         prompt = render(templates[dimension], concept)
         try:
@@ -369,24 +417,29 @@ def elicit(
         if not set(map(type, raw)) <= {str}:
             failures[dimension] = "provider returned a completion that is not a string"
             continue
+        if _has_surrogate(raw):
+            failures[dimension] = (
+                "provider returned a completion holding a surrogate code point, "
+                "which UTF-8 cannot encode"
+            )
+            continue
         completion_list = CompletionList.from_raw(concept.name, dimension, raw)
         entries[dimension] = completion_list.weighted()
         # A token names a property of the dimension's arity and position.
         position = _DIM_POSITION.get(dimension)
-        arity = 1 if position is None else 2
+        slot = position or ""
         for token in completion_list.completions:
-            try:
-                prop = PropertyKey(token.strip().upper().replace(" ", "-"), arity, position)
-            except ValueError:
+            name = token.strip().upper().replace(" ", "-")
+            if fullmatch(name) is None:
                 warnings.append(
                     f"{dimension.value}: completion {token!r} is not a usable "
                     "property token; no assertion recorded"
                 )
-                continue
-            props.append(prop)
+            elif (name, slot) not in keyed:
+                keyed[name, slot] = _key_of(name, position)
     if not entries:
         detail = "; ".join(f"{d.value}: {msg}" for d, msg in failures.items())
         raise ElicitationError(f"all dimensions failed: {detail}")
 
-    record = MeaningRecord(concept.name, "", entries)
-    return ElicitResult(record, _sensible_of(concept, props), failures, tuple(warnings))
+    record = _record_of(concept.name, entries)
+    return ElicitResult(record, _sensible_of(concept, keyed), failures, tuple(warnings))

@@ -443,6 +443,17 @@ def _fill(record: MeaningRecord, sense, gloss, dims, share) -> None:
     _setattr(record, "dims", clean)
 
 
+def _record_of(sense: str, dims: dict[PrimitiveRelation, tuple[WeightedProperty, ...]]) -> MeaningRecord:
+    """MeaningRecord(sense, "", dims), built without _fill's checks: sense is
+    a ConceptId's name, and each dimension is a tuple of (float, str) tuples,
+    its weights in (0, 1] and its tokens distinct."""
+    record = MeaningRecord.__new__(MeaningRecord)
+    _setattr(record, "sense", sense)
+    _setattr(record, "gloss", "")
+    _setattr(record, "dims", dims)
+    return record
+
+
 def build_meaning(
     sense: str,
     counted_triples: Iterable[tuple[PrimitiveTriple, int]],

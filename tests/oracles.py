@@ -5,8 +5,9 @@ the assertion value objects, extents and sensible properties come from a full
 scan of the assertions, the conflict oracle ignores assertion order,
 the hierarchy oracles work directly on the (tolerant) inclusion relation
 between extents, the similarity and join oracles enumerate all
-cross-pairs instead of probing a token index, and the corpus scanner matches
-each line against a unary, then a binary regex.  All are slow and obviously
+cross-pairs instead of probing a token index, the corpus scanner matches
+each line against a unary, then a binary regex, and elicitation builds every
+value through its public, checking constructor.  All are slow and obviously
 correct.
 """
 
@@ -16,7 +17,8 @@ import re
 from typing import Iterable
 
 from sensekit.corpus import AGENT, NONSENSICAL, OBJECT, SENSIBLE, Assertion, AssertionSet, ConceptId, PropertyKey
-from sensekit.errors import CorpusSyntaxError
+from sensekit.elicitation import DEFAULT_TEMPLATES, CompletionList, ElicitResult, rank_to_weight, render
+from sensekit.errors import CorpusSyntaxError, ElicitationError, InputDataError, ProviderError, TemplateError
 from sensekit.semantics import MeaningRecord, PrimitiveRelation
 from sensekit.similarity import MatchedPair
 
@@ -250,3 +252,71 @@ def reference_scan_corpus(text: str) -> list[tuple[int, Assertion]]:
                     raise CorpusSyntaxError(lineno, str(exc)) from exc
             out.append((lineno, a))
     return out
+
+
+def reference_elicit(provider, subject, dims, n, templates=None) -> ElicitResult:
+    """elicit() with every value built through its public constructor, which
+    checks it: CompletionList(...), PropertyKey(...), MeaningRecord(...) and
+    an AssertionSet of Assertions.  The dimension check reads every
+    dimension, and the surrogate check every character of every token.
+    """
+    if templates is None:
+        templates = DEFAULT_TEMPLATES
+    if n < 1:
+        raise InputDataError(f"completion count must be >= 1, got {n}")
+    if not dims:
+        raise InputDataError("at least one dimension is required")
+    not_relations = [d for d in dims if not isinstance(d, PrimitiveRelation)]
+    if not_relations:
+        raise InputDataError(f"dimension {not_relations[0]!r} is not a primitive relation")
+    missing = [d.value for d in dims if d not in templates]
+    if missing:
+        raise TemplateError(f"no template for dimension(s): {', '.join(missing)}")
+    concept = ConceptId(subject)
+    positions = {PrimitiveRelation.AGENT_OF: AGENT, PrimitiveRelation.OBJECT_OF: OBJECT}
+
+    entries = {}
+    props: list[PropertyKey] = []
+    failures = {}
+    warnings: list[str] = []
+    for dimension in dims:
+        try:
+            raw = provider.complete(render(templates[dimension], concept), n)
+        except ProviderError as exc:
+            failures[dimension] = str(exc)
+            continue
+        raw = raw[:n]
+        if not raw:
+            failures[dimension] = "provider returned no completions"
+            continue
+        if any(type(token) is not str for token in raw):
+            failures[dimension] = "provider returned a completion that is not a string"
+            continue
+        if any("\ud800" <= ch <= "\udfff" for token in raw for ch in token):
+            failures[dimension] = (
+                "provider returned a completion holding a surrogate code point, "
+                "which UTF-8 cannot encode"
+            )
+            continue
+        first_rank: dict[str, int] = {}
+        for rank, token in enumerate(raw, start=1):
+            first_rank.setdefault(token, rank)
+        clist = CompletionList(concept.name, dimension, tuple(first_rank), tuple(first_rank.values()), len(raw))
+        entries[dimension] = tuple(
+            (rank_to_weight(rank, clist.total), token)
+            for rank, token in zip(clist.original_ranks, clist.completions)
+        )
+        position = positions.get(dimension)
+        for token in clist.completions:
+            try:
+                props.append(PropertyKey(token.strip().upper().replace(" ", "-"), 1 if position is None else 2, position))
+            except ValueError:
+                warnings.append(
+                    f"{dimension.value}: completion {token!r} is not a usable "
+                    "property token; no assertion recorded"
+                )
+    if not entries:
+        detail = "; ".join(f"{d.value}: {msg}" for d, msg in failures.items())
+        raise ElicitationError(f"all dimensions failed: {detail}")
+    assertions = AssertionSet(Assertion(prop, concept, SENSIBLE) for prop in props)
+    return ElicitResult(MeaningRecord(concept.name, "", entries), assertions, failures, tuple(warnings))

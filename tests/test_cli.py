@@ -692,6 +692,26 @@ def test_stdout_that_cannot_encode_the_output_exits_5(tmp_path) -> None:
     assert "error: cannot write output:" in proc.stderr
 
 
+def test_elicit_fixture_token_with_a_lone_surrogate_exits_2(tmp_path) -> None:
+    # JSON loads "\ud800" into the token, and no stdout could encode it: the
+    # fixture is refused as bad input before anything is written.
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text('{"book": {"hasProp": ["read\\ud800", "old"]}}', encoding="utf-8")
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "sensekit", "elicit", "--subject", "book",
+            "--dims", "hasProp", "--fixtures", str(fixture), "-n", "2",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert "'book' 'hasProp' has a token holding a surrogate code point" in proc.stderr
+
+
 def test_induce_deterministic_across_hash_seeds(tmp_path) -> None:
     corpus = tmp_path / "mixed.sense"
     corpus.write_text(LEAF + "+ SHINY car\n+ SHINY bike\n+ SHINY rock\n", encoding="utf-8")

@@ -27,7 +27,7 @@ from sensekit.corpus import (
     scan_corpus,
     serialize_corpus,
 )
-from sensekit.corpus import _sensible_of
+from sensekit.corpus import _key_of, _sensible_of
 from sensekit.errors import CorpusSyntaxError, InputDataError
 
 from conftest import random_assertion_set
@@ -699,9 +699,15 @@ def test_prop_json_rows_and_assertions_make_equal_sets(facts: list, rng: random.
 
 @given(st.lists(st.one_of(_neighbour_props, _unary, _binary), max_size=12), _concepts)
 def test_prop_sensible_of_equals_the_constructor(props: list[PropertyKey], concept: str) -> None:
-    """elicit's set, built straight into runs, equals the one built from Assertions."""
+    """elicit's set, built straight into runs from keys built unchecked, equals
+    the one built from Assertions."""
     subject = ConceptId(concept)
-    built = _sensible_of(subject, props)
+    keyed = {}
+    for prop in props:
+        key = _key_of(prop.name, prop.position)
+        assert (key, repr(key), hash(key)) == (prop, repr(prop), hash(prop))
+        keyed[prop.name, prop.position or ""] = key
+    built = _sensible_of(subject, keyed)
     want = AssertionSet(Assertion(prop, subject, SENSIBLE) for prop in props)
     assert built == want and hash(built) == hash(want)
     assert (built.assertions, built.concepts, len(built)) == (want.assertions, want.concepts, len(want))

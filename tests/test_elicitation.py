@@ -5,8 +5,10 @@ import re
 import socket
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sensekit.corpus import PropertyKey
+from oracles import reference_elicit
+from sensekit.corpus import PropertyKey, corpus_to_json_text
 from sensekit.elicitation import (
     BOOK_FIXTURE_TEMPLATES,
     DEFAULT_TEMPLATES,
@@ -101,8 +103,27 @@ def test_completion_list_dedupes_keeping_first_rank() -> None:
 
 
 def test_completion_list_rejects_empty() -> None:
-    with pytest.raises(InputDataError):
+    with pytest.raises(InputDataError, match="^completion list must not be empty$"):
         CompletionList.from_raw("book", REL.AGENT_OF, [])
+
+
+@given(st.lists(st.sampled_from(["a", "b", "c", "d", " a", "A"]), max_size=12), st.sampled_from(list(REL)))
+def test_prop_from_raw_equals_the_constructor(raw: list, dimension: PrimitiveRelation) -> None:
+    """from_raw, which skips __init__, builds what __init__ builds from the same fields."""
+    first_rank: dict = {}
+    for rank, token in enumerate(raw, start=1):
+        first_rank.setdefault(token, rank)
+    fields = ("book", dimension, tuple(first_rank), tuple(first_rank.values()), len(raw))
+    if not raw:
+        with pytest.raises(InputDataError) as want:
+            CompletionList(*fields)
+        with pytest.raises(InputDataError) as got:
+            CompletionList.from_raw("book", dimension, raw)
+        assert str(got.value) == str(want.value)
+        return
+    built, want = CompletionList.from_raw("book", dimension, raw), CompletionList(*fields)
+    assert (built, hash(built), repr(built)) == (want, hash(want), repr(want))
+    assert built.weighted() == want.weighted()
 
 
 @pytest.mark.parametrize("repeats", [False, True], ids=["distinct", "with-repeats"])
@@ -227,13 +248,19 @@ def test_elicit_all_dimensions_failed() -> None:
 
 
 class ScriptedProvider:
-    """Answers successive complete() calls with the given lists, in order."""
+    """Answers successive complete() calls with the given lists, in order; an
+    exception in place of a list is raised.  calls counts the calls."""
 
-    def __init__(self, *replies: list) -> None:
+    def __init__(self, *replies) -> None:
         self._replies = iter(replies)
+        self.calls = 0
 
     def complete(self, prompt: str, n: int) -> list:
-        return next(self._replies)
+        self.calls += 1
+        reply = next(self._replies)
+        if isinstance(reply, Exception):
+            raise reply
+        return list(reply)
 
 
 def test_elicit_non_string_completion_fails_its_dimension() -> None:
@@ -250,6 +277,35 @@ def test_elicit_all_dimensions_non_string_raises() -> None:
     provider = ScriptedProvider([None, 7, True], [b"bytes"])
     with pytest.raises(ElicitationError, match="not a string"):
         elicit(provider, "game", (REL.HAS_PROP, REL.AGENT_OF), 5)
+
+
+def test_elicit_surrogate_completion_fails_its_dimension() -> None:
+    # UTF-8 cannot encode a surrogate, so no output could hold the token.
+    provider = ScriptedProvider(["fun", "read\ud800"], ["long"])
+    result = elicit(provider, "game", (REL.HAS_PROP, REL.AGENT_OF), 5)
+    assert list(result.record.dims) == [REL.AGENT_OF]
+    assert result.failures == {
+        REL.HAS_PROP: "provider returned a completion holding a surrogate code point, "
+        "which UTF-8 cannot encode",
+    }
+    with pytest.raises(ElicitationError, match="surrogate code point"):
+        elicit(ScriptedProvider(["\udc00"]), "game", (REL.HAS_PROP,), 5)
+
+
+@pytest.mark.parametrize(
+    ("dims", "replies"),
+    [
+        (["nope"], [["fun"]]),
+        (["hasProp"], [["fun"]]),
+        (["hasProp", "agentOf"], [ProviderError("down")] * 2),
+    ],
+    ids=["unknown-name", "relation-name", "all-failing"],
+)
+def test_elicit_refuses_a_dimension_that_is_not_a_relation(dims: list, replies: list) -> None:
+    provider = ScriptedProvider(*replies)
+    with pytest.raises(InputDataError, match=f"^dimension {dims[0]!r} is not a primitive relation$"):
+        elicit(provider, "game", dims, 5)
+    assert provider.calls == 0
 
 
 def test_elicit_requires_templates_for_every_dimension() -> None:
@@ -279,6 +335,52 @@ def test_elicit_record_satisfies_invariants() -> None:
         tokens = [tok for _, tok in pairs]
         assert len(tokens) == len(set(tokens))
         assert all(0.0 < w <= 1.0 for w, _ in pairs)
+
+
+_TEMPLATES = {**DEFAULT_TEMPLATES, REL.IN_STATE: PromptTemplate(REL.IN_STATE, "The {X} is [MASK].")}
+# Repeats, case and space variants of one name, and tokens that are no name.
+_TOKENS = st.one_of(
+    st.sampled_from([
+        "fun", "Fun", " fun ", "FUN", "long book", "Long-Book", "a_b", "x1", "1x", "",
+        "  ", "café", "straße", "ﬁne", "fun@agent", "a\nb", "a\n", "read\ud800", "\udfff",
+    ]),
+    st.text(max_size=4),
+)
+_REPLIES = st.one_of(
+    st.lists(_TOKENS, max_size=8),
+    st.lists(st.one_of(_TOKENS, st.sampled_from([None, 7, True, b"fun"])), min_size=1, max_size=4),
+    st.builds(ProviderError, st.sampled_from(["down", "HTTP 500"])),
+)
+# Mostly relations with a template; partOf has none, and the strs are not relations.
+_DIMS = st.sampled_from([REL.HAS_PROP, REL.AGENT_OF, REL.OBJECT_OF, REL.IN_STATE] * 4 + [REL.PART_OF, "hasProp", "nope"])
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ElicitationError, InputDataError, TemplateError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_DIMS, _REPLIES), max_size=5), st.integers(0, 6), st.sampled_from(["game", "book#2"]))
+def test_prop_elicit_equals_the_reference(asked: list, n: int, subject: str) -> None:
+    """elicit, which builds its values unchecked, returns and raises what the
+    checking constructors do."""
+    dims = [dim for dim, _ in asked]
+    replies = [reply for _, reply in asked]
+    got = _outcome(lambda: elicit(ScriptedProvider(*replies), subject, dims, n, _TEMPLATES))
+    want = _outcome(lambda: reference_elicit(ScriptedProvider(*replies), subject, dims, n, _TEMPLATES))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert (got, repr(got)) == (want, repr(want))
+    assert list(got.failures.items()) == list(want.failures.items())
+    assert got.warnings == want.warnings
+    built, expected = got.assertions, want.assertions
+    assert (built, hash(built), repr(built)) == (expected, hash(expected), repr(expected))
+    assert built.assertions == expected.assertions
+    assert corpus_to_json_text(built) == corpus_to_json_text(expected)
 
 
 # --- remote provider, against a loopback server ---------------------------------------
@@ -505,10 +607,13 @@ def test_mock_provider_rejects_colliding_fixture_entries() -> None:
         {"book": {"hasProp": [7]}},
         {"book": {"hasProp": [True]}},
         {"book": {"hasProp": [["heavy"]]}},
+        {"book": {"hasProp": ["heavy", "read\ud800"]}},
+        {"book": {"hasProp": ["\ud83d\ude00"]}},
     ],
     ids=[
         "subject-int", "subject-list", "tokens-int", "tokens-string", "tokens-object",
         "subject-not-a-concept", "token-null", "token-int", "token-bool", "token-list",
+        "token-lone-surrogate", "token-surrogate-pair",
     ],
 )
 def test_mock_provider_rejects_malformed_fixture(fixture) -> None:
