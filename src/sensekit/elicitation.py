@@ -370,11 +370,11 @@ def elicit(
 ) -> ElicitResult:
     """Build a draft meaning record and draft assertions for one subject.
 
-    Each of dims must be a PrimitiveRelation (InputDataError otherwise) with
-    a template in templates (TemplateError otherwise), both checked before
-    the provider is asked anything.  Dimensions are processed in declaration
-    order; a provider failure on one dimension is recorded in failures and
-    does not discard the others.  A dimension also fails when its completions
+    Each of dims must be a PrimitiveRelation, named once (InputDataError
+    otherwise), with a template in templates (TemplateError otherwise), all
+    checked before the provider is asked anything.  Dimensions are processed
+    in declaration order; a provider failure on one dimension is recorded in
+    failures and does not discard the others.  A dimension also fails when its completions
     are empty or hold a token that is not a str or that UTF-8 cannot encode.
     Only when every dimension fails is ElicitationError raised.
 
@@ -393,6 +393,9 @@ def elicit(
     for dimension in dims:
         if not isinstance(dimension, PrimitiveRelation):
             raise InputDataError(f"dimension {_echo(dimension)} is not a primitive relation")
+    if len(set(dims)) < len(dims):
+        repeated = next(d for i, d in enumerate(dims) if d in dims[:i])
+        raise InputDataError(f"dimension {repeated.value} is named twice")
     missing = [d.value for d in dims if d not in templates]
     if missing:
         raise TemplateError(f"no template for dimension(s): {', '.join(missing)}")

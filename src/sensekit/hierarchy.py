@@ -20,7 +20,8 @@ default.
 Induction works on integer bitsets: each concept owns one bit, an extent is
 the sum of its members' bits, and |A \\ B| is (A & ~B).bit_count().  An
 AssertionSet stores each property's run, so induction reads each property's
-token once and its sensible concept names as the node extent.  Two groups
+token once and its sensible concept names as the node extent; that sorted
+tuple is also the node's sorted_extent, which the exports read.  Two groups
 can include each other only if their sizes lie within a factor 1 - tau, so
 each pair inside that size window is tested once and, after a merge, only
 the merged group's window again: at most O(G^2) inclusion tests for G
@@ -33,9 +34,11 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Mapping, Sequence
+from functools import cached_property
 
 from . import jsonio
-from .corpus import AssertionSet, PropertyKey, Value, _setattr, check_consistency, extent
+from .corpus import AssertionSet, PropertyKey, Value, _setattr, check_consistency
+from .corpus import extent  # noqa: F401  kept as hierarchy.extent, a trace point of perfbench/spans.py
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -62,6 +65,11 @@ class TypeNode(Value):
     characteristic_properties are the property tokens whose extent is exactly
     this node's extent (empty only for a synthetic root).  direct_members are
     extent members that belong to no child node.
+
+    sorted_extent and sorted_members are the two name sets as sorted tuples,
+    which the exports read.  Each is derived once, on first use, unless
+    induce has preset it; neither is a field, so neither takes part in
+    equality, hash or repr.
     """
 
     id: int
@@ -78,6 +86,14 @@ class TypeNode(Value):
     @property
     def is_synthetic_root(self) -> bool:
         return not self.characteristic_properties
+
+    @cached_property
+    def sorted_extent(self) -> tuple[str, ...]:
+        return tuple(sorted(self.extent))
+
+    @cached_property
+    def sorted_members(self) -> tuple[str, ...]:
+        return tuple(sorted(self.direct_members))
 
 
 class TypedFact(Value):
@@ -178,17 +194,21 @@ class TypeDag(Value):
 class _Group:
     """Working node during induction: extent bits and names, property tokens.
 
-    key orders groups largest first, then by sorted member list, then by
-    tokens.  Concepts take bits in descending name order, so among extents of
-    one size the lexicographically smaller member list is the larger integer.
+    names is the sorted tuple of members when induce already holds one (a
+    property's run, or every name for the synthetic root), else None.  key
+    orders groups largest first, then by sorted member list, then by tokens.
+    Concepts take bits in descending name order, so among extents of one
+    size the lexicographically smaller member list is the larger integer.
     """
 
-    __slots__ = ("bits", "members", "props", "size", "key")
+    __slots__ = ("bits", "members", "props", "names", "size", "key")
 
-    def __init__(self, bits: int, members: frozenset[str], props: tuple[str, ...]) -> None:
+    def __init__(self, bits: int, members: frozenset[str], props: tuple[str, ...],
+                 names: tuple[str, ...] | None = None) -> None:
         self.bits = bits
         self.members = members
         self.props = props
+        self.names = names
         self.size = len(members)
         self.key = (-self.size, -bits, props)
 
@@ -277,9 +297,15 @@ def induce(aset: AssertionSet, cfg: InduceConfig | None = None) -> TypeDag:
 
     Deterministic for identical input: nodes are ordered by extent size
     (largest first), then by lexicographic member list, and ids follow that
-    order.
+    order.  A node whose extent is one property's run, or every concept,
+    gets that sorted name tuple as its sorted_extent; a merged node derives
+    it on first use.  A cfg that is neither None nor an InduceConfig is a
+    TypeError.
     """
-    cfg = cfg or InduceConfig()
+    if cfg is None:
+        cfg = InduceConfig()
+    elif not isinstance(cfg, InduceConfig):
+        raise TypeError(f"cfg must be an InduceConfig or None, not {type(cfg).__name__}")
     if not aset.concepts:
         raise EmptyCorpusError("cannot induce a hierarchy from an empty corpus")
     conflicts = check_consistency(aset)
@@ -289,7 +315,7 @@ def induce(aset: AssertionSet, cfg: InduceConfig | None = None) -> TypeDag:
             f"corpus is inconsistent ({len(conflicts)} conflicting pair(s)): {shown}"
         )
 
-    names = sorted(c.name for c in aset.concepts)
+    names = tuple(sorted(aset._concept_ids))
     bit = {name: 1 << (len(names) - 1 - i) for i, name in enumerate(names)}
     by_extent: dict[int, tuple[tuple[str, ...], list[str]]] = {}  # bits -> (sensible names, tokens)
     for token, run in sorted((prop.token, sensible) for prop, sensible, _ in aset._runs.values()):
@@ -297,7 +323,7 @@ def induce(aset: AssertionSet, cfg: InduceConfig | None = None) -> TypeDag:
             by_extent.setdefault(sum(map(bit.__getitem__, run)), (run, []))[1].append(token)
     if not by_extent:
         raise EmptyCorpusError("corpus has no sensible assertions")
-    groups = [_Group(b, frozenset(run), tuple(props)) for b, (run, props) in by_extent.items()]
+    groups = [_Group(b, frozenset(run), tuple(props), run) for b, (run, props) in by_extent.items()]
     groups.sort(key=_group_key)
     if cfg.tau > 0:
         groups = _merge_mutual_inclusions(groups, cfg.tau)
@@ -305,23 +331,20 @@ def induce(aset: AssertionSet, cfg: InduceConfig | None = None) -> TypeDag:
     # the strictly largest group; otherwise a synthetic root goes first.  It is
     # tested last and reached through any other parent, so it covers the rest.
     if groups[0].size != len(names):
-        groups.insert(0, _Group((1 << len(names)) - 1, frozenset(names), ()))
+        groups.insert(0, _Group((1 << len(names)) - 1, frozenset(names), (), names))
     edges = _covering_edges(groups, cfg.tau)
 
     children: list[list[frozenset[str]]] = [[] for _ in groups]
     for u, v in edges:
         children[u].append(groups[v].members)
 
-    nodes = tuple(
-        TypeNode(
-            id=i,
-            extent=g.members,
-            characteristic_properties=g.props,
-            direct_members=g.members.difference(*children[i]),
-        )
-        for i, g in enumerate(groups)
-    )
-    return TypeDag(nodes=nodes, edges=edges, root=0)
+    nodes = []
+    for i, g in enumerate(groups):
+        node = TypeNode(i, g.members, g.props, g.members.difference(*children[i]))
+        if g.names is not None:
+            _setattr(node, "sorted_extent", g.names)
+        nodes.append(node)
+    return TypeDag(nodes=tuple(nodes), edges=edges, root=0)
 
 
 def verify(
@@ -334,11 +357,17 @@ def verify(
 
     Consistent iff every concept in the named node's extent has a sensible
     assertion for the property (closed world); otherwise the violating
-    concepts are returned.
+    concepts are returned, sorted.  The covered names are read from the
+    property's run, as corpus.extent() finds it, without building its
+    ConceptIds; an unknown property covers none.  A fact that is not a
+    TypedFact is a TypeError.
     """
+    if not isinstance(fact, TypedFact):
+        raise TypeError(f"fact must be a TypedFact, not {type(fact).__name__}")
     node = dag.resolve(fact.type_name, labels)
-    covered = {c.name for c in extent(aset, fact.property)}
-    violations = tuple(sorted(node.extent - covered))
+    prop = fact.property
+    run = aset._runs.get((prop.name, prop.position or ""))
+    violations = tuple(sorted(node.extent.difference(run[1] if run else ())))
     return VerifyResult(consistent=not violations, violations=violations)
 
 
@@ -369,7 +398,7 @@ def export_dot(dag: TypeDag, labels: Mapping[str, str] | None = None) -> str:
             caption.append(name)
         caption.append(", ".join(node.characteristic_properties) or "(no properties)")
         if node.direct_members:
-            caption.append("members: " + ", ".join(sorted(node.direct_members)))
+            caption.append("members: " + ", ".join(node.sorted_members))
         text = "\\n".join(map(_dot_escape, caption))  # DOT's line break, unescaped
         lines.append(f'  n{node.id} [label="{text}"];')
     for parent, child in dag.edges:
@@ -379,13 +408,14 @@ def export_dot(dag: TypeDag, labels: Mapping[str, str] | None = None) -> str:
 
 
 def dag_to_json(dag: TypeDag) -> dict:
+    """The DAG as a JSON value, every list new: names copied from sorted_extent and sorted_members."""
     return {
         "nodes": [
             {
                 "id": n.id,
-                "extent": sorted(n.extent),
+                "extent": list(n.sorted_extent),
                 "props": list(n.characteristic_properties),
-                "members": sorted(n.direct_members),
+                "members": list(n.sorted_members),
             }
             for n in dag.nodes
         ],

@@ -4,7 +4,9 @@ These deliberately avoid the production code paths: normalization hashes
 the assertion value objects, extents and sensible properties come from a full
 scan of the assertions, the conflict oracle ignores assertion order,
 the hierarchy oracles work directly on the (tolerant) inclusion relation
-between extents, the similarity and join oracles enumerate all
+between extents, the hierarchy exports sort each node's name sets and write
+JSON with the stdlib encoder, verify's oracle goes through corpus.extent(),
+the similarity and join oracles enumerate all
 cross-pairs instead of probing a token index, the corpus scanner matches
 each line against a unary, then a binary regex, and elicitation builds every
 value through its public, checking constructor.  All are slow and obviously
@@ -13,12 +15,16 @@ correct.
 
 from __future__ import annotations
 
+import json
 import re
 from typing import Iterable
 
-from sensekit.corpus import AGENT, NONSENSICAL, OBJECT, SENSIBLE, Assertion, AssertionSet, ConceptId, PropertyKey
+from sensekit.corpus import (
+    AGENT, NONSENSICAL, OBJECT, SENSIBLE, Assertion, AssertionSet, ConceptId, PropertyKey, extent,
+)
 from sensekit.elicitation import DEFAULT_TEMPLATES, CompletionList, ElicitResult, rank_to_weight, render
 from sensekit.errors import CorpusSyntaxError, ElicitationError, InputDataError, ProviderError, TemplateError
+from sensekit.hierarchy import TypeDag, TypedFact, VerifyResult
 from sensekit.semantics import MeaningRecord, PrimitiveRelation
 from sensekit.similarity import MatchedPair
 
@@ -154,6 +160,56 @@ def brute_force_tolerant_hierarchy(aset: AssertionSet, tau: float):
     return node_map, edges, all_concepts
 
 
+def reference_dag_to_json_text(dag: TypeDag) -> str:
+    """dag_to_json_text: each node's names sorted from its frozensets, written
+    by the stdlib encoder."""
+    document = {
+        "nodes": [
+            {
+                "id": n.id,
+                "extent": sorted(n.extent),
+                "props": list(n.characteristic_properties),
+                "members": sorted(n.direct_members),
+            }
+            for n in dag.nodes
+        ],
+        "edges": [list(e) for e in dag.edges],
+        "root": dag.root,
+    }
+    return json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n"
+
+
+def reference_export_dot(dag: TypeDag, labels: dict[str, str] | None = None) -> str:
+    """export_dot, with each node's direct members sorted from its frozenset."""
+
+    def escape(text: str) -> str:
+        return text.replace("\\", "\\\\").replace('"', '\\"')
+
+    lines = ["digraph concept_hierarchy {", "  node [shape=box];"]
+    for node in dag.nodes:
+        caption = []
+        if not node.characteristic_properties:
+            caption.append("entity")
+        else:
+            named = [labels[p] for p in node.characteristic_properties if p in (labels or {})]
+            caption += [name for name in named[:1] if name]  # an empty label shows nothing
+        caption.append(", ".join(node.characteristic_properties) or "(no properties)")
+        if node.direct_members:
+            caption.append("members: " + ", ".join(sorted(node.direct_members)))
+        lines.append(f'  n{node.id} [label="' + "\\n".join(map(escape, caption)) + '"];')
+    lines += [f"  n{parent} -> n{child};" for parent, child in dag.edges]
+    return "\n".join(lines) + "\n}\n"
+
+
+def reference_verify(dag: TypeDag, fact: TypedFact, aset: AssertionSet, labels=None) -> VerifyResult:
+    """verify() through corpus.extent(): the node's extent minus the names of
+    the property's extent, sorted."""
+    node = dag.resolve(fact.type_name, labels)
+    covered = {c.name for c in extent(aset, fact.property)}
+    violations = tuple(sorted(node.extent - covered))
+    return VerifyResult(consistent=not violations, violations=violations)
+
+
 def brute_force_dimension_similarity(
     a: MeaningRecord, b: MeaningRecord, dim: PrimitiveRelation
 ) -> float:
@@ -269,6 +325,11 @@ def reference_elicit(provider, subject, dims, n, templates=None) -> ElicitResult
     not_relations = [d for d in dims if not isinstance(d, PrimitiveRelation)]
     if not_relations:
         raise InputDataError(f"dimension {not_relations[0]!r} is not a primitive relation")
+    seen: list[PrimitiveRelation] = []
+    for dimension in dims:
+        if dimension in seen:
+            raise InputDataError(f"dimension {dimension.value} is named twice")
+        seen.append(dimension)
     missing = [d.value for d in dims if d not in templates]
     if missing:
         raise TemplateError(f"no template for dimension(s): {', '.join(missing)}")

@@ -308,6 +308,19 @@ def test_elicit_refuses_a_dimension_that_is_not_a_relation(dims: list, replies: 
     assert provider.calls == 0
 
 
+@pytest.mark.parametrize(
+    "dims",
+    [(REL.HAS_PROP, REL.HAS_PROP), [REL.AGENT_OF, REL.HAS_PROP, REL.AGENT_OF]],
+    ids=["adjacent", "apart"],
+)
+def test_elicit_refuses_a_repeated_dimension(dims) -> None:
+    # Asked twice, one dimension could be both failed and in the record.
+    provider = ScriptedProvider(ProviderError("down"), ["fun"], ["fun"])
+    with pytest.raises(InputDataError, match=f"^dimension {dims[-1].value} is named twice$"):
+        elicit(provider, "game", dims, 5)
+    assert provider.calls == 0
+
+
 def test_elicit_requires_templates_for_every_dimension() -> None:
     provider = MockProvider.from_file()
     with pytest.raises(TemplateError):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sensekit.corpus import (
     NONSENSICAL,
@@ -39,6 +40,9 @@ from oracles import (
     brute_force_conflicts,
     brute_force_hierarchy,
     brute_force_tolerant_hierarchy,
+    reference_dag_to_json_text,
+    reference_export_dot,
+    reference_verify,
 )
 
 # Expected covering relation for the leaf corpus, by characteristic property.
@@ -459,6 +463,17 @@ def test_verify_unknown_type_name(leaf_corpus) -> None:
         verify(dag, TypedFact(PropertyKey("OLD"), "no-such-type"), leaf_corpus)
 
 
+def test_verify_refuses_a_fact_that_is_not_a_typed_fact(leaf_corpus) -> None:
+    dag = induce(leaf_corpus)
+    with pytest.raises(TypeError, match="^fact must be a TypedFact, not str$"):
+        verify(dag, "X", leaf_corpus)
+
+
+def test_induce_refuses_a_config_that_is_not_an_induce_config(leaf_corpus) -> None:
+    with pytest.raises(TypeError, match="^cfg must be an InduceConfig or None, not float$"):
+        induce(leaf_corpus, 0.1)
+
+
 # --- exports -------------------------------------------------------------------
 
 def test_dot_two_node_chain() -> None:
@@ -670,3 +685,95 @@ def test_node_ids_follow_size_then_member_order() -> None:
         ]
         assert keys == sorted(keys)
         assert [n.id for n in dag.nodes] == list(range(len(dag.nodes)))
+
+
+# --- sorted node names and the exports, against the references --------------------
+
+# Names and tokens whose sorted order is easy to get wrong ("c-d" < "c_d",
+# "book" < "book#1", "A-B" < "A_B"); NEVER is only ever nonsensical.
+_names = st.sampled_from(["a", "b", "book", "book#1", "c-d", "c_d", "x9", "z"])
+_TOKENS = ["OLD", "A-B", "A_B", "RIDE@agent", "RIDE@object", "Z9"]
+
+
+@st.composite
+def _corpora(draw) -> AssertionSet:
+    """Sensible extents for up to six properties, unary and positional, plus
+    concepts seen only in nonsensical facts of a property of their own."""
+    extents = draw(st.lists(st.sets(_names, min_size=1), min_size=1, max_size=len(_TOKENS)))
+    tokens = draw(st.permutations(_TOKENS))
+    negative = draw(st.sets(_names, max_size=2))
+    return AssertionSet(tuple(
+        [Assertion(PropertyKey.from_token(t), ConceptId(n), SENSIBLE) for t, ext in zip(tokens, extents) for n in ext]
+        + [Assertion(PropertyKey("NEVER"), ConceptId(n), NONSENSICAL) for n in negative]
+    ))
+
+
+def _hand_built(dag: TypeDag) -> TypeDag:
+    """dag rebuilt from fresh TypeNodes, none of whose sorted names is derived yet."""
+    nodes = tuple(TypeNode(n.id, n.extent, n.characteristic_properties, n.direct_members) for n in dag.nodes)
+    return TypeDag(nodes=nodes, edges=dag.edges, root=dag.root)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_corpora(), st.sampled_from([0.0, 0.1, 0.5]), st.dictionaries(st.sampled_from(_TOKENS), st.text(max_size=3)))
+def test_prop_exports_equal_the_references(aset: AssertionSet, tau: float, labels: dict) -> None:
+    """The exports read each node's sorted names, preset by induce or derived
+    on first use; either way they equal names sorted from the frozensets."""
+    dag = induce(aset, InduceConfig(tau=tau))
+    text = reference_dag_to_json_text(dag)
+    for built in (dag, dag_from_json_text(text), _hand_built(dag)):
+        for _ in range(2):  # the second export reads what the first derived
+            assert dag_to_json_text(built) == text
+            assert export_dot(built) == reference_export_dot(built)
+            assert export_dot(built, labels) == reference_export_dot(built, labels)
+
+
+def test_induce_presets_sorted_extent_with_the_runs_it_read(leaf_corpus) -> None:
+    dag = induce(leaf_corpus)
+    runs = [sensible for _, sensible, _ in leaf_corpus._runs.values()]
+    for node in dag.nodes:
+        assert "sorted_extent" in vars(node) and "sorted_members" not in vars(node)
+        if not node.is_synthetic_root:
+            assert any(node.sorted_extent is run for run in runs)
+    loaded = dag_from_json_text(dag_to_json_text(dag))
+    assert not any("sorted_extent" in vars(node) for node in loaded.nodes)
+
+
+def test_sorted_names_are_not_fields(leaf_corpus) -> None:
+    node = induce(leaf_corpus).nodes[1]
+    fresh = TypeNode(node.id, node.extent, node.characteristic_properties, node.direct_members)
+    assert node.sorted_members == tuple(sorted(node.direct_members))
+    assert "sorted_members" in vars(node) and "sorted_extent" not in vars(fresh)
+    assert (node, hash(node), repr(node)) == (fresh, hash(fresh), repr(fresh))
+    assert "sorted" not in repr(node)
+
+
+def test_mutating_a_json_value_leaves_later_exports_unchanged(leaf_corpus) -> None:
+    dag = induce(leaf_corpus)
+    text, dot = dag_to_json_text(dag), export_dot(dag)
+    data = dag_to_json(dag)
+    for node in data["nodes"]:
+        node["extent"].append("zzz")
+        node["members"].reverse()
+        node["props"].clear()
+    data["edges"][0].append(9)
+    assert dag_to_json_text(dag) == text
+    assert export_dot(dag) == dot
+
+
+@settings(max_examples=200, deadline=None)
+@given(_corpora(), st.sampled_from([0.0, 0.1, 0.5]))
+def test_prop_verify_equals_the_extent_reference(aset: AssertionSet, tau: float) -> None:
+    """verify reads the property's run; its oracle builds corpus.extent().
+    Unary, positional and unknown properties (NEVER has no sensible fact)."""
+    dag = induce(aset, InduceConfig(tau=tau))
+    loaded = dag_from_json_text(dag_to_json_text(dag))
+    type_names = [p for n in dag.nodes for p in n.characteristic_properties]
+    if dag.nodes[dag.root].is_synthetic_root:
+        type_names.append("entity")
+    for type_name in type_names:
+        for token in [*_TOKENS, "NEVER", "NOPE", "NOPE@object", "OLD@agent"]:
+            fact = TypedFact(PropertyKey.from_token(token), type_name)
+            want = reference_verify(dag, fact, aset)
+            assert verify(dag, fact, aset) == want
+            assert verify(loaded, fact, aset) == want

@@ -146,6 +146,48 @@ def test_dumps_of_string_records_equals_stdlib(value) -> None:
     assert outcome(jsonio.dumps, value) == outcome(stdlib_dumps, value)
 
 
+_ints = st.integers() | st.integers(min_value=-(2**200), max_value=2**200)
+
+
+@st.composite
+def _int_lists(draw):
+    """1-6 ints, perhaps with one item that takes the list off the one-chunk
+    path (a bool, an IntEnum, a float, an int too long to print, a str), in a
+    list or a tuple at depth 0-2."""
+    items = draw(st.lists(_ints, min_size=1, max_size=6))
+    odd = draw(st.sampled_from([None, True, False, Level.LOW, 1.0, -0.0, 2.5, math.nan, 10**5000, "1"]))
+    if odd is not None:
+        items.insert(draw(st.integers(0, len(items))), odd)
+    value = tuple(items) if draw(st.booleans()) else items
+    for _ in range(draw(st.integers(0, 2))):
+        value = {"edges": value} if draw(st.booleans()) else [value]
+    return value
+
+
+@settings(max_examples=500, deadline=None)
+@given(_int_lists())
+@example([[0, 1], [0, 2]])
+@example([1, True])
+@example([1, Level.LOW])
+@example([1, 2.0])
+@example([2**70, -(10**20), 0])
+@example([1, 10**5000])
+def test_dumps_of_int_lists_equals_stdlib(value) -> None:
+    assert outcome(jsonio.dumps, value) == outcome(stdlib_dumps, value)
+
+
+@pytest.mark.parametrize(
+    ("value", "chunks"),
+    [([0, 1], 1), ((2**70, -3), 1), ([0, True], 3), ([0, Level.LOW], 3), ([0, 1.0], 3)],
+    ids=["edge", "tuple", "bool", "int-enum", "float"],
+)
+def test_only_a_list_of_exact_ints_is_one_chunk(value, chunks) -> None:
+    out: list[str] = []
+    jsonio._write(value, out, "", "\n")
+    assert len(out) == chunks
+    assert "".join(out) + "\n" == stdlib_dumps(value)
+
+
 @pytest.mark.parametrize(
     ("value", "error"),
     [
