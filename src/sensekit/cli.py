@@ -357,19 +357,18 @@ def _emit(text: str) -> None:
 
 def _cmd_ingest(args, settings: dict) -> int:
     from .corpus import (
-        AssertionSet,
         check_consistency,
         conflict_line_numbers,
         corpus_to_json_text,
+        parse_corpus,
         scan_corpus,
     )
 
     text = jsonio.read_text(args.corpus, "corpus")
-    scanned = scan_corpus(text)
-    aset = AssertionSet(tuple(a for _, a in scanned))
+    aset = parse_corpus(text)
     conflicts = check_consistency(aset)
     if conflicts:
-        lines = conflict_line_numbers(scanned)
+        lines = conflict_line_numbers(scan_corpus(text))  # scanned again, on this path only
         payload = []
         for prop, concept in conflicts:
             first, second = lines[(prop, concept)]

@@ -77,19 +77,20 @@ DEFAULT_DIMS: tuple[PrimitiveRelation, ...] = (
 )
 
 
-_RELATION_NAMES: dict[str, PrimitiveRelation] = {
-    **{rel.value: rel for rel in PrimitiveRelation},
-    **RELATION_ALIASES,
+# Every canonical name and alias, case-folded: names that differ only in case
+# ("isA"/"IsA") name the same relation, and no two relations share a folded name.
+_FOLDED_RELATION_NAMES = {
+    name.casefold(): rel
+    for name, rel in chain(((r.value, r) for r in PrimitiveRelation), RELATION_ALIASES.items())
 }
-# Names that differ only in case ("isA"/"IsA") name the same relation.
-_FOLDED_RELATION_NAMES = {name.casefold(): rel for name, rel in _RELATION_NAMES.items()}
 
 
 def resolve_relation(name: str) -> PrimitiveRelation:
-    """Resolve a canonical name or alias (case-insensitively) to a relation."""
-    relation = _RELATION_NAMES.get(name)
-    if relation is None:
-        relation = _FOLDED_RELATION_NAMES.get(name.casefold())
+    """Resolve a canonical name or alias (case-insensitively) to a relation.
+
+    A name that is not a str is a TypeError.
+    """
+    relation = _FOLDED_RELATION_NAMES.get(str.casefold(name))
     if relation is None:
         raise InputDataError(f"unknown primitive relation {name!r}")
     return relation
@@ -626,75 +627,59 @@ def meanings_from_json_text(text: str, *, what: str = "meaning store") -> tuple[
     The top-level array is decoded one record at a time, and each record
     is built before the next is decoded, so the load holds the text, the
     records built so far and one decoded row.  The records share one str
-    per distinct token, across the whole store.
+    per distinct token, across the whole store.  bytes are decoded as
+    json.loads() decodes them.
 
-    A text the walk does not expect (not a str, not an array, a JSON fault,
-    a bad or repeated record, trailing data) is read again as one parsed
-    tree, which raises what the tree has always raised: a JSON fault
-    anywhere before a record fault.
+    On any fault the text is first parsed whole by jsonio.loads(), so a JSON
+    fault anywhere in it wins over an earlier bad record; only then is the
+    walk's own error raised: a text that is not an array, the first bad
+    record's error, or a repeated sense.
     """
-    records = _walk_store(text, what) if text.__class__ is str else None
-    if records is None:
-        records = _meanings_from_rows(jsonio.loads(text, what=what), what)
-    return records
+    try:
+        if isinstance(text, (bytes, bytearray)):
+            return _walk_store(text.decode(json.detect_encoding(text), "surrogatepass"), what)
+        return _walk_store(text, what)
+    # Not a text, a JSON fault, deep nesting, a bad or repeated record.
+    except (TypeError, ValueError, StopIteration, RecursionError, MeaningStoreError):
+        jsonio.loads(text, what=what)  # the text as given: bytes skip the str BOM check
+        raise
 
 
-def _walk_store(text: str, what: str) -> tuple[MeaningRecord, ...] | None:
-    """The records of a valid store text, decoded one at a time; None at
-    anything else.
+def _walk_store(text: str, what: str) -> tuple[MeaningRecord, ...]:
+    """The records of a store text, decoded one at a time.
 
     It accepts what json.loads() accepts, with the scanner and the
     whitespace json.loads() uses between the array's items, save one edge:
     a row starts a few stack frames shallower than under json.loads(), so
     a row nested to within those few levels of the recursion limit loads
-    here where the parsed tree would exceed the limit.
+    here where the parsed tree would exceed the limit.  A JSON fault ends
+    the walk with whatever the scanner raises, or a bare ValueError where
+    the array does not end the text: meanings_from_json_text() reports it.
     """
     skip, scan = _SKIP_SPACE, _SCAN
     at = skip(text).end()
     if not text.startswith("[", at):
-        return None
+        raise MeaningStoreError(f"{what}: expected a JSON array of records")
     share = {}.setdefault  # the first str read for each token
     records: list[MeaningRecord] = []
     seen: set[str] = set()
     at = skip(text, at + 1).end()
     if not text.startswith("]", at):
-        try:
-            while True:
-                row, at = scan(text, at)
-                record = _record_from_json(row, f"{what}: record {len(records)}", share)
-                row = None  # released before the next row is decoded
-                if record.sense in seen:
-                    return None
-                seen.add(record.sense)
-                records.append(record)
-                at = skip(text, at).end()
-                if not text.startswith(",", at):
-                    break
-                at = skip(text, at + 1).end()
-        # No value at `at`, a JSON fault, deep nesting or a bad record.  The
-        # tree path then raises its error with no context from this one.
-        except (StopIteration, ValueError, RecursionError, MeaningStoreError):
-            return None
+        while True:
+            row, at = scan(text, at)
+            where = f"{what}: record {len(records)}"
+            record = _record_from_json(row, where, share)
+            row = None  # released before the next row is decoded
+            if record.sense in seen:
+                raise MeaningStoreError(f"{where}: duplicate sense {record.sense!r}")
+            seen.add(record.sense)
+            records.append(record)
+            at = skip(text, at).end()
+            if not text.startswith(",", at):
+                break
+            at = skip(text, at + 1).end()
     if not text.startswith("]", at) or skip(text, at + 1).end() != len(text):
-        return None
-    return tuple(records)
-
-
-def _meanings_from_rows(rows: object, what: str) -> tuple[MeaningRecord, ...]:
-    """The records of a parsed store; rows belongs to the load and is emptied."""
-    if not isinstance(rows, list):
-        raise MeaningStoreError(f"{what}: expected a JSON array of records")
-    # The first str read for each token; the sharing ends with the load.
-    share = {}.setdefault
-    records = []
-    seen: set[str] = set()
-    for i, raw in enumerate(rows):
-        rows[i] = None  # raw holds the row alone, until the next row replaces it
-        record = _record_from_json(raw, f"{what}: record {i}", share)
-        if record.sense in seen:
-            raise MeaningStoreError(f"{what}: record {i}: duplicate sense {record.sense!r}")
-        seen.add(record.sense)
-        records.append(record)
+        raise ValueError("not one JSON array")
     return tuple(records)
 
 

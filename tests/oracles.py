@@ -6,7 +6,8 @@ scan of the assertions, the conflict oracle ignores assertion order,
 the hierarchy oracles work directly on the (tolerant) inclusion relation
 between extents, the hierarchy exports sort each node's name sets and write
 JSON with the stdlib encoder, verify's oracle goes through corpus.extent(),
-the similarity and join oracles enumerate all
+the meaning store is parsed as one tree before its rows are read, the
+similarity and join oracles enumerate all
 cross-pairs instead of probing a token index, the corpus scanner matches
 each line against a unary, then a binary regex, and elicitation builds every
 value through its public, checking constructor.  All are slow and obviously
@@ -19,13 +20,16 @@ import json
 import re
 from typing import Iterable
 
+from sensekit import jsonio
 from sensekit.corpus import (
     AGENT, NONSENSICAL, OBJECT, SENSIBLE, Assertion, AssertionSet, ConceptId, PropertyKey, extent,
 )
 from sensekit.elicitation import DEFAULT_TEMPLATES, CompletionList, ElicitResult, rank_to_weight, render
-from sensekit.errors import CorpusSyntaxError, ElicitationError, InputDataError, ProviderError, TemplateError
+from sensekit.errors import (
+    CorpusSyntaxError, ElicitationError, InputDataError, MeaningStoreError, ProviderError, TemplateError,
+)
 from sensekit.hierarchy import TypeDag, TypedFact, VerifyResult
-from sensekit.semantics import MeaningRecord, PrimitiveRelation
+from sensekit.semantics import MeaningRecord, PrimitiveRelation, _record_from_json
 from sensekit.similarity import MatchedPair
 
 
@@ -208,6 +212,26 @@ def reference_verify(dag: TypeDag, fact: TypedFact, aset: AssertionSet, labels=N
     covered = {c.name for c in extent(aset, fact.property)}
     violations = tuple(sorted(node.extent - covered))
     return VerifyResult(consistent=not violations, violations=violations)
+
+
+def reference_meanings_from_json_text(text, what: str) -> tuple[MeaningRecord, ...]:
+    """meanings_from_json_text() as one parsed tree: jsonio.loads() of the
+    whole text, then its rows read in order; the rows are emptied as read."""
+    rows = jsonio.loads(text, what=what)
+    if not isinstance(rows, list):
+        raise MeaningStoreError(f"{what}: expected a JSON array of records")
+    # The first str read for each token; the sharing ends with the load.
+    share = {}.setdefault
+    records = []
+    seen: set[str] = set()
+    for i, raw in enumerate(rows):
+        rows[i] = None  # raw holds the row alone, until the next row replaces it
+        record = _record_from_json(raw, f"{what}: record {i}", share)
+        if record.sense in seen:
+            raise MeaningStoreError(f"{what}: record {i}: duplicate sense {record.sense!r}")
+        seen.add(record.sense)
+        records.append(record)
+    return tuple(records)
 
 
 def brute_force_dimension_similarity(

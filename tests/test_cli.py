@@ -2,19 +2,23 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sensekit
+from sensekit import jsonio
 from sensekit.cli import main
+from sensekit.corpus import corpus_to_json_text, parse_corpus
 from sensekit.elicitation import TEMPLATE_SETS
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -88,6 +92,37 @@ def test_ingest_conflict_exit_3_with_line_numbers(tmp_path, capsys) -> None:
     assert data["conflicts"] == [
         {"prop": "OLD", "arity": 1, "position": None, "concept": "trip", "lines": [1, 3]}
     ]
+
+
+def _traced_peak(call, *args) -> int:
+    """The most memory call(*args) held at once, as tracemalloc counts it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _parse_then_render(path: str) -> str:
+    text = jsonio.read_text(path, "corpus")
+    return corpus_to_json_text(parse_corpus(text))
+
+
+def test_ingest_peaks_near_its_parse_and_render(tmp_path, monkeypatch) -> None:
+    """ingest holds no scanned (line, assertion) pairs while it renders: its
+    peak is that of parsing the text and rendering the set."""
+    corpus = tmp_path / "wide.sense"
+    corpus.write_text("".join(
+        f"{'-' if (p + c) % 7 == 0 else '+'} P{p:03d} c{c:03d}\n"
+        for p in range(200) for c in range(100)
+    ), encoding="utf-8")
+    # A stdout that keeps nothing, so only the command's own memory counts.
+    monkeypatch.setattr(sys, "stdout", type("Sink", (), {"write": len, "flush": lambda self: None})())
+    reference = _traced_peak(_parse_then_render, str(corpus))
+    ingest = _traced_peak(main, ["ingest", str(corpus)])
+    assert ingest <= 1.05 * reference, f"ingest peaked at {ingest / reference:.3f}x parse and render"
 
 
 def test_ingest_missing_file_exit_5(capsys) -> None:

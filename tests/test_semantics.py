@@ -41,7 +41,7 @@ from sensekit.semantics import (
     resolve_relation,
     save_meanings,
 )
-from sensekit.semantics import _meanings_from_rows
+from oracles import reference_meanings_from_json_text
 
 REL = PrimitiveRelation
 
@@ -88,6 +88,12 @@ def test_every_name_resolves_in_any_case() -> None:
 def test_unknown_relation_rejected() -> None:
     with pytest.raises(InputDataError):
         resolve_relation("hasVibes")
+
+
+@pytest.mark.parametrize("name", [5, None, b"hasProp"])
+def test_a_relation_name_that_is_not_a_str_is_a_type_error(name) -> None:
+    with pytest.raises(TypeError):
+        resolve_relation(name)
 
 
 # --- copular classification ------------------------------------------------------
@@ -793,8 +799,8 @@ def _tree_outcome(text) -> object:
     """The records of text read as one parsed tree, or the type and message
     of the error that read raises."""
     try:
-        return _meanings_from_rows(jsonio.loads(text, what="meaning store"), "meaning store")
-    except (InputDataError, RecursionError) as exc:
+        return reference_meanings_from_json_text(text, "meaning store")
+    except (InputDataError, RecursionError, TypeError) as exc:
         return type(exc), str(exc)
 
 
@@ -802,7 +808,7 @@ def _reader_outcome(text) -> object:
     """meanings_from_json_text(text), or the type and message of its error."""
     try:
         return meanings_from_json_text(text)
-    except (InputDataError, RecursionError) as exc:
+    except (InputDataError, RecursionError, TypeError) as exc:
         return type(exc), str(exc)
 
 
@@ -859,16 +865,32 @@ def test_store_json_fault_wins_over_an_earlier_bad_record(text: str) -> None:
     assert _reader_outcome(text) == _tree_outcome(text)
 
 
+#: A non-ASCII store, valid, with a repeated sense, and with a bad record
+#: then an open array, encoded in every encoding json.loads() detects.
+_NON_ASCII = {"sense": "w", "gloss": "\u00e9\u2603", "dims": {"hasProp": [[1.0, "h\u00e9llo"]]}}
+_ENCODED = {
+    f"{encoding}-{name}": text.encode(encoding)
+    for encoding in ("utf-8", "utf-8-sig", "utf-16", "utf-16-le", "utf-16-be",
+                     "utf-32", "utf-32-le", "utf-32-be")
+    for name, text in (("store", json.dumps([_NON_ASCII], ensure_ascii=False)),
+                       ("repeated-sense", json.dumps([_NON_ASCII] * 2, ensure_ascii=False)),
+                       ("bad-record-then-open-array", json.dumps([_BAD, _NON_ASCII])[:-1]))
+}
+
+
 @pytest.mark.parametrize(
     "text",
     [json.dumps([_W, _W, 7])[:-1], json.dumps([_W, _BAD])[:-2] + "}", "\ufeff" + json.dumps([_W]),
      json.dumps([_W]).encode(), json.dumps([_BAD, _W]).encode(), " [ ] \r\n", "[,]",
      "[" + json.dumps(_W) + ",]", json.dumps([_W]).replace(", ", ",\x0b"), "", "[",
-     json.dumps([_W]) + "x", json.dumps([_W]) + " \n]", "[] []", json.dumps([_W]) + "\x0c"],
+     json.dumps([_W]) + "x", json.dumps([_W]) + " \n]", "[] []", json.dumps([_W]) + "\x0c",
+     *_ENCODED.values(), bytearray(json.dumps([_W]).encode()), b'[{"sense": "\xff"}]',
+     b"\xef\xbb\xbf\xef\xbb\xbf[]", None, 5],
     ids=["repeated-sense-then-open-array", "bad-last-record-then-open-array", "bom", "bytes",
          "bytes-bad-record", "empty-spaced", "lone-comma", "trailing-comma", "vertical-tab",
          "empty-text", "open-bracket", "trailing-text", "trailing-bracket", "two-arrays",
-         "trailing-form-feed"],
+         "trailing-form-feed", *_ENCODED, "bytearray", "invalid-utf-8", "bytes-two-boms",
+         "none", "int"],
 )
 def test_store_reader_equals_the_tree_load(text) -> None:
     assert _reader_outcome(text) == _tree_outcome(text)
