@@ -22,7 +22,7 @@ import sys
 from collections.abc import Mapping, Sequence
 
 from . import __version__, jsonio
-from .errors import ConfigError, ConsistencyError, InputDataError, SensekitError
+from .errors import ConfigError, ConsistencyError, InputDataError, SensekitError, _echo
 
 # Each command imports the layers it runs when it runs, so `sensekit ingest`
 # never loads the hierarchy, semantics, similarity or elicitation modules.
@@ -77,21 +77,15 @@ def _build_parser() -> _Parser:
 
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser(
-        "ingest",
-        parents=[common],
-        help="parse a corpus, check consistency, emit normalized JSON",
-        epilog=_EXIT_CODES_HELP,
-    )
+    def command(name: str, summary: str) -> _Parser:
+        """A subcommand that takes --config and --seed and lists the exit codes."""
+        return sub.add_parser(name, parents=[common], help=summary, epilog=_EXIT_CODES_HELP)
+
+    p = command("ingest", "parse a corpus, check consistency, emit normalized JSON")
     p.add_argument("corpus", metavar="CORPUS-FILE", help="corpus text file")
     p.add_argument("-o", "--out", metavar="FILE", default=None, help="also write the JSON here")
 
-    p = sub.add_parser(
-        "induce",
-        parents=[common],
-        help="induce the type hierarchy and emit ontology JSON",
-        epilog=_EXIT_CODES_HELP,
-    )
+    p = command("induce", "induce the type hierarchy and emit ontology JSON")
     p.add_argument(
         "corpus",
         metavar="CORPUS-FILE",
@@ -104,21 +98,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--dot", metavar="FILE", default=None, help="also write a DOT rendering here")
     p.add_argument("-o", "--out", metavar="FILE", default=None, help="also write the ontology JSON here")
 
-    p = sub.add_parser(
-        "nominalize",
-        parents=[common],
-        help="emit primitive-relation triples for all sensible assertions",
-        epilog=_EXIT_CODES_HELP,
-    )
+    p = command("nominalize", "emit primitive-relation triples for all sensible assertions")
     p.add_argument("corpus", metavar="CORPUS-FILE", nargs="?", default=None)
     p.add_argument("--lexicon", metavar="FILE", default=None, help="nominalization lexicon JSON")
 
-    p = sub.add_parser(
-        "sim",
-        parents=[common],
-        help="similarity report for two senses from the meaning store",
-        epilog=_EXIT_CODES_HELP,
-    )
+    p = command("sim", "similarity report for two senses from the meaning store")
     p.add_argument("sense_a", metavar="SENSE-A")
     p.add_argument("sense_b", metavar="SENSE-B")
     p.add_argument("--store", dest="meaning_store", metavar="FILE", help="meaning-store JSON file")
@@ -131,12 +115,7 @@ def _build_parser() -> _Parser:
         help="comma-separated weights matching --dims (default: all equal)",
     )
 
-    p = sub.add_parser(
-        "elicit",
-        parents=[common],
-        help="draft a meaning record and assertions from a completion provider",
-        epilog=_EXIT_CODES_HELP,
-    )
+    p = command("elicit", "draft a meaning record and assertions from a completion provider")
     p.add_argument("--subject", required=True, help="concept to elicit for (e.g. book)")
     p.add_argument(
         "--dims",
@@ -185,13 +164,13 @@ def _comma_list(text: str) -> list[str]:
 def _path(name: str, value) -> str:
     # open() raises ValueError, not OSError, on an embedded NUL.
     if not isinstance(value, str) or "\0" in value:
-        raise ConfigError(f"{name} must be a file path, got {value!r}")
+        raise ConfigError(f"{name} must be a file path, got {_echo(value)}")
     return value
 
 
 def _text(name: str, value) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string, got {value!r}")
+        raise ConfigError(f"{name} must be a string, got {_echo(value)}")
     return value
 
 
@@ -202,7 +181,7 @@ def _number(name: str, value) -> float:
             return float(value)
         except OverflowError:
             return math.inf if value > 0 else -math.inf
-    raise ConfigError(f"{name} must be a number, got {value!r}")
+    raise ConfigError(f"{name} must be a number, got {_echo(value)}")
 
 
 def _seconds(name: str, value) -> float:
@@ -211,7 +190,7 @@ def _seconds(name: str, value) -> float:
     seconds = _number(name, value)
     if not 0.0 < seconds <= TIMEOUT_MAX:
         raise ConfigError(
-            f"{name} must be a positive number of seconds up to {TIMEOUT_MAX:.0f}, got {value!r}"
+            f"{name} must be a positive number of seconds up to {TIMEOUT_MAX:.0f}, got {_echo(value)}"
         )
     return seconds
 
@@ -219,7 +198,7 @@ def _seconds(name: str, value) -> float:
 def _retries(name: str, value) -> int:
     if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
         return value
-    raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+    raise ConfigError(f"{name} must be a non-negative integer, got {_echo(value)}")
 
 
 def _relations(name: str, names) -> tuple[PrimitiveRelation, ...]:
@@ -239,7 +218,7 @@ def _relations(name: str, names) -> tuple[PrimitiveRelation, ...]:
 
 def _dims(name: str, value) -> tuple[PrimitiveRelation, ...]:
     if not isinstance(value, list) or not all(isinstance(dim, str) for dim in value):
-        raise ConfigError(f"{name} must be a list of dimension names, got {value!r}")
+        raise ConfigError(f"{name} must be a list of dimension names, got {_echo(value)}")
     names = [dim.strip() for dim in ",".join(value).split(",") if dim.strip()]
     if not names:
         raise ConfigError(f"{name}: dimension list is empty")
@@ -248,8 +227,8 @@ def _dims(name: str, value) -> tuple[PrimitiveRelation, ...]:
 
 def _dim_weights(name: str, value) -> dict[PrimitiveRelation, float]:
     if not isinstance(value, dict):
-        raise ConfigError(f"{name} must map dimension names to numbers, got {value!r}")
-    weights = (_number(f"{name}[{dim!r}]", weight) for dim, weight in value.items())
+        raise ConfigError(f"{name} must map dimension names to numbers, got {_echo(value)}")
+    weights = (_number(f"{name}[{_echo(dim)}]", weight) for dim, weight in value.items())
     return dict(zip(_relations(name, value), weights))
 
 
@@ -282,7 +261,7 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config {path}: expected a JSON object")
     sections = {"": data, "provider": data.get("provider", {})}
     if not isinstance(sections["provider"], dict):
-        raise ConfigError(f"config 'provider' must be an object, got {sections['provider']!r}")
+        raise ConfigError(f"config 'provider' must be an object, got {_echo(sections['provider'])}")
     settings = {}
     for key, check in _CHECKS.items():
         section, _, field = key.rpartition(".")
@@ -297,10 +276,13 @@ def _weights_for(dims: tuple[PrimitiveRelation, ...], csv: str | None) -> dict:
     values = [v.strip() for v in csv.split(",") if v.strip()]
     if len(values) != len(dims):
         raise ConfigError(f"--dim-weights has {len(values)} value(s) for {len(dims)} dimension(s)")
-    try:
-        return {d: float(v) for d, v in zip(dims, values)}
-    except ValueError as exc:
-        raise ConfigError(f"bad --dim-weights: {exc}") from exc
+    weights = {}
+    for d, v in zip(dims, values):
+        try:
+            weights[d] = float(v)
+        except ValueError as exc:  # float()'s message would repeat all of v
+            raise ConfigError(f"bad --dim-weights: could not convert string to float: {_echo(v)}") from exc
+    return weights
 
 
 def _settings(args: argparse.Namespace) -> dict:
@@ -448,7 +430,7 @@ def _cmd_sim(args, settings: dict) -> int:
     for sense in (args.sense_a, args.sense_b):
         if sense not in records:
             known = ", ".join(sorted(records)) or "(none)"
-            raise InputDataError(f"sense {sense!r} not in store (available: {known})")
+            raise InputDataError(f"sense {_echo(sense)} not in store (available: {known})")
     report = concept_similarity(
         records[args.sense_a], records[args.sense_b], settings.get("dim_weights") or None
     )
@@ -458,7 +440,7 @@ def _cmd_sim(args, settings: dict) -> int:
 
 def _cmd_elicit(args, settings: dict) -> int:
     if args.n < 1:
-        raise ConfigError(f"-n must be >= 1, got {args.n}")
+        raise ConfigError(f"-n must be >= 1, got {_echo(args.n)}")
     from .corpus import ConceptId, corpus_to_json
     from .elicitation import TEMPLATE_SETS, MockProvider, RemoteProvider, elicit
     from .semantics import meaning_record_to_json

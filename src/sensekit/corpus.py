@@ -32,7 +32,7 @@ from json.encoder import encode_basestring as _encode  # the encoder jsonio.dump
 from operator import attrgetter, itemgetter
 
 from . import jsonio
-from .errors import CorpusSyntaxError, InputDataError
+from .errors import CorpusSyntaxError, InputDataError, _echo
 
 SENSIBLE = "sensible"
 NONSENSICAL = "nonsensical"
@@ -52,22 +52,6 @@ _setattr = object.__setattr__  # one global read per field, not a lookup on obje
 
 _BAD_POLARITY = "polarity must be sensible/nonsensical, got {}"
 
-_ECHO_LIMIT = 200  # characters of an input line or token an error message repeats
-
-
-def _echo(value: object) -> str:
-    """repr(value), cut to _ECHO_LIMIT characters and marked when longer.  A str is
-    cut before repr; a value holding an int too long to print is named by type."""
-    if value.__class__ is str:
-        text, shown = value, repr(value[:_ECHO_LIMIT])
-    else:
-        try:
-            text = repr(value)
-        except ValueError:  # past sys.get_int_max_str_digits()
-            return f"<{type(value).__name__} too large to print>"
-        shown = text[:_ECHO_LIMIT]
-    return shown if len(text) <= _ECHO_LIMIT else f"{shown}... ({len(text)} characters)"
-
 
 class Value:
     """Base of the immutable model types: an instance is the tuple of its fields.
@@ -85,8 +69,7 @@ class Value:
 
     def __init_subclass__(cls) -> None:
         cls._fields = names = tuple(cls.__dict__.get("__annotations__", cls._fields))
-        get = attrgetter(*names)  # a tuple for two names or more, else the value
-        cls._values = staticmethod(get if len(names) > 1 else lambda self: (get(self),))
+        cls._values = attrgetter(*names)  # the tuple of the fields, or the one field's value
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -97,7 +80,7 @@ class Value:
         return hash(self._values(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:

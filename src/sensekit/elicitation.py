@@ -19,10 +19,9 @@ from collections.abc import Mapping, Sequence
 
 from . import jsonio
 from .corpus import (
-    _PROPERTY_RE, AGENT, OBJECT, AssertionSet, ConceptId, PropertyKey, Value, _echo, _key_of, _sensible_of,
-    _setattr,
+    _PROPERTY_RE, AGENT, OBJECT, AssertionSet, ConceptId, PropertyKey, Value, _key_of, _sensible_of, _setattr,
 )
-from .errors import ConfigError, ElicitationError, InputDataError, ProviderError, TemplateError
+from .errors import ConfigError, ElicitationError, InputDataError, ProviderError, TemplateError, _echo
 from .semantics import MeaningRecord, PrimitiveRelation, WeightedProperty, _record_of, resolve_relation
 
 #: The shipped mock fixture, read as a plain file next to this module.
@@ -39,12 +38,12 @@ class PromptTemplate(Value):
         if pattern.count("{X}") != 1:
             raise TemplateError(
                 f"template for {dimension.value} must contain exactly one "
-                f"'{{X}}' slot: {pattern!r}"
+                f"'{{X}}' slot: {_echo(pattern)}"
             )
         if pattern.count("[MASK]") != 1:
             raise TemplateError(
                 f"template for {dimension.value} must contain exactly one "
-                f"'[MASK]' token: {pattern!r}"
+                f"'[MASK]' token: {_echo(pattern)}"
             )
         _setattr(self, "dimension", dimension)
         _setattr(self, "pattern", pattern)
@@ -85,9 +84,9 @@ TEMPLATE_SETS: dict[str, dict[PrimitiveRelation, PromptTemplate]] = {
 def rank_to_weight(rank: int, n: int) -> float:
     """Linear rank weighting: rank 1 of n maps to 1.0, rank n to 1/n."""
     if n < 1:
-        raise InputDataError(f"completion list length must be >= 1, got {n}")
+        raise InputDataError(f"completion list length must be >= 1, got {_echo(n)}")
     if not 1 <= rank <= n:
-        raise InputDataError(f"rank {rank} out of range 1..{n}")
+        raise InputDataError(f"rank {_echo(rank)} out of range 1..{_echo(n)}")
     return (n - rank + 1) / n
 
 
@@ -112,12 +111,8 @@ class CompletionList(Value):
             raise InputDataError("completion list must be deduplicated")
         if len(original_ranks) != len(completions):
             raise InputDataError("original_ranks must parallel completions")
-        # rank_to_weight's checks, made once here so weighted() need not.
-        if total < 1:
-            raise InputDataError(f"completion list length must be >= 1, got {total}")
-        if not 1 <= min(original_ranks) <= max(original_ranks) <= total:
-            rank = next(r for r in original_ranks if not 1 <= r <= total)
-            raise InputDataError(f"rank {rank} out of range 1..{total}")
+        for rank in original_ranks:  # checked here, so weighted() need not
+            rank_to_weight(rank, total)
         _setattr(self, "subject", subject)
         _setattr(self, "dimension", dimension)
         _setattr(self, "completions", completions)
@@ -169,14 +164,6 @@ def _has_surrogate(tokens: Sequence[str]) -> bool:
     return False
 
 
-class CompletionProvider:
-    """What elicit() asks of a provider; any object with a complete() method will do."""
-
-    def complete(self, prompt: str, n: int) -> list[str]:
-        """Return up to n ranked completions for the [MASK] in prompt."""
-        raise NotImplementedError
-
-
 class MockProvider:
     """Deterministic provider answering from a (subject, dimension) fixture.
 
@@ -191,19 +178,19 @@ class MockProvider:
         for subject in sorted(fixture):
             per_dim = fixture[subject]
             if not isinstance(per_dim, Mapping):
-                raise InputDataError(f"completion fixture: {subject!r} must map dimensions to lists")
+                raise InputDataError(f"completion fixture: {_echo(subject)} must map dimensions to lists")
             for dim_name in sorted(per_dim):
                 dimension = resolve_relation(dim_name)
                 if not isinstance(per_dim[dim_name], (list, tuple)):
-                    raise InputDataError(f"completion fixture: {subject!r} {dim_name!r} is not a list")
+                    raise InputDataError(f"completion fixture: {_echo(subject)} {_echo(dim_name)} is not a list")
                 tokens = tuple(per_dim[dim_name])
                 if not set(map(type, tokens)) <= {str}:
                     raise InputDataError(
-                        f"completion fixture: {subject!r} {dim_name!r} has a non-string token"
+                        f"completion fixture: {_echo(subject)} {_echo(dim_name)} has a non-string token"
                     )
                 if _has_surrogate(tokens):
                     raise InputDataError(
-                        f"completion fixture: {subject!r} {dim_name!r} has a token "
+                        f"completion fixture: {_echo(subject)} {_echo(dim_name)} has a token "
                         "holding a surrogate code point, which UTF-8 cannot encode"
                     )
                 for templates in TEMPLATE_SETS.values():
@@ -218,7 +205,7 @@ class MockProvider:
                     if existing is not None and existing != tokens:
                         raise InputDataError(
                             f"fixture renders two different completion lists "
-                            f"for prompt {prompt!r}"
+                            f"for prompt {_echo(prompt)}"
                         )
                     prompts[prompt] = tokens
         self._prompts = prompts
@@ -233,10 +220,10 @@ class MockProvider:
 
     def complete(self, prompt: str, n: int) -> list[str]:
         if n < 1:
-            raise ProviderError(f"completion count must be >= 1, got {n}")
+            raise ProviderError(f"completion count must be >= 1, got {_echo(n)}")
         tokens = self._prompts.get(prompt)
         if tokens is None:
-            raise ProviderError(f"mock provider has no completions for prompt {prompt!r}")
+            raise ProviderError(f"mock provider has no completions for prompt {_echo(prompt)}")
         return list(tokens[:n])
 
 
@@ -304,7 +291,7 @@ class RemoteProvider:
         try:
             request = urllib.request.Request(self.endpoint, body, self._headers())
             if request.type not in ("http", "https"):
-                raise ValueError(f"unsupported URL scheme {request.type!r}")
+                raise ValueError(f"unsupported URL scheme {_echo(request.type)}")
             opener = urllib.request.build_opener(NoRedirect)
             with opener.open(request, timeout=self.timeout) as response:
                 return response.read()
@@ -362,7 +349,7 @@ class ElicitResult(Value):
 
 
 def elicit(
-    provider: CompletionProvider,
+    provider,
     subject: str,
     dims: Sequence[PrimitiveRelation],
     n: int,
@@ -370,9 +357,12 @@ def elicit(
 ) -> ElicitResult:
     """Build a draft meaning record and draft assertions for one subject.
 
-    Each of dims must be a PrimitiveRelation, named once (InputDataError
-    otherwise), with a template in templates (TemplateError otherwise), all
-    checked before the provider is asked anything.  Dimensions are processed
+    provider is any object whose complete(prompt, n) returns a list of up
+    to n ranked completions for the [MASK] in prompt, or raises
+    ProviderError.  Each of dims must be a PrimitiveRelation, named once
+    (InputDataError otherwise), with a template in templates (TemplateError
+    otherwise), and subject must be a concept id (InputDataError otherwise),
+    all checked before the provider is asked anything.  Dimensions are processed
     in declaration order; a provider failure on one dimension is recorded in
     failures and does not discard the others.  A dimension also fails when its completions
     are empty or hold a token that is not a str or that UTF-8 cannot encode.
@@ -387,7 +377,7 @@ def elicit(
     if templates is None:
         templates = DEFAULT_TEMPLATES
     if n < 1:
-        raise InputDataError(f"completion count must be >= 1, got {n}")
+        raise InputDataError(f"completion count must be >= 1, got {_echo(n)}")
     if not dims:
         raise InputDataError("at least one dimension is required")
     for dimension in dims:
@@ -399,7 +389,10 @@ def elicit(
     missing = [d.value for d in dims if d not in templates]
     if missing:
         raise TemplateError(f"no template for dimension(s): {', '.join(missing)}")
-    concept = ConceptId(subject)
+    try:
+        concept = ConceptId(subject)
+    except ValueError as exc:
+        raise InputDataError(str(exc)) from None
 
     entries: dict[PrimitiveRelation, tuple[WeightedProperty, ...]] = {}
     keyed: dict[tuple[str, str], PropertyKey] = {}  # _sensible_of's run keys
@@ -435,7 +428,7 @@ def elicit(
             name = token.strip().upper().replace(" ", "-")
             if fullmatch(name) is None:
                 warnings.append(
-                    f"{dimension.value}: completion {token!r} is not a usable "
+                    f"{dimension.value}: completion {_echo(token)} is not a usable "
                     "property token; no assertion recorded"
                 )
             elif (name, slot) not in keyed:

@@ -3,9 +3,28 @@
 Each error family carries the process exit code the CLI returns for it, so
 new exceptions should subclass the family that matches their failure class
 rather than SensekitError directly.
+
+Every message that repeats a value read from input, or passed by a caller,
+quotes it through _echo, so one huge value cannot flood stderr.
 """
 
 from __future__ import annotations
+
+_ECHO_LIMIT = 200  # characters of an input value an error message repeats
+
+
+def _echo(value: object) -> str:
+    """repr(value), cut to _ECHO_LIMIT characters and marked when longer.  A str is
+    cut before repr; a value holding an int too long to print is named by type."""
+    if value.__class__ is str:
+        text, shown = value, repr(value[:_ECHO_LIMIT])
+    else:
+        try:
+            text = repr(value)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            return f"<{type(value).__name__} too large to print>"
+        shown = text[:_ECHO_LIMIT]
+    return shown if len(text) <= _ECHO_LIMIT else f"{shown}... ({len(text)} characters)"
 
 
 class SensekitError(Exception):

@@ -45,6 +45,7 @@ from .errors import (
     EmptyCorpusError,
     OntologyError,
     UnknownTypeError,
+    _echo,
 )
 
 ROOT_LABEL = "entity"
@@ -55,7 +56,7 @@ class InduceConfig(Value):
 
     def __init__(self, tau=0.0) -> None:
         if not 0.0 <= tau <= 1.0:
-            raise ConfigError(f"tau must be in [0, 1], got {tau}")
+            raise ConfigError(f"tau must be in [0, 1], got {_echo(tau)}")
         _setattr(self, "tau", tau)
 
 
@@ -103,6 +104,10 @@ class TypedFact(Value):
     type_name: str
 
     def __init__(self, property, type_name) -> None:
+        if not isinstance(property, PropertyKey):
+            raise TypeError(f"property must be a PropertyKey, not {type(property).__name__}")
+        if not isinstance(type_name, str):
+            raise TypeError(f"type_name must be a str, not {type(type_name).__name__}")
         _setattr(self, "property", property)
         _setattr(self, "type_name", type_name)
 
@@ -136,7 +141,7 @@ class TypeDag(Value):
             if not node.direct_members <= node.extent:
                 raise ValueError(f"node {i}: members not within extent")
         if not 0 <= root < n:
-            raise ValueError(f"root {root!r} is not a node id")
+            raise ValueError(f"root {_echo(root)} is not a node id")
         parent_count: dict[int, int] = {}
         for i, (parent, child) in enumerate(edges):
             if not (0 <= parent < n and 0 <= child < n):
@@ -159,7 +164,7 @@ class TypeDag(Value):
 
     def node_by_id(self, node_id: int) -> TypeNode:
         if not 0 <= node_id < len(self.nodes):
-            raise UnknownTypeError(f"no node with id {node_id}")
+            raise UnknownTypeError(f"no node with id {_echo(node_id)}")
         return self.nodes[node_id]
 
     def parents(self, node_id: int) -> tuple[int, ...]:
@@ -184,10 +189,10 @@ class TypeDag(Value):
             if hit:
                 matches.append(node)
         if not matches:
-            raise UnknownTypeError(f"unknown type name {type_name!r}")
+            raise UnknownTypeError(f"unknown type name {_echo(type_name)}")
         if len(matches) > 1:
             ids = ", ".join(str(n.id) for n in matches)
-            raise UnknownTypeError(f"type name {type_name!r} is ambiguous (nodes {ids})")
+            raise UnknownTypeError(f"type name {_echo(type_name)} is ambiguous (nodes {ids})")
         return matches[0]
 
 
@@ -299,9 +304,11 @@ def induce(aset: AssertionSet, cfg: InduceConfig | None = None) -> TypeDag:
     (largest first), then by lexicographic member list, and ids follow that
     order.  A node whose extent is one property's run, or every concept,
     gets that sorted name tuple as its sorted_extent; a merged node derives
-    it on first use.  A cfg that is neither None nor an InduceConfig is a
-    TypeError.
+    it on first use.  An aset that is not an AssertionSet, or a cfg that is
+    neither None nor an InduceConfig, is a TypeError.
     """
+    if not isinstance(aset, AssertionSet):
+        raise TypeError(f"aset must be an AssertionSet, not {type(aset).__name__}")
     if cfg is None:
         cfg = InduceConfig()
     elif not isinstance(cfg, InduceConfig):
@@ -360,10 +367,12 @@ def verify(
     concepts are returned, sorted.  The covered names are read from the
     property's run, as corpus.extent() finds it, without building its
     ConceptIds; an unknown property covers none.  A fact that is not a
-    TypedFact is a TypeError.
+    TypedFact, or an aset that is not an AssertionSet, is a TypeError.
     """
     if not isinstance(fact, TypedFact):
         raise TypeError(f"fact must be a TypedFact, not {type(fact).__name__}")
+    if not isinstance(aset, AssertionSet):
+        raise TypeError(f"aset must be an AssertionSet, not {type(aset).__name__}")
     node = dag.resolve(fact.type_name, labels)
     prop = fact.property
     run = aset._runs.get((prop.name, prop.position or ""))
@@ -463,10 +472,10 @@ def dag_from_json(data: object) -> TypeDag:
         except (KeyError, TypeError) as exc:
             raise OntologyError(f"ontology JSON: node {i}: {exc}") from exc
         if node.id.__class__ is not int:
-            raise OntologyError(f"ontology JSON: node {i} has id {node.id!r}, not {i}")
+            raise OntologyError(f"ontology JSON: node {i} has id {_echo(node.id)}, not {i}")
         nodes.append(node)
     if root.__class__ is not int:
-        raise OntologyError(f"ontology JSON: root {root!r} is not a node id")
+        raise OntologyError(f"ontology JSON: root {_echo(root)} is not a node id")
     edges = []
     for i, raw in enumerate(raw_edges):
         try:
@@ -474,7 +483,7 @@ def dag_from_json(data: object) -> TypeDag:
         except (TypeError, ValueError) as exc:
             raise OntologyError(f"ontology JSON: edge {i}: {exc}") from exc
         if not parent.__class__ is child.__class__ is int:
-            raise OntologyError(f"ontology JSON: edge {i}: ends must be integers, got {raw!r}")
+            raise OntologyError(f"ontology JSON: edge {i}: ends must be integers, got {_echo(raw)}")
         edges.append((parent, child))
     try:
         return TypeDag(nodes=tuple(nodes), edges=edges, root=root)

@@ -24,8 +24,8 @@ from types import MappingProxyType
 from collections.abc import Iterable, Iterator, Mapping
 
 from . import jsonio
-from .corpus import SENSIBLE, Assertion, ConceptId, Value, _echo, _setattr
-from .errors import InputDataError, LexiconError, MeaningStoreError
+from .corpus import SENSIBLE, Assertion, ConceptId, Value, _setattr
+from .errors import InputDataError, LexiconError, MeaningStoreError, _echo
 
 
 class PrimitiveRelation(str, enum.Enum):
@@ -92,7 +92,7 @@ def resolve_relation(name: str) -> PrimitiveRelation:
     """
     relation = _FOLDED_RELATION_NAMES.get(str.casefold(name))
     if relation is None:
-        raise InputDataError(f"unknown primitive relation {name!r}")
+        raise InputDataError(f"unknown primitive relation {_echo(name)}")
     return relation
 
 
@@ -136,7 +136,7 @@ class NominalizationLexicon(Value):
     def require(self, name: str) -> LexiconEntry:
         entry = self.entries.get(name)
         if entry is None:
-            raise LexiconError(f"no lexicon entry for property {name!r}")
+            raise LexiconError(f"no lexicon entry for property {_echo(name)}")
         return entry
 
     def __len__(self) -> int:
@@ -152,11 +152,11 @@ def lexicon_from_json(data: object) -> NominalizationLexicon:
     entries: dict[str, LexiconEntry] = {}
     for key, raw in data.items():
         if not isinstance(raw, dict):
-            raise LexiconError(f"lexicon entry {key!r} must be an object")
+            raise LexiconError(f"lexicon entry {_echo(key)} must be an object")
         try:
             entries[key] = LexiconEntry(trope=raw["trope"], category=raw["cat"])
         except (KeyError, ValueError) as exc:
-            raise LexiconError(f"lexicon entry {key!r}: {exc}") from exc
+            raise LexiconError(f"lexicon entry {_echo(key)}: {exc}") from exc
     return NominalizationLexicon(entries)
 
 
@@ -255,7 +255,7 @@ class CopularStatement(Value):
             try:
                 form = CopularForm(form)
             except ValueError:
-                raise InputDataError(f"unknown copular form {form!r}") from None
+                raise InputDataError(f"unknown copular form {_echo(form)}") from None
         payload = tuple(payload)
         expected = 2 if form is CopularForm.MEASURE else 1
         if len(payload) != expected:
@@ -338,13 +338,13 @@ def nominalize_assertion(
         )
         return PrimitiveTriple(subject, relation, noun)
     if entry is None:
-        raise LexiconError(f"no lexicon entry for property {prop.name!r}")
+        raise LexiconError(f"no lexicon entry for property {_echo(prop.name)}")
     if entry.category == CATEGORY_PROPERTY:
         return PrimitiveTriple(subject, PrimitiveRelation.HAS_PROP, entry.trope)
     if entry.category == CATEGORY_STATE:
         return PrimitiveTriple(subject, PrimitiveRelation.IN_STATE, entry.trope)
     raise LexiconError(
-        f"unary property {prop.name!r} has category {entry.category!r}; "
+        f"unary property {_echo(prop.name)} has category {entry.category!r}; "
         "only 'property' and 'state' nominalize to hasProp/inState"
     )
 
@@ -365,7 +365,8 @@ class MeaningRecord(Value):
     dims: Mapping[PrimitiveRelation, tuple[WeightedProperty, ...]]
 
     def __init__(self, sense, gloss, dims) -> None:
-        """Refuse every record the store loader would, walking the pairs once."""
+        """Refuse every record the store loader would, walking the pairs once;
+        a dims that is not a mapping is a TypeError."""
         _fill(self, sense, gloss, dims, None)
 
     def dimension(self, relation: PrimitiveRelation) -> tuple[WeightedProperty, ...]:
@@ -402,16 +403,20 @@ def _fill(record: MeaningRecord, sense, gloss, dims, share) -> None:
     """
     if not sense.__class__ is gloss.__class__ is str:
         name, value = ("sense", sense) if sense.__class__ is not str else ("gloss", gloss)
-        raise MeaningStoreError(f"{name!r} must be a string, got {value!r}")
+        raise MeaningStoreError(f"{name!r} must be a string, got {_echo(value)}")
     try:
         ConceptId(sense)  # validates the token shape
     except ValueError as exc:
         raise MeaningStoreError(str(exc)) from None
     clean: dict[PrimitiveRelation, tuple[WeightedProperty, ...]] = {}
-    for relation, pairs in dims.items():
+    try:
+        items = dims.items()
+    except AttributeError:
+        raise TypeError(f"dims must be a mapping, not {type(dims).__name__}") from None
+    for relation, pairs in items:
         if not isinstance(relation, PrimitiveRelation):
             raise MeaningStoreError(
-                f"record {sense!r}: dimension key {relation!r} is not a relation"
+                f"record {_echo(sense)}: dimension key {_echo(relation)} is not a relation"
             )
         seen: set[str] = set()
         normalized: list[WeightedProperty] = []
@@ -426,18 +431,18 @@ def _fill(record: MeaningRecord, sense, gloss, dims, share) -> None:
                 except OverflowError as exc:  # an int past float range
                     raise MeaningStoreError(str(exc)) from None
             if weight.__class__ is not float or token.__class__ is not str:
-                problem = f"malformed pair {pair!r}"
+                problem = f"malformed pair {_echo(pair)}"
             elif not 0.0 < weight <= 1.0:
                 problem = f"weight {weight} outside (0, 1]"
             elif token in seen:
-                problem = f"duplicate property token {token!r}"
+                problem = f"duplicate property token {_echo(token)}"
             else:
                 if share is not None:
                     token = share(token, token)
                 seen.add(token)
                 normalized.append((weight, token))
                 continue
-            raise MeaningStoreError(f"record {sense!r}, dimension {relation.value!r}: {problem}")
+            raise MeaningStoreError(f"record {_echo(sense)}, dimension {relation.value!r}: {problem}")
         clean[relation] = tuple(normalized)
     _setattr(record, "sense", sense)
     _setattr(record, "gloss", gloss)
@@ -470,17 +475,17 @@ def build_meaning(
     for triple, count in counted_triples:
         total += 1
         if count < 1:
-            raise InputDataError(f"count for {triple.serialize()!r} must be >= 1")
+            raise InputDataError(f"count for {_echo(triple.serialize())} must be >= 1")
         if triple.subject != sense:
             raise InputDataError(
-                f"triple subject {triple.subject!r} does not match sense {sense!r}"
+                f"triple subject {_echo(triple.subject)} does not match sense {_echo(sense)}"
             )
         per_dim = counts.setdefault(triple.relation, {})
         per_dim[triple.obj] = per_dim.get(triple.obj, 0) + count
     if total == 0:
         raise InputDataError("cannot build a meaning record from no triples")
     dims: dict[PrimitiveRelation, tuple[WeightedProperty, ...]] = {}
-    for relation in sorted(counts, key=lambda r: r.value):
+    for relation in sorted(counts):  # a str enum orders by its value
         per_dim = counts[relation]
         top = max(per_dim.values())
         pairs = tuple(
@@ -499,7 +504,7 @@ def meaning_record_to_json(record: MeaningRecord) -> dict:
         "gloss": record.gloss,
         "dims": {
             relation.value: [[weight, token] for weight, token in _by_weight(pairs)]
-            for relation, pairs in sorted(record.dims.items(), key=lambda kv: kv[0].value)
+            for relation, pairs in sorted(record.dims.items())  # relations are unique, so no pairs compare
         },
     }
 
@@ -544,7 +549,7 @@ def _record_from_json(data: object, where: str, share) -> MeaningRecord:
             raise MeaningStoreError(f"{where} names dimension {relation.value!r} twice")
         if not isinstance(raw_pairs, list):
             raise MeaningStoreError(
-                f"{where}, dimension {rel_name!r}: expected a list of [weight, token]"
+                f"{where}, dimension {_echo(rel_name)}: expected a list of [weight, token]"
             )
         dims[relation] = raw_pairs
     record = MeaningRecord.__new__(MeaningRecord)
@@ -580,7 +585,7 @@ def _store_chunks(records: Iterable[MeaningRecord]) -> Iterator[tuple[str, str]]
     senses = [r.sense for r in ordered]
     for a, b in zip(senses, senses[1:]):
         if a == b:
-            raise MeaningStoreError(f"duplicate sense {a!r} in meaning store")
+            raise MeaningStoreError(f"duplicate sense {_echo(a)} in meaning store")
     if not ordered:
         yield "", "[]\n"
         return
@@ -595,7 +600,7 @@ def _store_chunks(records: Iterable[MeaningRecord]) -> Iterator[tuple[str, str]]
     sep = "[\n  "
     for record in ordered:
         dims = []
-        for relation, pairs in sorted(record.dims.items(), key=lambda kv: kv[0].value):
+        for relation, pairs in sorted(record.dims.items()):
             items = []
             for weight, token in _by_weight(pairs):
                 number = numbers.get(weight)
@@ -671,7 +676,7 @@ def _walk_store(text: str, what: str) -> tuple[MeaningRecord, ...]:
             record = _record_from_json(row, where, share)
             row = None  # released before the next row is decoded
             if record.sense in seen:
-                raise MeaningStoreError(f"{where}: duplicate sense {record.sense!r}")
+                raise MeaningStoreError(f"{where}: duplicate sense {_echo(record.sense)}")
             seen.add(record.sense)
             records.append(record)
             at = skip(text, at).end()
@@ -693,7 +698,7 @@ def _escape_surrogates(sense: str, text: str) -> str:
     """
     if re.search("[\ud800-\udbff][\udc00-\udfff]", text):
         raise MeaningStoreError(
-            f"record {sense!r} holds a surrogate pair, which the store would "
+            f"record {_echo(sense)} holds a surrogate pair, which the store would "
             "load back as one character"
         )
     return re.sub("[\ud800-\udfff]", lambda m: f"\\u{ord(m[0]):04x}", text)

@@ -17,7 +17,7 @@ from collections.abc import Mapping
 
 from . import jsonio
 from .corpus import Value, _setattr
-from .errors import InputDataError
+from .errors import InputDataError, _echo
 from .semantics import (
     DEFAULT_DIMS,
     MeaningRecord,
@@ -38,7 +38,7 @@ class MatchedPair(Value):
         if left[1] != right[1]:
             raise InputDataError(
                 f"matched pair must share its property token: "
-                f"{left[1]!r} != {right[1]!r}"
+                f"{_echo(left[1])} != {_echo(right[1])}"
             )
         _setattr(self, "left", left)
         _setattr(self, "right", right)
@@ -141,13 +141,17 @@ def _checked_weights(weights: DimWeights) -> tuple[tuple[PrimitiveRelation, floa
     """
     if not weights:
         raise InputDataError("dimension weights must not be empty")
+    try:
+        items = weights.items()
+    except AttributeError:
+        raise TypeError(f"weights must be a mapping or None, not {type(weights).__name__}") from None
     checked = []
     positive = False
-    for relation, value in weights.items():
+    for relation, value in items:
         if not isinstance(relation, PrimitiveRelation):
-            raise InputDataError(f"weight key {relation!r} is not a primitive relation")
+            raise InputDataError(f"weight key {_echo(relation)} is not a primitive relation")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise InputDataError(f"weight for {relation.value} must be a number, got {value!r}")
+            raise InputDataError(f"weight for {relation.value} must be a number, got {_echo(value)}")
         try:
             weight = float(value)
         except OverflowError:
@@ -177,8 +181,8 @@ def concept_similarity(
     With the default all-equal weights this is the plain arithmetic mean over
     the standard dimensions.  Weights must be ints or floats (not bools),
     non-negative with at least one positive entry; non-finite weights, and
-    weights whose sum overflows, are rejected.  Scores sum in relation-name
-    order.
+    weights whose sum overflows, are rejected, and weights that are neither
+    None nor a mapping are a TypeError.  Scores sum in relation-name order.
     """
     ordered = _EQUAL_WEIGHTS if weights is None else _checked_weights(weights)
     per_dim: dict[PrimitiveRelation, float] = {}

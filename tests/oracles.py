@@ -357,7 +357,10 @@ def reference_elicit(provider, subject, dims, n, templates=None) -> ElicitResult
     missing = [d.value for d in dims if d not in templates]
     if missing:
         raise TemplateError(f"no template for dimension(s): {', '.join(missing)}")
-    concept = ConceptId(subject)
+    try:
+        concept = ConceptId(subject)
+    except ValueError as exc:
+        raise InputDataError(str(exc)) from None
     positions = {PrimitiveRelation.AGENT_OF: AGENT, PrimitiveRelation.OBJECT_OF: OBJECT}
 
     entries = {}
@@ -397,7 +400,7 @@ def reference_elicit(provider, subject, dims, n, templates=None) -> ElicitResult
                 props.append(PropertyKey(token.strip().upper().replace(" ", "-"), 1 if position is None else 2, position))
             except ValueError:
                 warnings.append(
-                    f"{dimension.value}: completion {token!r} is not a usable "
+                    f"{dimension.value}: completion {_echo(token)} is not a usable "
                     "property token; no assertion recorded"
                 )
     if not entries:

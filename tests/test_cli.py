@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -414,6 +415,38 @@ def test_store_record_error_names_file_and_record(pairs, detail, tmp_path) -> No
     )
 
 
+_HUGE = 100_000  # characters of the one long value in each case below
+
+
+@pytest.mark.parametrize(
+    ("files", "argv", "code"),
+    [
+        ({"bad_store": [{"sense": "w", "dims": {"hasProp": [[0.5] * _HUGE]}}]},
+         ["sim", "w", "w", "--store", "{bad_store}"], 2),
+        ({"cfg": {"tau": [0] * _HUGE}}, ["induce", "{leaf}", "--config", "{cfg}"], 5),
+        ({}, ["sim", "w", "w", "--store", "{store}", "--dims", "x" * _HUGE], 5),
+        ({"fixture": {"book": {"hasProp": ["1" * _HUGE]}}},
+         ["elicit", "--subject", "book", "--fixtures", "{fixture}", "--dims", "hasProp"], 0),
+        ({"bad_store": [{"sense": "w", "dims": {"hasProp": [[1.0, "t" * _HUGE], [0.5, "t" * _HUGE]]}}]},
+         ["sim", "w", "w", "--store", "{bad_store}"], 2),
+        ({"lexicon": {"K" * _HUGE: {}}}, ["nominalize", "{leaf}", "--lexicon", "{lexicon}"], 2),
+        ({}, ["sim", "w", "w", "--store", "{store}", "--dims", "hasProp", "--dim-weights", "x" * _HUGE], 5),
+    ],
+    ids=["store-pair", "config-tau", "dims-name", "fixture-completion", "repeated-store-token", "lexicon-key",
+         "dim-weight"],
+)
+def test_a_long_input_value_is_quoted_bounded(files, argv, code, tmp_path, leaf_file, store_file, capsys) -> None:
+    paths = {"leaf": leaf_file, "store": store_file}
+    for name, document in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        paths[name] = str(path)
+    got, out, err = run_cli(capsys, *(arg.format(**paths) if arg.startswith("{") else arg for arg in argv))
+    assert got == code
+    assert len(err.encode()) < 1024
+    assert re.search(r"\.\.\. \(\d+ characters\)", err)
+
+
 def test_sim_string_weight_exit_2(tmp_path, capsys) -> None:
     store = tmp_path / "quoted.json"
     store.write_text(
@@ -576,6 +609,7 @@ def test_help_documents_exit_codes(capsys) -> None:
         assert status.value.code == 0
         out = capsys.readouterr().out
         assert "exit codes" in out
+        assert "--config FILE" in out and "--seed SEED" in out
 
 
 def test_console_entry_point_subprocess(tmp_path) -> None:

@@ -321,6 +321,14 @@ def test_elicit_refuses_a_repeated_dimension(dims) -> None:
     assert provider.calls == 0
 
 
+@pytest.mark.parametrize("subject", ["Game", "game#0", 7])
+def test_elicit_refuses_a_subject_that_is_not_a_concept_id(subject) -> None:
+    provider = ScriptedProvider(["fun"])
+    with pytest.raises(InputDataError, match=f"^invalid concept id {subject!r}: expected a lowercase token"):
+        elicit(provider, subject, (REL.HAS_PROP,), 5)
+    assert provider.calls == 0
+
+
 def test_elicit_requires_templates_for_every_dimension() -> None:
     provider = MockProvider.from_file()
     with pytest.raises(TemplateError):
@@ -376,7 +384,7 @@ def _outcome(call):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_DIMS, _REPLIES), max_size=5), st.integers(0, 6), st.sampled_from(["game", "book#2"]))
+@given(st.lists(st.tuples(_DIMS, _REPLIES), max_size=5), st.integers(0, 6), st.sampled_from(["game", "book#2", "Game"]))
 def test_prop_elicit_equals_the_reference(asked: list, n: int, subject: str) -> None:
     """elicit, which builds its values unchecked, returns and raises what the
     checking constructors do."""

@@ -474,6 +474,30 @@ def test_induce_refuses_a_config_that_is_not_an_induce_config(leaf_corpus) -> No
         induce(leaf_corpus, 0.1)
 
 
+def test_induce_refuses_an_aset_that_is_not_an_assertion_set(leaf_corpus) -> None:
+    with pytest.raises(TypeError, match="^aset must be an AssertionSet, not tuple$"):
+        induce(leaf_corpus.assertions)
+
+
+def test_verify_refuses_an_aset_that_is_not_an_assertion_set(leaf_corpus) -> None:
+    dag = induce(leaf_corpus)
+    with pytest.raises(TypeError, match="^aset must be an AssertionSet, not tuple$"):
+        verify(dag, TypedFact(PropertyKey("OLD"), "OLD"), leaf_corpus.assertions)
+
+
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        (("OLD", "OLD"), "property must be a PropertyKey, not str"),
+        ((PropertyKey("OLD"), 5), "type_name must be a str, not int"),
+    ],
+    ids=["property", "type_name"],
+)
+def test_typed_fact_refuses_a_field_of_the_wrong_type(args, message) -> None:
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        TypedFact(*args)
+
+
 # --- exports -------------------------------------------------------------------
 
 def test_dot_two_node_chain() -> None:

@@ -503,12 +503,19 @@ def test_store_sense_and_gloss_must_be_strings(field: str, value) -> None:
     ("gloss", "pairs", "message"),
     [(None, (), "'gloss' must be a string, got None"),
      ("", ((0.5, 7),), "record 'x', dimension 'hasProp': malformed pair (0.5, 7)"),
-     ("", ((0.5, "a"), (0.5, 7)), "record 'x', dimension 'hasProp': malformed pair (0.5, 7)")],
-    ids=["gloss-none", "int-token", "int-token-tied"],
+     ("", ((0.5, "a"), (0.5, 7)), "record 'x', dimension 'hasProp': malformed pair (0.5, 7)"),
+     ("", ((0.5, "a", "z" * 300),),
+      f"record 'x', dimension 'hasProp': malformed pair {repr((0.5, 'a', 'z' * 300))[:200]}... (314 characters)")],
+    ids=["gloss-none", "int-token", "int-token-tied", "long-pair"],
 )
 def test_record_refuses_what_loading_rejects(gloss, pairs, message: str) -> None:
     with pytest.raises(MeaningStoreError, match=f"^{re.escape(message)}$"):
         MeaningRecord("x", gloss, {REL.HAS_PROP: pairs})
+
+
+def test_record_refuses_dims_that_are_not_a_mapping() -> None:
+    with pytest.raises(TypeError, match="^dims must be a mapping, not NoneType$"):
+        MeaningRecord("w", "", None)
 
 
 def test_failed_save_leaves_the_store_untouched(tmp_path) -> None:

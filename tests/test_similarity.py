@@ -185,6 +185,8 @@ def test_concept_similarity_rejects_bad_weights() -> None:
         ({REL.HAS_PROP: None}, "weight for hasProp must be a number, got None"),
         ({REL.HAS_PROP: "abc"}, "weight for hasProp must be a number, got 'abc'"),
         ({REL.HAS_PROP: 1 + 0j}, "weight for hasProp must be a number, got (1+0j)"),
+        ({REL.HAS_PROP: "x" * 300}, f"weight for hasProp must be a number, got {'x' * 200!r}... (300 characters)"),
+        ({"y" * 300: 1.0}, f"weight key {'y' * 200!r}... (300 characters) is not a primitive relation"),
         ({REL.HAS_PROP: math.nan}, "weight for hasProp is not finite: nan"),
         ({REL.HAS_PROP: math.inf}, "weight for hasProp is not finite: inf"),
         ({REL.HAS_PROP: 10**400}, "weight for hasProp is not finite: inf"),
@@ -202,7 +204,7 @@ def test_concept_similarity_rejects_bad_weights() -> None:
         ({REL.PART_OF: -1.0, REL.HAS_PROP: math.nan}, "weight for partOf is negative: -1.0"),
     ],
     ids=[
-        "empty", "key", "str", "bool", "none", "text", "complex", "nan", "inf",
+        "empty", "key", "str", "bool", "none", "text", "complex", "long-text", "long-key", "nan", "inf",
         "huge-int", "huger-int", "huger-negative-int", "negative", "negative-int",
         "all-zero", "sum-overflow", "negative-before-nan",
     ],
@@ -211,6 +213,11 @@ def test_concept_similarity_weight_messages(weights, message: str) -> None:
     with pytest.raises(InputDataError) as excinfo:
         concept_similarity(BOOK, PUBLICATION, weights)
     assert str(excinfo.value) == message
+
+
+def test_concept_similarity_refuses_weights_that_are_not_a_mapping() -> None:
+    with pytest.raises(TypeError, match="^weights must be a mapping or None, not list$"):
+        concept_similarity(BOOK, PUBLICATION, [1])
 
 
 def test_reports_never_share_dicts() -> None:
