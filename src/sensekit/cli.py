@@ -22,7 +22,7 @@ import sys
 from collections.abc import Mapping, Sequence
 
 from . import __version__, jsonio
-from .errors import ConfigError, ConsistencyError, InputDataError, SensekitError, _echo
+from .errors import ConfigError, ConsistencyError, InputDataError, SensekitError, _echo, _retries, _seconds
 
 # Each command imports the layers it runs when it runs, so `sensekit ingest`
 # never loads the hierarchy, semantics, similarity or elicitation modules.
@@ -37,6 +37,7 @@ _EXIT_CODES_HELP = (
 )
 
 DEFAULT_CONFIG_FILE = "sensekit.json"
+_WARNINGS_SHOWN = 20  # elicit's warning lines before the count of the rest
 
 
 class _UsageError(ConfigError):
@@ -155,6 +156,7 @@ def _write_text(path: str, text: str, what: str) -> None:
 # Every config value, and every flag that stands in for one, is checked here
 # once.  A check takes the name to report and the raw value, and returns the
 # value to use or raises ConfigError; the handlers only read checked values.
+# The provider's timeout and retries use the checks RemoteProvider uses.
 
 
 def _comma_list(text: str) -> list[str]:
@@ -182,23 +184,6 @@ def _number(name: str, value) -> float:
         except OverflowError:
             return math.inf if value > 0 else -math.inf
     raise ConfigError(f"{name} must be a number, got {_echo(value)}")
-
-
-def _seconds(name: str, value) -> float:
-    from threading import TIMEOUT_MAX  # the longest timeout a socket accepts
-
-    seconds = _number(name, value)
-    if not 0.0 < seconds <= TIMEOUT_MAX:
-        raise ConfigError(
-            f"{name} must be a positive number of seconds up to {TIMEOUT_MAX:.0f}, got {_echo(value)}"
-        )
-    return seconds
-
-
-def _retries(name: str, value) -> int:
-    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
-        return value
-    raise ConfigError(f"{name} must be a non-negative integer, got {_echo(value)}")
 
 
 def _relations(name: str, names) -> tuple[PrimitiveRelation, ...]:
@@ -414,9 +399,7 @@ def _cmd_nominalize(args, settings: dict) -> int:
     unary = {a.property.name for a in sensible if a.property.arity == 1}
     missing = sorted(unary - lexicon.entries.keys())
     if missing:
-        for name in missing:
-            print(f"missing lexicon entry: {name}", file=sys.stderr)
-        raise InputDataError(f"lexicon {lexicon_path} lacks entries for: {', '.join(missing)}")
+        raise InputDataError(f"lexicon {lexicon_path} lacks entries for: {_echo(missing)}")
     triples = [nominalize_assertion(a, lexicon) for a in sensible]
     _emit(jsonio.dumps({"triples": [t.to_json() for t in triples]}))
     return 0
@@ -429,8 +412,7 @@ def _cmd_sim(args, settings: dict) -> int:
     records = {r.sense: r for r in load_meanings(_required(settings, "meaning_store", "--store"))}
     for sense in (args.sense_a, args.sense_b):
         if sense not in records:
-            known = ", ".join(sorted(records)) or "(none)"
-            raise InputDataError(f"sense {_echo(sense)} not in store (available: {known})")
+            raise InputDataError(f"sense {_echo(sense)} not in store (available: {_echo(sorted(records))})")
     report = concept_similarity(
         records[args.sense_a], records[args.sense_b], settings.get("dim_weights") or None
     )
@@ -458,8 +440,11 @@ def _cmd_elicit(args, settings: dict) -> int:
     result = elicit(provider, args.subject, settings["dims"], args.n, TEMPLATE_SETS[args.templates])
     for dimension, reason in result.failures.items():
         print(f"dimension {dimension.value} failed: {reason}", file=sys.stderr)
-    for warning in result.warnings:
+    for warning in result.warnings[:_WARNINGS_SHOWN]:
         print(f"warning: {warning}", file=sys.stderr)
+    unshown = len(result.warnings) - _WARNINGS_SHOWN
+    if unshown > 0:
+        print(f"warning: {unshown} more unusable completion(s) not shown", file=sys.stderr)
     _emit(
         jsonio.dumps(
             {

@@ -51,6 +51,7 @@ _COMMENT_RE = re.compile(r"(?:^|(?<=\s))#")  # for str patterns, \s is str.isspa
 _setattr = object.__setattr__  # one global read per field, not a lookup on object
 
 _BAD_POLARITY = "polarity must be sensible/nonsensical, got {}"
+_BAD_ARITY = "arity must be 1 or 2, got {}"
 
 
 class Value:
@@ -133,7 +134,7 @@ class PropertyKey(Value):
         if not isinstance(name, str) or not _PROPERTY_RE.fullmatch(name):
             raise ValueError(f"invalid property name {_echo(name)}: expected an uppercase token")
         if type(arity) is not int or arity not in (1, 2):  # True and 1.0 equal 1
-            raise ValueError(f"arity must be 1 or 2, got {_echo(arity)}")
+            raise ValueError(_BAD_ARITY.format(_echo(arity)))
         if arity == 1:
             if position is not None:
                 raise ValueError("arity-1 properties take no position")
@@ -427,7 +428,7 @@ def corpus_from_json(data: object) -> AssertionSet:
                 raise ValueError(f"{key} must be a string, got {_echo(entry[key])}")
             arity = entry.get("arity", 1)
             if type(arity) is not int:  # PropertyKey rejects other ints after the name
-                raise ValueError(f"arity must be 1 or 2, got {_echo(arity)}")
+                raise ValueError(_BAD_ARITY.format(_echo(arity)))
             prop_key = (name, arity, entry.get("position"))
             try:
                 group = groups.get(prop_key) or groups.setdefault(prop_key, (PropertyKey(*prop_key), {}, {}))

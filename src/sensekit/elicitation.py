@@ -21,7 +21,7 @@ from . import jsonio
 from .corpus import (
     _PROPERTY_RE, AGENT, OBJECT, AssertionSet, ConceptId, PropertyKey, Value, _key_of, _sensible_of, _setattr,
 )
-from .errors import ConfigError, ElicitationError, InputDataError, ProviderError, TemplateError, _echo
+from .errors import ElicitationError, InputDataError, ProviderError, TemplateError, _echo, _retries, _seconds
 from .semantics import MeaningRecord, PrimitiveRelation, WeightedProperty, _record_of, resolve_relation
 
 #: The shipped mock fixture, read as a plain file next to this module.
@@ -233,9 +233,8 @@ class RemoteProvider:
     The bearer token is read from the environment variable named by
     auth_env (never from config files).  A request is retried up to
     `retries` additional times; exhausting the budget raises ProviderError.
-    timeout (an int or float in (0, threading.TIMEOUT_MAX] seconds) and
-    retries (an int >= 0) are kept as given; any other value is refused with
-    ConfigError, and nothing is converted.
+    timeout and retries are kept as given, once errors._seconds and
+    errors._retries accept them; nothing is converted.
     """
 
     def __init__(
@@ -245,24 +244,12 @@ class RemoteProvider:
         timeout: float = 10.0,
         retries: int = 2,
     ) -> None:
-        from threading import TIMEOUT_MAX  # the longest timeout a socket accepts
-
         if not endpoint:
             raise ProviderError("remote provider needs an endpoint URL")
-        # bool is an int subclass; NaN and numbers past the range fail the comparison.
-        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not (
-            0 < timeout <= TIMEOUT_MAX
-        ):
-            raise ConfigError(
-                f"provider timeout must be a positive number of seconds up to "
-                f"{TIMEOUT_MAX:.0f}, got {_echo(timeout)}"
-            )
-        if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
-            raise ConfigError(f"provider retries must be a non-negative integer, got {_echo(retries)}")
         self.endpoint = endpoint
         self.auth_env = auth_env
-        self.timeout = timeout
-        self.retries = retries
+        self.timeout = _seconds("provider timeout", timeout)
+        self.retries = _retries("provider retries", retries)
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}

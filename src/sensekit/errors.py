@@ -5,7 +5,9 @@ new exceptions should subclass the family that matches their failure class
 rather than SensekitError directly.
 
 Every message that repeats a value read from input, or passed by a caller,
-quotes it through _echo, so one huge value cannot flood stderr.
+quotes it through _echo, so one huge value cannot flood stderr; a list is
+one value.  _seconds and _retries are the one check of a provider's timeout
+and retry budget, for the CLI's flags and config keys and for RemoteProvider.
 """
 
 from __future__ import annotations
@@ -92,3 +94,20 @@ class TemplateError(ConfigError):
 
 class ElicitationError(ProviderError):
     """Every requested dimension failed during elicitation."""
+
+
+def _seconds(name: str, value):
+    """value if it is an int or float (not a bool) in (0, threading.TIMEOUT_MAX],
+    the longest timeout a socket accepts; else ConfigError.  NaN fails the range."""
+    from threading import TIMEOUT_MAX
+
+    if value.__class__ is not bool and isinstance(value, (int, float)) and 0 < value <= TIMEOUT_MAX:
+        return value
+    raise ConfigError(f"{name} must be a positive number of seconds up to {TIMEOUT_MAX:.0f}, got {_echo(value)}")
+
+
+def _retries(name: str, value):
+    """value if it is an int (not a bool) >= 0; else ConfigError."""
+    if value.__class__ is not bool and isinstance(value, int) and value >= 0:
+        return value
+    raise ConfigError(f"{name} must be a non-negative integer, got {_echo(value)}")

@@ -301,12 +301,8 @@ def classify(
         entry = lexicon.get(payload[0].upper())
         noun = entry.trope if entry is not None else gerund(participle_stem(payload[0]))
         return PrimitiveTriple(subject, PrimitiveRelation.OBJECT_OF, noun)
-    if form is CopularForm.MEASURE:
-        attribute, quantity = payload
-        return PrimitiveTriple(
-            f"{subject}'s {attribute}", PrimitiveRelation.HAS_VALUE, quantity
-        )
-    raise InputDataError(f"unknown copular form {form!r}")  # pragma: no cover
+    attribute, quantity = payload  # CopularForm.MEASURE, the one form left
+    return PrimitiveTriple(f"{subject}'s {attribute}", PrimitiveRelation.HAS_VALUE, quantity)
 
 
 def nominalize_assertion(

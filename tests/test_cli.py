@@ -3,8 +3,10 @@ from __future__ import annotations
 import ast
 import contextlib
 import gc
+import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -20,7 +22,8 @@ import sensekit
 from sensekit import jsonio
 from sensekit.cli import main
 from sensekit.corpus import corpus_to_json_text, parse_corpus
-from sensekit.elicitation import TEMPLATE_SETS
+from sensekit.elicitation import TEMPLATE_SETS, RemoteProvider
+from sensekit.errors import ConfigError
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -258,7 +261,7 @@ def test_nominalize_missing_entries_reported_before_a_bad_category(
     code, out, err = run_cli(capsys, "nominalize", leaf_file, "--lexicon", str(lex))
     assert code == 2
     assert out == ""
-    assert "lacks entries for: ARTICULATE, HEAVY, HUNGRY, IMMINENT" in err
+    assert "lacks entries for: ['ARTICULATE', 'HEAVY', 'HUNGRY', 'IMMINENT']" in err
 
 
 @pytest.mark.parametrize(
@@ -415,7 +418,7 @@ def test_store_record_error_names_file_and_record(pairs, detail, tmp_path) -> No
     )
 
 
-_HUGE = 100_000  # characters of the one long value in each case below
+_HUGE = 100_000  # characters of the one long value in each case below; the store case lists 20,000 senses
 
 
 @pytest.mark.parametrize(
@@ -431,9 +434,14 @@ _HUGE = 100_000  # characters of the one long value in each case below
          ["sim", "w", "w", "--store", "{bad_store}"], 2),
         ({"lexicon": {"K" * _HUGE: {}}}, ["nominalize", "{leaf}", "--lexicon", "{lexicon}"], 2),
         ({}, ["sim", "w", "w", "--store", "{store}", "--dims", "hasProp", "--dim-weights", "x" * _HUGE], 5),
+        ({"big_store": [{"sense": f"s{i:05d}", "dims": {}} for i in range(20_000)]},
+         ["sim", "nope", "s00001", "--store", "{big_store}"], 2),
+        ({"corpus": {"assertions": [{"prop": "P" * _HUGE, "concept": "book", "polarity": "sensible"}]},
+          "lexicon": LEXICON},
+         ["nominalize", "{corpus}", "--lexicon", "{lexicon}"], 2),
     ],
     ids=["store-pair", "config-tau", "dims-name", "fixture-completion", "repeated-store-token", "lexicon-key",
-         "dim-weight"],
+         "dim-weight", "store-senses", "missing-lexicon-entry"],
 )
 def test_a_long_input_value_is_quoted_bounded(files, argv, code, tmp_path, leaf_file, store_file, capsys) -> None:
     paths = {"leaf": leaf_file, "store": store_file}
@@ -443,8 +451,26 @@ def test_a_long_input_value_is_quoted_bounded(files, argv, code, tmp_path, leaf_
         paths[name] = str(path)
     got, out, err = run_cli(capsys, *(arg.format(**paths) if arg.startswith("{") else arg for arg in argv))
     assert got == code
+    assert (out == "") == (code != 0)
     assert len(err.encode()) < 1024
     assert re.search(r"\.\.\. \(\d+ characters\)", err)
+
+
+def test_elicit_shows_twenty_warnings_and_counts_the_rest(tmp_path, capsys) -> None:
+    """20,000 unusable completions give 20 warning lines and a count of the
+    rest.  The cap leaves stdout alone: the digest is of the uncapped output."""
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps({"book": {"hasProp": [str(i) for i in range(20_000)]}}), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "elicit", "--subject", "book", "--fixtures", str(fixture), "--dims", "hasProp", "-n", "20000"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "46d6beb9b74a42291147e259c51cba00de8539975476ec464c68cb97292a4745"
+    )
+    shown = [f"warning: hasProp: completion '{i}' is not a usable property token; no assertion recorded"
+             for i in range(20)]
+    assert err.splitlines() == [*shown, "warning: 19980 more unusable completion(s) not shown"]
 
 
 def test_sim_string_weight_exit_2(tmp_path, capsys) -> None:
@@ -914,6 +940,44 @@ def test_bad_setting_exit_5(config, argv, tmp_path, leaf_file, store_file, capsy
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    ("option", "value", "flag"),
+    [
+        ("timeout", 1e300, "1e300"),
+        ("timeout", 10**400, None),  # argparse's float() would read inf
+        ("timeout", float("inf"), "inf"),
+        ("timeout", float("nan"), "nan"),
+        ("timeout", -1.0, "-1.0"),
+        ("timeout", 0, None),  # argparse's float() would read 0.0
+        ("timeout", "5", None),
+        ("timeout", True, None),
+        ("timeout", None, None),
+        ("retries", -1, "-1"),
+        ("retries", 2.7, None),
+        ("retries", 2.0, None),
+        ("retries", "5", None),
+        ("retries", True, None),
+        ("retries", None, None),
+    ],
+)
+def test_a_bad_provider_option_reads_the_same_everywhere(option, value, flag, tmp_path, capsys) -> None:
+    """RemoteProvider, the config key and the flag refuse a value with one
+    message; only the name differs.  JSON carries no inf or NaN, and a flag
+    is given only where argparse reads back the same value."""
+    with pytest.raises(ConfigError) as caught:
+        RemoteProvider("http://127.0.0.1:9/", **{option: value})
+    name = f"provider {option}"
+    assert str(caught.value).startswith(f"{name} must be ")
+    rule = str(caught.value).removeprefix(name)
+    sources = {f"--{option}": [f"--{option}", flag]} if flag is not None else {}
+    if not (isinstance(value, float) and not math.isfinite(value)):
+        cfg = tmp_path / "ws.json"
+        cfg.write_text(json.dumps({"provider": {option: value}}), encoding="utf-8")
+        sources[f"config 'provider.{option}'"] = ["--config", str(cfg)]
+    for where, argv in sources.items():
+        assert run_cli(capsys, *REMOTE, *argv) == (5, "", f"error: {where}{rule}\n")
+
+
 @pytest.mark.parametrize("where", ["flag", "config"])
 def test_elicit_timeout_at_the_socket_limit_is_accepted(where, loopback, tmp_path, capsys) -> None:
     loopback.completions("fun")
@@ -994,6 +1058,10 @@ print(json.dumps([code, preloaded, loaded]))
         ([], {"cli", "corpus", "jsonio", "hierarchy", "semantics", "similarity", "elicitation"}),
         (["all-layers"], {"cli"}),
         (["ingest", "leaf.sense"], {"hierarchy", "semantics", "similarity", "elicitation"}),
+        (
+            ["ingest", "leaf.sense", "--config", "provider.json"],
+            {"hierarchy", "semantics", "similarity", "elicitation"},
+        ),
         (["induce", "leaf.sense"], {"semantics", "similarity", "elicitation"}),
         (
             ["nominalize", "leaf.sense", "--lexicon", "lex.json"],
@@ -1007,8 +1075,8 @@ print(json.dumps([code, preloaded, loaded]))
         ),
     ],
     ids=[
-        "bare-import", "all-layers", "ingest", "induce", "nominalize", "sim", "elicit",
-        "elicit-fixture-file",
+        "bare-import", "all-layers", "ingest", "ingest-provider-config", "induce", "nominalize", "sim",
+        "elicit", "elicit-fixture-file",
     ],
 )
 def test_each_command_imports_only_its_layers(argv, absent, tmp_path) -> None:
@@ -1020,6 +1088,8 @@ def test_each_command_imports_only_its_layers(argv, absent, tmp_path) -> None:
     (tmp_path / "store.json").write_text(STORE, encoding="utf-8")
     fixture = {"book": {"hasProp": ["good", "long"], "agentOf": ["moved"], "objectOf": ["read"]}}
     (tmp_path / "fixture.json").write_text(json.dumps(fixture), encoding="utf-8")
+    provider = {"provider": {"timeout": 2.5, "retries": 1}}  # checked by errors, not elicitation
+    (tmp_path / "provider.json").write_text(json.dumps(provider), encoding="utf-8")
     # Under -S an editable install's import hook is off, so name the package's root.
     root = str(Path(sensekit.__file__).parent.parent)
     proc = subprocess.run(
