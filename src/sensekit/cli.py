@@ -37,7 +37,7 @@ _EXIT_CODES_HELP = (
 )
 
 DEFAULT_CONFIG_FILE = "sensekit.json"
-_WARNINGS_SHOWN = 20  # elicit's warning lines before the count of the rest
+_WARNINGS_SHOWN = 20  # warning or diagnostic lines before the count of the rest
 
 
 class _UsageError(ConfigError):
@@ -134,7 +134,7 @@ def _build_parser() -> _Parser:
         help="template set to render prompts with",
     )
     p.add_argument("--endpoint", default=None, help="remote provider URL")
-    p.add_argument("--timeout", type=float, default=None, help="remote request timeout in seconds")
+    p.add_argument("--timeout", type=_float_as_typed, default=None, help="remote request timeout in seconds")
     p.add_argument("--retries", type=int, default=None, help="remote retry budget")
 
     return parser
@@ -161,6 +161,16 @@ def _write_text(path: str, text: str, what: str) -> None:
 
 def _comma_list(text: str) -> list[str]:
     return text.split(",")
+
+
+def _float_as_typed(text: str) -> float | str:
+    """float(text), or text itself where float() overflows to an infinity, so a
+    check that refuses it quotes what was typed rather than inf."""
+    value = float(text)
+    return text if math.isinf(value) and "inf" not in text.lower() else value
+
+
+_float_as_typed.__name__ = "float"  # argparse names the type when float() fails
 
 
 def _path(name: str, value) -> str:
@@ -322,6 +332,15 @@ def _emit(text: str) -> None:
         raise ConfigError(f"cannot write output: {exc}") from exc
 
 
+def _report(kind: str, messages: Sequence[str], what: str) -> None:
+    """Print the first _WARNINGS_SHOWN messages to stderr, then one line counting the rest."""
+    for message in messages[:_WARNINGS_SHOWN]:
+        print(f"{kind}: {message}", file=sys.stderr)
+    unshown = len(messages) - _WARNINGS_SHOWN
+    if unshown > 0:
+        print(f"{kind}: {unshown} more {what} not shown", file=sys.stderr)
+
+
 def _cmd_ingest(args, settings: dict) -> int:
     from .corpus import (
         check_consistency,
@@ -376,8 +395,7 @@ def _cmd_induce(args, settings: dict) -> int:
             raise InputDataError(f"label map {args.labels}: expected a string-to-string object")
         labels = raw
     dag = induce(aset, InduceConfig(**_given(settings, "tau")))
-    for message in dag.diagnostics:
-        print(f"diagnostic: {message}", file=sys.stderr)
+    _report("diagnostic", dag.diagnostics, "node(s) with more than two parents")
     out = dag_to_json_text(dag)
     if args.dot:
         _write_text(args.dot, export_dot(dag, labels), "DOT file")
@@ -440,11 +458,7 @@ def _cmd_elicit(args, settings: dict) -> int:
     result = elicit(provider, args.subject, settings["dims"], args.n, TEMPLATE_SETS[args.templates])
     for dimension, reason in result.failures.items():
         print(f"dimension {dimension.value} failed: {reason}", file=sys.stderr)
-    for warning in result.warnings[:_WARNINGS_SHOWN]:
-        print(f"warning: {warning}", file=sys.stderr)
-    unshown = len(result.warnings) - _WARNINGS_SHOWN
-    if unshown > 0:
-        print(f"warning: {unshown} more unusable completion(s) not shown", file=sys.stderr)
+    _report("warning", result.warnings, "unusable completion(s)")
     _emit(
         jsonio.dumps(
             {

@@ -17,24 +17,33 @@ the node extent).  Each step merges the first such pair in node order, and
 steps repeat until no pair is left.  tau = 0 is the exact procedure and the
 default.
 
-Induction works on integer bitsets: each concept owns one bit, an extent is
-the sum of its members' bits, and |A \\ B| is (A & ~B).bit_count().  An
-AssertionSet stores each property's run, so induction reads each property's
-token once and its sensible concept names as the node extent; that sorted
-tuple is also the node's sorted_extent, which the exports read.  Two groups
-can include each other only if their sizes lie within a factor 1 - tau, so
-each pair inside that size window is tested once and, after a merge, only
-the merged group's window again: at most O(G^2) inclusion tests for G
-groups, and far fewer when sizes spread.  Reachability among groups is an
-int bitset, so a parent candidate that already reaches a child is skipped.
+Induction works on integer bitsets: each concept owns one bit and an extent
+is the sum of its members' bits.  A is tolerantly included in B when
+(A & B).bit_count() >= |A| - floor(tau*|A|), which is exact and allocates no
+complement: |A \\ B| = |A| - |A & B| is an integer, and an integer is <= x
+exactly when it is <= floor(x).  An AssertionSet stores each property's run,
+so induction reads each property's token once and its sensible concept names
+as the node extent; that sorted tuple is also the node's sorted_extent, which
+the exports read.  Two groups can include each other only if their sizes lie
+within a factor 1 - tau, so each pair inside that size window is tested once
+and, after a merge, only the merged group's window again: at most O(G^2)
+inclusion tests for G groups, and far fewer when sizes spread.  Reachability
+among groups is an int bitset, so a parent candidate that already reaches a
+child is skipped.
+
+dag_to_json_text renders the ontology document directly from each node's
+sorted names and the sorted edges, byte for byte as jsonio.dumps() writes
+dag_to_json(), which stays the document's JSON value.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Mapping, Sequence
+from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
+from itertools import chain
 
 from . import jsonio
 from .corpus import AssertionSet, PropertyKey, Value, _setattr, check_consistency
@@ -125,7 +134,8 @@ class TypeDag(Value):
     """Type nodes, covering edges (parent id, child id) and the root; nodes[i].id == i.
 
     The constructor checks the structure (ValueError), sorts the edges, and
-    flags every node with more than two parents in diagnostics.
+    flags every node with more than two parents in diagnostics.  induce,
+    which builds a valid structure, sets the same fields without the checks.
     """
 
     nodes: tuple[TypeNode, ...]
@@ -142,7 +152,6 @@ class TypeDag(Value):
                 raise ValueError(f"node {i}: members not within extent")
         if not 0 <= root < n:
             raise ValueError(f"root {_echo(root)} is not a node id")
-        parent_count: dict[int, int] = {}
         for i, (parent, child) in enumerate(edges):
             if not (0 <= parent < n and 0 <= child < n):
                 raise ValueError(f"edge {i} references unknown node")
@@ -150,16 +159,19 @@ class TypeDag(Value):
             # extent; this also rules out self-loops and cycles.
             if len(nodes[child].extent) >= len(nodes[parent].extent):
                 raise ValueError(f"edge {i}: child {child} is not smaller than parent {parent}")
-            parent_count[child] = parent_count.get(child, 0) + 1
         if len(set(edges)) < len(edges):
             i = next(i for i, edge in enumerate(edges) if edge in edges[:i])
             raise ValueError(f"edge {i} repeats an earlier edge")
+        self._set(nodes, edges, root)
+
+    def _set(self, nodes, edges, root) -> None:
+        """Set the fields of a checked structure: the edges sorted, diagnostics derived."""
         _setattr(self, "nodes", nodes)
         _setattr(self, "edges", tuple(sorted(edges)))
         _setattr(self, "root", root)
         _setattr(self, "diagnostics", tuple(
             f"node {c} ({', '.join(nodes[c].characteristic_properties) or ROOT_LABEL}) has {k} parents"
-            for c, k in sorted(parent_count.items()) if k > 2
+            for c, k in sorted(Counter(child for _, child in edges).items()) if k > 2
         ))
 
     def node_by_id(self, node_id: int) -> TypeNode:
@@ -204,11 +216,13 @@ class _Group:
     orders groups largest first, then by sorted member list, then by tokens.
     Concepts take bits in descending name order, so among extents of one
     size the lexicographically smaller member list is the larger integer.
+    need is the fewest members the group shares with a group that includes
+    it tolerantly: size - floor(tau*size).
     """
 
-    __slots__ = ("bits", "members", "props", "names", "size", "key")
+    __slots__ = ("bits", "members", "props", "names", "size", "key", "need")
 
-    def __init__(self, bits: int, members: frozenset[str], props: tuple[str, ...],
+    def __init__(self, bits: int, members: frozenset[str], props: tuple[str, ...], tau: float,
                  names: tuple[str, ...] | None = None) -> None:
         self.bits = bits
         self.members = members
@@ -216,6 +230,7 @@ class _Group:
         self.names = names
         self.size = len(members)
         self.key = (-self.size, -bits, props)
+        self.need = self.size - math.floor(tau * self.size)
 
 
 def _group_key(group: _Group) -> tuple:
@@ -240,9 +255,7 @@ def _merge_mutual_inclusions(groups: list[_Group], tau: float) -> list[_Group]:
     """
 
     def mutual(a: _Group, b: _Group) -> bool:
-        return (a.bits & ~b.bits).bit_count() <= tau * a.size and (
-            (b.bits & ~a.bits).bit_count() <= tau * b.size
-        )
+        return (a.bits & b.bits).bit_count() >= max(a.need, b.need)
 
     partners: dict[_Group, set[_Group]] = {g: set() for g in groups}
     for i, a in enumerate(groups):
@@ -262,7 +275,7 @@ def _merge_mutual_inclusions(groups: list[_Group], tau: float) -> list[_Group]:
             partners[g] -= {a, b}
         groups.remove(a)
         groups.remove(b)
-        merged = _Group(a.bits | b.bits, a.members | b.members, tuple(sorted(a.props + b.props)))
+        merged = _Group(a.bits | b.bits, a.members | b.members, tuple(sorted(a.props + b.props)), tau)
         s = merged.size
         top = -math.inf if tau == 1 else -(s + 1) / (1 - tau) - 1
         lo = bisect.bisect_left(groups, top, key=_minus_size)
@@ -273,7 +286,7 @@ def _merge_mutual_inclusions(groups: list[_Group], tau: float) -> list[_Group]:
         bisect.insort(groups, merged, key=_group_key)
 
 
-def _covering_edges(groups: Sequence[_Group], tau: float) -> list[tuple[int, int]]:
+def _covering_edges(groups: Sequence[_Group]) -> list[tuple[int, int]]:
     """Transitive reduction of tolerant inclusion.
 
     No two groups include each other tolerantly (equal extents are grouped,
@@ -286,11 +299,11 @@ def _covering_edges(groups: Sequence[_Group], tau: float) -> list[tuple[int, int
     """
     edges: list[tuple[int, int]] = []
     reach: list[int] = []  # bit i of reach[j]: group i reaches group j
+    all_bits = [g.bits for g in groups]
     for j, child in enumerate(groups):
-        above = 0
-        bits, limit = child.bits, tau * child.size
+        above, bits, need = 0, child.bits, child.need
         for i in range(j - 1, -1, -1):
-            if not above >> i & 1 and (bits & ~groups[i].bits).bit_count() <= limit:
+            if not above >> i & 1 and (bits & all_bits[i]).bit_count() >= need:
                 edges.append((i, j))
                 above |= reach[i] | 1 << i
         reach.append(above)
@@ -330,7 +343,7 @@ def induce(aset: AssertionSet, cfg: InduceConfig | None = None) -> TypeDag:
             by_extent.setdefault(sum(map(bit.__getitem__, run)), (run, []))[1].append(token)
     if not by_extent:
         raise EmptyCorpusError("corpus has no sensible assertions")
-    groups = [_Group(b, frozenset(run), tuple(props), run) for b, (run, props) in by_extent.items()]
+    groups = [_Group(b, frozenset(run), tuple(props), cfg.tau, run) for b, (run, props) in by_extent.items()]
     groups.sort(key=_group_key)
     if cfg.tau > 0:
         groups = _merge_mutual_inclusions(groups, cfg.tau)
@@ -338,8 +351,8 @@ def induce(aset: AssertionSet, cfg: InduceConfig | None = None) -> TypeDag:
     # the strictly largest group; otherwise a synthetic root goes first.  It is
     # tested last and reached through any other parent, so it covers the rest.
     if groups[0].size != len(names):
-        groups.insert(0, _Group((1 << len(names)) - 1, frozenset(names), (), names))
-    edges = _covering_edges(groups, cfg.tau)
+        groups.insert(0, _Group((1 << len(names)) - 1, frozenset(names), (), cfg.tau, names))
+    edges = _covering_edges(groups)
 
     children: list[list[frozenset[str]]] = [[] for _ in groups]
     for u, v in edges:
@@ -351,7 +364,9 @@ def induce(aset: AssertionSet, cfg: InduceConfig | None = None) -> TypeDag:
         if g.names is not None:
             _setattr(node, "sorted_extent", g.names)
         nodes.append(node)
-    return TypeDag(nodes=tuple(nodes), edges=edges, root=0)
+    dag = object.__new__(TypeDag)
+    dag._set(tuple(nodes), edges, 0)
+    return dag
 
 
 def verify(
@@ -433,7 +448,39 @@ def dag_to_json(dag: TypeDag) -> dict:
     }
 
 
+_DOC = '{\n  "edges": %s,\n  "nodes": %s,\n  "root": %d\n}\n'
+_NODE = '{\n      "extent": %s,\n      "id": %d,\n      "members": %s,\n      "props": %s\n    }'
+_EDGE = "[\n      %d,\n      %d\n    ]"
+
+
+def _array(items: Iterable[str], nl: str) -> str:
+    """The JSON array of the encoded items, laid out as dumps() lays it out at indent nl."""
+    body = ("," + nl + "  ").join(items)
+    return f"[{nl}  {body}{nl}]" if body else "[]"
+
+
+def _names(names: Iterable[str]) -> str:
+    return _array(map(jsonio._encode, names), "\n      ")
+
+
 def dag_to_json_text(dag: TypeDag) -> str:
+    """jsonio.dumps(dag_to_json(dag)), rendered without building the dicts.
+
+    A hand-built DAG with an id, root or edge end that is not an exact int,
+    or a name that is not a str, goes through dumps() instead.
+    """
+    ends = chain([dag.root], [n.id for n in dag.nodes], chain.from_iterable(dag.edges))
+    if set(map(type, ends)) == {int}:
+        try:
+            nodes = [
+                _NODE % (_names(n.sorted_extent), n.id, _names(n.sorted_members), _names(n.characteristic_properties))
+                for n in dag.nodes
+            ]
+        except TypeError:  # a name that is not a str
+            pass
+        else:
+            edges = [_EDGE % (p, c) for p, c in dag.edges]
+            return _DOC % (_array(edges, "\n  "), _array(nodes, "\n  "), dag.root)
     return jsonio.dumps(dag_to_json(dag))
 
 

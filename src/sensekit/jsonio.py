@@ -3,12 +3,14 @@
 Every serializer in the package writes dumps()'s format, so identical
 values always produce byte-identical output: sorted keys, two-space
 indentation, a trailing newline, and strict JSON (NaN and infinities raise
-ValueError instead of being written).  All but two call dumps(); the
-corpus export, corpus.corpus_to_json_text, and the meaning store,
-semantics.meanings_to_json_text, render the same bytes directly with the
-same string encoder, and property tests pin each to dumps() of its JSON
-value (test_prop_json_text_equals_dumps_of_json in tests/test_corpus.py,
-test_prop_store_text_equals_dumps_of_json in tests/test_semantics.py).
+ValueError instead of being written).  All but three call dumps(); the
+corpus export, corpus.corpus_to_json_text, the meaning store,
+semantics.meanings_to_json_text, and the ontology document,
+hierarchy.dag_to_json_text, render the same bytes directly with the same
+string encoder, and property tests pin each to dumps() of its JSON value
+(test_prop_json_text_equals_dumps_of_json in tests/test_corpus.py,
+test_prop_store_text_equals_dumps_of_json in tests/test_semantics.py,
+test_prop_exports_equal_the_references in tests/test_hierarchy.py).
 dumps() is sensekit's own writer.
 Its output equals, byte for byte, ``json.dumps(obj, indent=2,
 sort_keys=True, ensure_ascii=False, allow_nan=False)`` plus the newline,
@@ -16,7 +18,7 @@ and it raises the same errors.  It exists because the stdlib uses its C
 encoder only without indentation and otherwise falls back to a
 pure-Python generator; this writer takes about half that time.  Three
 shapes of list are written in one chunk: a list of str; a list of ints,
-whose items are all of exact type int (each edge of an ontology); and a
+whose items are all of exact type int (the line pair of a conflict); and a
 list of string records, whose items are all exact dicts with one shared set
 of exact-str keys and only str values (the triples `sensekit nominalize`
 prints), rendered from one row template.

@@ -6,7 +6,6 @@ import gc
 import hashlib
 import io
 import json
-import math
 import os
 import re
 import subprocess
@@ -23,7 +22,7 @@ from sensekit import jsonio
 from sensekit.cli import main
 from sensekit.corpus import corpus_to_json_text, parse_corpus
 from sensekit.elicitation import TEMPLATE_SETS, RemoteProvider
-from sensekit.errors import ConfigError
+from sensekit.errors import ConfigError, _echo
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -471,6 +470,26 @@ def test_elicit_shows_twenty_warnings_and_counts_the_rest(tmp_path, capsys) -> N
     shown = [f"warning: hasProp: completion '{i}' is not a usable property token; no assertion recorded"
              for i in range(20)]
     assert err.splitlines() == [*shown, "warning: 19980 more unusable completion(s) not shown"]
+
+
+def test_induce_shows_twenty_diagnostics_and_counts_the_rest(tmp_path, capsys) -> None:
+    """Each of 25 singletons x00..x24 lies in A, B and C, so 25 nodes have
+    three parents: 20 diagnostic lines and a count of the rest.  The cap
+    leaves stdout and TypeDag.diagnostics alone."""
+    corpus = tmp_path / "three-parents.sense"
+    singletons = [f"x{k:02d}" for k in range(25)]
+    corpus.write_text("".join(
+        [f"+ {p} {x}\n" for p in "ABC" for x in [p.lower(), *singletons]]
+        + [f"+ S{x.upper()} {x}\n" for x in singletons]
+    ), encoding="utf-8")
+    code, out, err = run_cli(capsys, "induce", str(corpus))
+    dag = sensekit.induce(parse_corpus(corpus.read_text(encoding="utf-8")))
+    assert (code, out) == (0, sensekit.dag_to_json_text(dag))
+    assert len(dag.diagnostics) == 25
+    assert err.splitlines() == [
+        *(f"diagnostic: {message}" for message in dag.diagnostics[:20]),
+        "diagnostic: 5 more node(s) with more than two parents not shown",
+    ]
 
 
 def test_sim_string_weight_exit_2(tmp_path, capsys) -> None:
@@ -945,6 +964,8 @@ def test_bad_setting_exit_5(config, argv, tmp_path, leaf_file, store_file, capsy
     [
         ("timeout", 1e300, "1e300"),
         ("timeout", 10**400, None),  # argparse's float() would read inf
+        ("timeout", "1e400", "1e400"),  # the flag keeps what float() reads as inf
+        pytest.param("timeout", 10**5000, None, id="timeout-int-too-large-to-print"),
         ("timeout", float("inf"), "inf"),
         ("timeout", float("nan"), "nan"),
         ("timeout", -1.0, "-1.0"),
@@ -958,21 +979,28 @@ def test_bad_setting_exit_5(config, argv, tmp_path, leaf_file, store_file, capsy
         ("retries", "5", None),
         ("retries", True, None),
         ("retries", None, None),
+        pytest.param("retries", -(10**5000), None, id="retries-int-too-large-to-print"),
     ],
 )
 def test_a_bad_provider_option_reads_the_same_everywhere(option, value, flag, tmp_path, capsys) -> None:
     """RemoteProvider, the config key and the flag refuse a value with one
-    message; only the name differs.  JSON carries no inf or NaN, and a flag
-    is given only where argparse reads back the same value."""
+    message, which quotes the value bounded; only the name differs.  JSON
+    carries no inf, NaN or int too long to print, and a flag is given only
+    where argparse reads back the same value."""
     with pytest.raises(ConfigError) as caught:
         RemoteProvider("http://127.0.0.1:9/", **{option: value})
     name = f"provider {option}"
     assert str(caught.value).startswith(f"{name} must be ")
+    assert str(caught.value).endswith(f", got {_echo(value)}")
     rule = str(caught.value).removeprefix(name)
     sources = {f"--{option}": [f"--{option}", flag]} if flag is not None else {}
-    if not (isinstance(value, float) and not math.isfinite(value)):
+    try:
+        document = json.dumps({"provider": {option: value}}, allow_nan=False)
+    except ValueError:  # inf, NaN or an int too long to print
+        document = None
+    if document is not None:
         cfg = tmp_path / "ws.json"
-        cfg.write_text(json.dumps({"provider": {option: value}}), encoding="utf-8")
+        cfg.write_text(document, encoding="utf-8")
         sources[f"config 'provider.{option}'"] = ["--config", str(cfg)]
     for where, argv in sources.items():
         assert run_cli(capsys, *REMOTE, *argv) == (5, "", f"error: {where}{rule}\n")

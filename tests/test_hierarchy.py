@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import enum
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sensekit import jsonio
 from sensekit.corpus import (
     NONSENSICAL,
     SENSIBLE,
@@ -366,6 +368,21 @@ def test_tolerant_oracle_equivalence_on_random_corpora(tau: float) -> None:
         assert by_id[dag.root].extent == root_extent
 
 
+# tau * size lands on an integer (0.1 * 10, 0.3 * 20, 1/3 * 3, 0.7 * 30) or
+# just below one ((0.3 - 2**-54) * 30 is 8.999999999999998), where a test
+# that rounds differently from |A \ B| <= tau * |A| would flip: the float
+# form |A & B| >= |A| - tau * |A| fails the last case.
+@pytest.mark.parametrize("tau", [0.1, 0.2, 0.3, 1 / 3, 0.7, 0.3 - 2**-54])
+def test_tolerant_oracle_equivalence_where_tau_times_size_is_near_an_integer(tau: float) -> None:
+    rng = random.Random(int(tau * 10**6))
+    for _ in range(40):
+        aset = random_assertion_set(rng, max_properties=14, max_concepts=21)
+        if any(a.is_sensible for a in aset.assertions):
+            assert_matches_tolerant_oracle(aset, tau)
+    for _ in range(20):
+        assert_matches_tolerant_oracle(interval_assertion_set(rng, 30, 8, 6, max_drop=4), tau)
+
+
 @pytest.mark.parametrize("tau", [0.1, 0.25, 0.5])
 def test_tolerant_oracle_equivalence_with_many_groups(tau: float) -> None:
     # Up to 30 properties over 24 concepts.  At tau 0.25 and 0.5 a corpus
@@ -651,6 +668,70 @@ def test_hand_built_dag_sorts_edges_and_derives_diagnostics() -> None:
     assert dag_from_json_text(dag_to_json_text(dag)) == dag
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.1, 0.5])
+def test_induced_dag_equals_the_checked_rebuild(tau: float) -> None:
+    """induce sets the fields without the constructor's checks; the checked
+    constructor accepts its structure and derives the same fields."""
+    # D lies in A, B and C, no two of which merge even at tau = 0.5.
+    three_parents = parse_corpus("".join(
+        f"+ {p} {c}\n" for p, names in {"A": "abcd", "B": "aefg", "C": "ahij", "D": "a"}.items() for c in names
+    ))
+    rng = random.Random(int(tau * 100) + 31)
+    asets = [random_assertion_set(rng, max_properties=16, max_concepts=12) for _ in range(40)]
+    for aset in [three_parents, *asets]:
+        if not any(a.is_sensible for a in aset.assertions):
+            continue
+        dag = induce(aset, InduceConfig(tau=tau))
+        rebuilt = TypeDag(nodes=dag.nodes, edges=list(reversed(dag.edges)), root=dag.root)
+        assert rebuilt == dag
+        assert (rebuilt.edges, rebuilt.diagnostics) == (dag.edges, dag.diagnostics)
+    assert induce(three_parents, InduceConfig(tau=tau)).diagnostics == ("node 4 (D) has 3 parents",)
+
+
+class _Id(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+class _Name(str):
+    pass
+
+
+def _retyped(chain: TypeDag, ids=(0, 1), root=0, edges=None, props=None) -> TypeDag:
+    """The two-node chain rebuilt with the given ids, root, edges and node 1 props."""
+    a, b = chain.nodes
+    return TypeDag(
+        nodes=(TypeNode(ids[0], a.extent, a.characteristic_properties, a.direct_members),
+               TypeNode(ids[1], b.extent, props or b.characteristic_properties, b.direct_members)),
+        edges=chain.edges if edges is None else edges, root=root,
+    )
+
+
+@pytest.mark.parametrize(
+    "kw, shown",
+    [
+        ({"ids": (0, True)}, '"id": true'),
+        ({"ids": (0.0, 1)}, '"id": 0.0'),
+        ({"ids": (_Id.ZERO, _Id.ONE)}, '"id": 1'),
+        ({"root": 0.0}, '"root": 0.0'),
+        ({"root": _Id.ZERO}, '"root": 0'),
+        ({"edges": [(0, True)]}, "0,\n      true"),
+        ({"edges": [(_Id.ZERO, 1)]}, "0,\n      1"),
+        ({"props": (_Name("Q"),)}, '"Q"'),
+        ({"props": (_Name("Q"), 7)}, '"Q",\n        7'),
+    ],
+    ids=["id-true", "id-float", "id-intenum", "root-float", "root-intenum", "edge-true",
+         "edge-intenum", "props-str-subclass", "props-int"],
+)
+def test_hand_built_ontology_text_equals_dumps(kw: dict, shown: str) -> None:
+    """Ids, root and edge ends that equal ints without being exact ints, and
+    names of other types than str, are written as dumps() writes them."""
+    dag = _retyped(induce(parse_corpus("+ P a\n+ P b\n+ Q a\n")), **kw)
+    text = dag_to_json_text(dag)
+    assert text == jsonio.dumps(dag_to_json(dag)) == reference_dag_to_json_text(dag)
+    assert shown in text
+
+
 def test_diagnostics_is_not_a_constructor_argument() -> None:
     nodes, edges = _three_parent_dag_parts()
     with pytest.raises(TypeError):
@@ -747,7 +828,7 @@ def test_prop_exports_equal_the_references(aset: AssertionSet, tau: float, label
     text = reference_dag_to_json_text(dag)
     for built in (dag, dag_from_json_text(text), _hand_built(dag)):
         for _ in range(2):  # the second export reads what the first derived
-            assert dag_to_json_text(built) == text
+            assert dag_to_json_text(built) == text == jsonio.dumps(dag_to_json(built))
             assert export_dot(built) == reference_export_dot(built)
             assert export_dot(built, labels) == reference_export_dot(built, labels)
 
