@@ -346,7 +346,8 @@ def elicit(
 
     provider is any object whose complete(prompt, n) returns a list of up
     to n ranked completions for the [MASK] in prompt, or raises
-    ProviderError.  Each of dims must be a PrimitiveRelation, named once
+    ProviderError.  n must be an int, not a bool (TypeError otherwise).
+    Each of dims must be a PrimitiveRelation, named once
     (InputDataError otherwise), with a template in templates (TemplateError
     otherwise), and subject must be a concept id (InputDataError otherwise),
     all checked before the provider is asked anything.  Dimensions are processed
@@ -363,6 +364,8 @@ def elicit(
     """
     if templates is None:
         templates = DEFAULT_TEMPLATES
+    if n.__class__ is bool or not isinstance(n, int):
+        raise TypeError(f"n must be an int, not {type(n).__name__}")
     if n < 1:
         raise InputDataError(f"completion count must be >= 1, got {_echo(n)}")
     if not dims:

@@ -43,7 +43,6 @@ import math
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
-from itertools import chain
 
 from . import jsonio
 from .corpus import AssertionSet, PropertyKey, Value, _setattr, check_consistency
@@ -134,8 +133,10 @@ class TypeDag(Value):
     """Type nodes, covering edges (parent id, child id) and the root; nodes[i].id == i.
 
     The constructor checks the structure (ValueError), sorts the edges, and
-    flags every node with more than two parents in diagnostics.  induce,
-    which builds a valid structure, sets the same fields without the checks.
+    flags every node with more than two parents in diagnostics.  Ids, the
+    root and edge ends are of exact class int (not a bool, float or
+    IntEnum).  induce, which builds a valid structure, sets the same fields
+    without the checks.
     """
 
     nodes: tuple[TypeNode, ...]
@@ -146,13 +147,18 @@ class TypeDag(Value):
     def __init__(self, nodes, edges, root) -> None:
         n = len(nodes)
         for i, node in enumerate(nodes):
+            if node.id.__class__ is not int:
+                raise ValueError(f"node {i} has id {_echo(node.id)}, not {i}")
             if node.id != i:
                 raise ValueError("TypeDag nodes must be numbered by position: nodes[i].id == i")
             if not node.direct_members <= node.extent:
                 raise ValueError(f"node {i}: members not within extent")
-        if not 0 <= root < n:
+        if root.__class__ is not int or not 0 <= root < n:
             raise ValueError(f"root {_echo(root)} is not a node id")
-        for i, (parent, child) in enumerate(edges):
+        for i, edge in enumerate(edges):
+            parent, child = edge
+            if not parent.__class__ is child.__class__ is int:
+                raise ValueError(f"edge {i}: ends must be integers, got {_echo(edge)}")
             if not (0 <= parent < n and 0 <= child < n):
                 raise ValueError(f"edge {i} references unknown node")
             # Every induced edge, tolerant ones included, strictly shrinks the
@@ -466,22 +472,14 @@ def _names(names: Iterable[str]) -> str:
 def dag_to_json_text(dag: TypeDag) -> str:
     """jsonio.dumps(dag_to_json(dag)), rendered without building the dicts.
 
-    A hand-built DAG with an id, root or edge end that is not an exact int,
-    or a name that is not a str, goes through dumps() instead.
+    A name that is not a str is the string encoder's TypeError.
     """
-    ends = chain([dag.root], [n.id for n in dag.nodes], chain.from_iterable(dag.edges))
-    if set(map(type, ends)) == {int}:
-        try:
-            nodes = [
-                _NODE % (_names(n.sorted_extent), n.id, _names(n.sorted_members), _names(n.characteristic_properties))
-                for n in dag.nodes
-            ]
-        except TypeError:  # a name that is not a str
-            pass
-        else:
-            edges = [_EDGE % (p, c) for p, c in dag.edges]
-            return _DOC % (_array(edges, "\n  "), _array(nodes, "\n  "), dag.root)
-    return jsonio.dumps(dag_to_json(dag))
+    nodes = [
+        _NODE % (_names(n.sorted_extent), n.id, _names(n.sorted_members), _names(n.characteristic_properties))
+        for n in dag.nodes
+    ]
+    edges = [_EDGE % (p, c) for p, c in dag.edges]
+    return _DOC % (_array(edges, "\n  "), _array(nodes, "\n  "), dag.root)
 
 
 def _strings(raw: dict, key: str) -> list[str]:
@@ -495,7 +493,9 @@ def _strings(raw: dict, key: str) -> list[str]:
 def dag_from_json(data: object) -> TypeDag:
     """Read an ontology document; values are checked, never converted.
 
-    This checks the JSON shape; TypeDag checks the structure.
+    This checks the JSON shape; TypeDag checks the structure and the
+    integer rule for ids and the root.  Edge ends are checked here too, so
+    that the message quotes the edge as it appears in the document.
     """
     if not isinstance(data, dict):
         raise OntologyError("ontology JSON must be an object")
@@ -518,11 +518,7 @@ def dag_from_json(data: object) -> TypeDag:
             )
         except (KeyError, TypeError) as exc:
             raise OntologyError(f"ontology JSON: node {i}: {exc}") from exc
-        if node.id.__class__ is not int:
-            raise OntologyError(f"ontology JSON: node {i} has id {_echo(node.id)}, not {i}")
         nodes.append(node)
-    if root.__class__ is not int:
-        raise OntologyError(f"ontology JSON: root {_echo(root)} is not a node id")
     edges = []
     for i, raw in enumerate(raw_edges):
         try:

@@ -710,23 +710,30 @@ def _retyped(chain: TypeDag, ids=(0, 1), root=0, edges=None, props=None) -> Type
 @pytest.mark.parametrize(
     "kw, shown",
     [
-        ({"ids": (0, True)}, '"id": true'),
-        ({"ids": (0.0, 1)}, '"id": 0.0'),
-        ({"ids": (_Id.ZERO, _Id.ONE)}, '"id": 1'),
-        ({"root": 0.0}, '"root": 0.0'),
-        ({"root": _Id.ZERO}, '"root": 0'),
-        ({"edges": [(0, True)]}, "0,\n      true"),
-        ({"edges": [(_Id.ZERO, 1)]}, "0,\n      1"),
+        ({"ids": (0, True)}, ValueError("node 1 has id True, not 1")),
+        ({"ids": (0.0, 1)}, ValueError("node 0 has id 0.0, not 0")),
+        ({"ids": (_Id.ZERO, _Id.ONE)}, ValueError("node 0 has id <_Id.ZERO: 0>, not 0")),
+        ({"root": 0.0}, ValueError("root 0.0 is not a node id")),
+        ({"root": _Id.ZERO}, ValueError("root <_Id.ZERO: 0> is not a node id")),
+        ({"edges": [(0, True)]}, ValueError("edge 0: ends must be integers, got (0, True)")),
+        ({"edges": [(_Id.ZERO, 1)]}, ValueError("edge 0: ends must be integers, got (<_Id.ZERO: 0>, 1)")),
         ({"props": (_Name("Q"),)}, '"Q"'),
-        ({"props": (_Name("Q"), 7)}, '"Q",\n        7'),
+        ({"props": (_Name("Q"), 7)}, TypeError("first argument must be a string, not int")),
     ],
     ids=["id-true", "id-float", "id-intenum", "root-float", "root-intenum", "edge-true",
          "edge-intenum", "props-str-subclass", "props-int"],
 )
-def test_hand_built_ontology_text_equals_dumps(kw: dict, shown: str) -> None:
-    """Ids, root and edge ends that equal ints without being exact ints, and
-    names of other types than str, are written as dumps() writes them."""
-    dag = _retyped(induce(parse_corpus("+ P a\n+ P b\n+ Q a\n")), **kw)
+def test_hand_built_ontology_text_equals_dumps(kw: dict, shown) -> None:
+    """Ids, root and edge ends that equal ints without being exact ints are
+    refused by the constructor; a str subclass is written as dumps() writes
+    it, and a name of another type is the string encoder's TypeError."""
+    chain = induce(parse_corpus("+ P a\n+ P b\n+ Q a\n"))
+    if isinstance(shown, Exception):
+        with pytest.raises(type(shown)) as caught:
+            dag_to_json_text(_retyped(chain, **kw))
+        assert str(caught.value) == str(shown)
+        return
+    dag = _retyped(chain, **kw)
     text = dag_to_json_text(dag)
     assert text == jsonio.dumps(dag_to_json(dag)) == reference_dag_to_json_text(dag)
     assert shown in text

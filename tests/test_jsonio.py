@@ -70,7 +70,7 @@ _values = st.recursive(
     lambda inner: st.one_of(
         st.lists(inner, max_size=5),
         st.lists(inner, max_size=5).map(tuple),
-        st.lists(_text, min_size=1, max_size=5),  # the one-join path for str lists
+        st.lists(_text, min_size=1, max_size=5),  # lists of str only
         st.dictionaries(_text, inner, max_size=5),
         st.dictionaries(_keys, inner, max_size=4),
     ),
@@ -151,9 +151,8 @@ _ints = st.integers() | st.integers(min_value=-(2**200), max_value=2**200)
 
 @st.composite
 def _int_lists(draw):
-    """1-6 ints, perhaps with one item that takes the list off the one-chunk
-    path (a bool, an IntEnum, a float, an int too long to print, a str), in a
-    list or a tuple at depth 0-2."""
+    """1-6 ints, perhaps with one item of another kind (a bool, an IntEnum, a
+    float, an int too long to print, a str), in a list or a tuple at depth 0-2."""
     items = draw(st.lists(_ints, min_size=1, max_size=6))
     odd = draw(st.sampled_from([None, True, False, Level.LOW, 1.0, -0.0, 2.5, math.nan, 10**5000, "1"]))
     if odd is not None:
@@ -176,16 +175,9 @@ def test_dumps_of_int_lists_equals_stdlib(value) -> None:
     assert outcome(jsonio.dumps, value) == outcome(stdlib_dumps, value)
 
 
-@pytest.mark.parametrize(
-    ("value", "chunks"),
-    [([0, 1], 1), ((2**70, -3), 1), ([0, True], 3), ([0, Level.LOW], 3), ([0, 1.0], 3)],
-    ids=["edge", "tuple", "bool", "int-enum", "float"],
-)
-def test_only_a_list_of_exact_ints_is_one_chunk(value, chunks) -> None:
-    out: list[str] = []
-    jsonio._write(value, out, "", "\n")
-    assert len(out) == chunks
-    assert "".join(out) + "\n" == stdlib_dumps(value)
+def _cyclic(container, link):
+    link(container)
+    return container
 
 
 @pytest.mark.parametrize(
@@ -200,8 +192,11 @@ def test_only_a_list_of_exact_ints_is_one_chunk(value, chunks) -> None:
         ({-math.inf: 1}, ValueError("Out of range float values are not JSON compliant: -inf")),
         ({"a": {1, 2}}, TypeError("Object of type set is not JSON serializable")),
         ({frozenset(): 1}, TypeError("keys must be str, int, float, bool or None, not frozenset")),
+        (_cyclic([], lambda c: c.append(c)), ValueError("Circular reference detected")),
+        (_cyclic({}, lambda c: c.__setitem__("self", [c])), ValueError("Circular reference detected")),
     ],
-    ids=["nan", "nan-in-a-later-record", "inf-in-list", "-inf-key", "set-value", "frozenset-key"],
+    ids=["nan", "nan-in-a-later-record", "inf-in-list", "-inf-key", "set-value", "frozenset-key",
+         "cyclic-list", "cyclic-dict"],
 )
 def test_dumps_raises_the_stdlib_error(value, error) -> None:
     with pytest.raises(type(error)) as info:

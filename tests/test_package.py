@@ -1,4 +1,5 @@
-"""The package namespace: every public name resolves, lazily, to its layer's object."""
+"""The package namespace: every public name resolves, lazily, to its layer's object,
+and a wrong-type argument to a public name is a TypeError."""
 
 from __future__ import annotations
 
@@ -90,3 +91,44 @@ def test_unknown_attribute_raises_attribute_error() -> None:
         package.no_such_name  # noqa: B018
     assert not hasattr(package, "no_such_name")
     assert not hasattr(sensekit, "cli_main")
+
+
+class _CountingProvider:
+    """A provider that counts its calls and would answer every prompt."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def complete(self, prompt: str, n: int) -> list[str]:
+        self.calls += 1
+        return ["fun"]
+
+
+def _elicit(provider, n):
+    return sensekit.elicit(provider, "game", (sensekit.PrimitiveRelation.HAS_PROP,), n)
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda provider: sensekit.InduceConfig(tau="0.1"), None),
+        (lambda provider: _elicit(provider, 2.5), "n must be an int, not float"),
+        (lambda provider: _elicit(provider, "3"), "n must be an int, not str"),
+        (lambda provider: _elicit(provider, True), "n must be an int, not bool"),
+        (lambda provider: sensekit.rank_to_weight("1", 2), None),
+        (lambda provider: sensekit.CopularStatement("x", "adjective", 5), None),
+        (lambda provider: sensekit.MatchedPair((None, "a"), (1.0, "a")), None),
+    ],
+    ids=["induce-config-tau-str", "elicit-n-float", "elicit-n-str", "elicit-n-bool",
+         "rank-to-weight-rank-str", "copular-statement-payload-int", "matched-pair-weight-none"],
+)
+def test_a_wrong_type_argument_is_a_type_error(call, message) -> None:
+    """Only a SensekitError, a constructor's documented ValueError or a
+    TypeError for a wrong-type argument escapes a public name; elicit refuses
+    its n before asking the provider anything."""
+    provider = _CountingProvider()
+    with pytest.raises(TypeError) as caught:
+        call(provider)
+    if message is not None:
+        assert str(caught.value) == message
+    assert provider.calls == 0
