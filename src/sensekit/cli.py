@@ -491,6 +491,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SensekitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError:  # the input is too large for this process
+        pass
+    # Printed once the traceback, and the data its frames held, is freed.
+    print("error: out of memory", file=sys.stderr)
+    return InputDataError.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -25,9 +25,10 @@ Absence of an assertion means "unknown", which extent() treats as
 
 from __future__ import annotations
 
+import gc
 import re
 from collections.abc import Iterable
-from functools import cached_property
+from functools import cached_property, wraps
 from json.encoder import encode_basestring as _encode  # the encoder jsonio.dumps uses
 from operator import attrgetter, itemgetter
 
@@ -49,6 +50,24 @@ _BINARY_LINE_RE = re.compile(r"^([+-])\s+([A-Z][A-Z0-9_-]*)\(\s*([^,()\s]+)\s*,\
 _COMMENT_RE = re.compile(r"(?:^|(?<=\s))#")  # for str patterns, \s is str.isspace
 
 _setattr = object.__setattr__  # one global read per field, not a lookup on object
+
+
+def _gc_paused(build):
+    """build, run with the cyclic collector off.  At any exit the collector is
+    turned back on only if it was on, so a nested call runs plain."""
+    # These builders make many containers and no reference cycle, so every
+    # collection they would trigger scans live data and frees nothing.
+    @wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
 
 _BAD_POLARITY = "polarity must be sensible/nonsensical, got {}"
 _BAD_ARITY = "arity must be 1 or 2, got {}"
@@ -193,6 +212,7 @@ class AssertionSet(Value):
     assertions: tuple[Assertion, ...]
     concepts: frozenset[ConceptId]  # derived, not an argument
 
+    @_gc_paused
     def __init__(self, assertions) -> None:
         groups: dict[int, tuple] = {}  # by id(property), so no Value.__hash__ runs per fact
         for a in assertions:
@@ -207,6 +227,7 @@ class AssertionSet(Value):
         return self
 
     @cached_property
+    @_gc_paused
     def assertions(self) -> tuple[Assertion, ...]:
         ids = self._concept_ids
         return tuple(Assertion(prop, ids[name], polarity) for prop, run in _by_concept(self) for name, polarity in run)
@@ -264,6 +285,21 @@ def _by_concept(aset: AssertionSet):
         yield prop, sorted(pairs, key=itemgetter(0))
 
 
+def _token(memo: dict, make, token: str, lineno: int):
+    """memo[token] = make(token), a ValueError raised as line lineno's CorpusSyntaxError.
+
+    Not inlined in scan_corpus: on a MemoryError, CPython 3.11 enters an
+    except clause past code unit 256 by allocating an int for the offset,
+    and when that allocation fails it retries the same clause forever.
+    """
+    try:
+        memo[token] = value = make(token)
+    except ValueError as exc:
+        raise CorpusSyntaxError(lineno, str(exc)) from exc
+    return value
+
+
+@_gc_paused
 def scan_corpus(text: str) -> list[tuple[int, Assertion]]:
     """Parse corpus text into (line number, assertion) pairs.
 
@@ -301,14 +337,9 @@ def scan_corpus(text: str) -> list[tuple[int, Assertion]]:
             a = facts.get(fact)
             if a is None:
                 sign, prop_tok, concept_tok = fact
-                try:
-                    a = facts[fact] = Assertion(
-                        props.get(prop_tok) or props.setdefault(prop_tok, PropertyKey.from_token(prop_tok)),
-                        concepts.get(concept_tok) or concepts.setdefault(concept_tok, ConceptId(concept_tok)),
-                        SENSIBLE if sign == "+" else NONSENSICAL,
-                    )
-                except ValueError as exc:
-                    raise CorpusSyntaxError(lineno, str(exc)) from exc
+                prop = props.get(prop_tok) or _token(props, PropertyKey.from_token, prop_tok, lineno)
+                concept = concepts.get(concept_tok) or _token(concepts, ConceptId, concept_tok, lineno)
+                a = facts[fact] = Assertion(prop, concept, SENSIBLE if sign == "+" else NONSENSICAL)
             out.append((lineno, a))
     return out
 
@@ -444,5 +475,6 @@ def corpus_from_json(data: object) -> AssertionSet:
     return object.__new__(AssertionSet)._store(*_runs_of(groups.values()))
 
 
+@_gc_paused
 def corpus_from_json_text(text: str) -> AssertionSet:
     return corpus_from_json(jsonio.loads(text, what="corpus JSON"))

@@ -45,7 +45,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
 
 from . import jsonio
-from .corpus import AssertionSet, PropertyKey, Value, _setattr, check_consistency
+from .corpus import AssertionSet, PropertyKey, Value, _gc_paused, _setattr, check_consistency
 from .corpus import extent  # noqa: F401  kept as hierarchy.extent, a trace point of perfbench/spans.py
 from .errors import (
     ConfigError,
@@ -316,6 +316,7 @@ def _covering_edges(groups: Sequence[_Group]) -> list[tuple[int, int]]:
     return edges
 
 
+@_gc_paused
 def induce(aset: AssertionSet, cfg: InduceConfig | None = None) -> TypeDag:
     """Induce the type DAG implicit in an assertion set.
 
@@ -534,5 +535,6 @@ def dag_from_json(data: object) -> TypeDag:
         raise OntologyError(f"ontology JSON: {exc}") from exc
 
 
+@_gc_paused
 def dag_from_json_text(text: str) -> TypeDag:
     return dag_from_json(jsonio.loads(text, what="ontology JSON"))

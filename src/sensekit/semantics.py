@@ -24,7 +24,7 @@ from types import MappingProxyType
 from collections.abc import Iterable, Iterator, Mapping
 
 from . import jsonio
-from .corpus import SENSIBLE, Assertion, ConceptId, Value, _setattr
+from .corpus import SENSIBLE, Assertion, ConceptId, Value, _gc_paused, _setattr
 from .errors import InputDataError, LexiconError, MeaningStoreError, _echo
 
 
@@ -622,6 +622,7 @@ _SCAN = json.JSONDecoder(parse_constant=jsonio._reject_constant).scan_once
 _SKIP_SPACE = json.decoder.WHITESPACE.match
 
 
+@_gc_paused
 def meanings_from_json_text(text: str, *, what: str = "meaning store") -> tuple[MeaningRecord, ...]:
     """The records of a store's text, checked in order as MeaningRecord checks them.
 

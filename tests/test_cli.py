@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -740,6 +741,42 @@ def test_fractional_arity_exits_2(tmp_path) -> None:
     assert "arity must be 1 or 2, got 1.9" in proc.stderr
 
 
+# The child caps its address space at its size after importing what ingest
+# runs, plus 48 MB; ingesting the corpus below takes about twice that.
+_UNDER_RLIMIT_AS = """
+import resource, sys
+from sensekit import cli, corpus, jsonio
+with open("/proc/self/statm") as statm:
+    limit = int(statm.read().split()[0]) * resource.getpagesize() + (48 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_running_out_of_memory_is_a_clean_exit(tmp_path) -> None:
+    pytest.importorskip("resource")
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("the child reads its address-space size from /proc/self/statm")
+    rng = random.Random(3)
+    lines = []
+    for p in range(800):
+        a, b = rng.randrange(1000), rng.randrange(1000)
+        lines += [f"+ P{p:05d} c{c:05d}\n" for c in range(min(a, b), max(a, b) + 1)]
+    corpus = tmp_path / "dense.sense"
+    corpus.write_text("".join(lines), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-c", _UNDER_RLIMIT_AS, "ingest", str(corpus)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode in (0, 2, 3, 4, 5)
+    assert "Traceback" not in proc.stderr
+    if proc.stdout:
+        json.loads(proc.stdout, parse_constant=pytest.fail)
+    assert proc.stderr == "error: out of memory\n"  # the limit was reached, and reported once
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -962,7 +999,7 @@ def test_bad_setting_exit_5(config, argv, tmp_path, leaf_file, store_file, capsy
 @pytest.mark.parametrize(
     ("option", "value", "flag"),
     [
-        ("timeout", 1e300, "1e300"),
+        ("timeout", 1e300, "1e300"),  # past threading.TIMEOUT_MAX: an OverflowError when spent
         ("timeout", 10**400, None),  # argparse's float() would read inf
         ("timeout", "1e400", "1e400"),  # the flag keeps what float() reads as inf
         pytest.param("timeout", 10**5000, None, id="timeout-int-too-large-to-print"),
