@@ -40,15 +40,11 @@ DEFAULT_CONFIG_FILE = "sensekit.json"
 _WARNINGS_SHOWN = 20  # warning or diagnostic lines before the count of the rest
 
 
-class _UsageError(ConfigError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad usage; bad flags are a configuration
     # problem here, so route them through the exit-code table instead.
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(f"{self.prog}: {message}")
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> _Parser:

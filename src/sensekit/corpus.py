@@ -260,21 +260,18 @@ def _runs_of(groups: Iterable[tuple]) -> tuple[dict, dict[str, ConceptId]]:
     return runs, concept_ids
 
 
-def _key_of(name: str, position: str | None) -> PropertyKey:
-    """PropertyKey(name, 1 if position is None else 2, position), built without
-    its checks: the caller has fullmatched name against _PROPERTY_RE, and
-    position is None, AGENT or OBJECT."""
-    prop = object.__new__(PropertyKey)
-    _setattr(prop, "name", name)
-    _setattr(prop, "arity", 1 if position is None else 2)
-    _setattr(prop, "position", position)
-    return prop
-
-
-def _sensible_of(concept: ConceptId, keyed: dict[tuple[str, str], PropertyKey]) -> AssertionSet:
-    """The set asserting each property of keyed sensible of concept, built as
-    its runs; keyed maps (name, position or "") to the property, its run key."""
-    runs = {key: (keyed[key], (concept.name,), ()) for key in sorted(keyed)}
+def _sensible_of(concept: ConceptId, props: Iterable[tuple[str, str | None]]) -> AssertionSet:
+    """The set asserting each (name, position) property of props sensible of
+    concept, built as its runs.  Each PropertyKey is built without its checks:
+    the caller has fullmatched name against _PROPERTY_RE, and position is
+    None, AGENT or OBJECT."""
+    runs = {}
+    for name, slot in sorted({(name, position or "") for name, position in props}):
+        prop = object.__new__(PropertyKey)
+        _setattr(prop, "name", name)
+        _setattr(prop, "arity", 2 if slot else 1)
+        _setattr(prop, "position", slot or None)
+        runs[name, slot] = (prop, (concept.name,), ())
     return object.__new__(AssertionSet)._store(runs, {concept.name: concept} if runs else {})
 
 
@@ -439,9 +436,7 @@ def corpus_to_json_text(aset: AssertionSet) -> str:
         tails = [f',\n      "polarity": {_encode(polarity)}{tail}' for polarity in (NONSENSICAL, SENSIBLE)]
         run = [f"{head}{_encode(name)}{end}" for end, names in zip(tails, (nonsensical, sensible)) for name in names]
         objects += sorted(run) if sensible and nonsensical else run
-    if not objects:
-        return '{\n  "assertions": []\n}\n'
-    return '{\n  "assertions": [\n    ' + ",\n    ".join(objects) + "\n  ]\n}\n"
+    return '{\n  "assertions": %s\n}\n' % jsonio._array(objects, "\n  ")
 
 
 def corpus_from_json(data: object) -> AssertionSet:

@@ -19,7 +19,7 @@ from collections.abc import Mapping, Sequence
 
 from . import jsonio
 from .corpus import (
-    _PROPERTY_RE, AGENT, OBJECT, AssertionSet, ConceptId, PropertyKey, Value, _key_of, _sensible_of, _setattr,
+    _PROPERTY_RE, AGENT, OBJECT, AssertionSet, ConceptId, Value, _sensible_of, _setattr,
 )
 from .errors import ElicitationError, InputDataError, ProviderError, TemplateError, _echo, _retries, _seconds
 from .semantics import MeaningRecord, PrimitiveRelation, WeightedProperty, _record_of, resolve_relation
@@ -35,16 +35,12 @@ class PromptTemplate(Value):
     pattern: str
 
     def __init__(self, dimension, pattern) -> None:
-        if pattern.count("{X}") != 1:
-            raise TemplateError(
-                f"template for {dimension.value} must contain exactly one "
-                f"'{{X}}' slot: {_echo(pattern)}"
-            )
-        if pattern.count("[MASK]") != 1:
-            raise TemplateError(
-                f"template for {dimension.value} must contain exactly one "
-                f"'[MASK]' token: {_echo(pattern)}"
-            )
+        for mark, kind in (("{X}", "slot"), ("[MASK]", "token")):
+            if pattern.count(mark) != 1:
+                raise TemplateError(
+                    f"template for {dimension.value} must contain exactly one "
+                    f"'{mark}' {kind}: {_echo(pattern)}"
+                )
         _setattr(self, "dimension", dimension)
         _setattr(self, "pattern", pattern)
 
@@ -385,7 +381,7 @@ def elicit(
         raise InputDataError(str(exc)) from None
 
     entries: dict[PrimitiveRelation, tuple[WeightedProperty, ...]] = {}
-    keyed: dict[tuple[str, str], PropertyKey] = {}  # _sensible_of's run keys
+    props: list[tuple[str, str | None]] = []  # (name, position) of each usable token
     failures: dict[PrimitiveRelation, str] = {}
     warnings: list[str] = []
     fullmatch = _PROPERTY_RE.fullmatch
@@ -413,7 +409,6 @@ def elicit(
         entries[dimension] = completion_list.weighted()
         # A token names a property of the dimension's arity and position.
         position = _DIM_POSITION.get(dimension)
-        slot = position or ""
         for token in completion_list.completions:
             name = token.strip().upper().replace(" ", "-")
             if fullmatch(name) is None:
@@ -421,11 +416,11 @@ def elicit(
                     f"{dimension.value}: completion {_echo(token)} is not a usable "
                     "property token; no assertion recorded"
                 )
-            elif (name, slot) not in keyed:
-                keyed[name, slot] = _key_of(name, position)
+            else:
+                props.append((name, position))
     if not entries:
         detail = "; ".join(f"{d.value}: {msg}" for d, msg in failures.items())
         raise ElicitationError(f"all dimensions failed: {detail}")
 
     record = _record_of(concept.name, entries)
-    return ElicitResult(record, _sensible_of(concept, keyed), failures, tuple(warnings))
+    return ElicitResult(record, _sensible_of(concept, props), failures, tuple(warnings))

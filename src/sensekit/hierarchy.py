@@ -133,10 +133,11 @@ class TypeDag(Value):
     """Type nodes, covering edges (parent id, child id) and the root; nodes[i].id == i.
 
     The constructor checks the structure (ValueError), sorts the edges, and
-    flags every node with more than two parents in diagnostics.  Ids, the
-    root and edge ends are of exact class int (not a bool, float or
-    IntEnum).  induce, which builds a valid structure, sets the same fields
-    without the checks.
+    flags every node with more than two parents in diagnostics.  Each edge
+    is checked first: a pair (a tuple or a list) of ends of exact class int,
+    as are ids and the root (not a bool, float or IntEnum); a fault names
+    the edge as given.  induce, which builds a valid structure, sets the
+    same fields without the checks.
     """
 
     nodes: tuple[TypeNode, ...]
@@ -145,6 +146,15 @@ class TypeDag(Value):
     diagnostics: tuple[str, ...]  # derived, not an argument
 
     def __init__(self, nodes, edges, root) -> None:
+        pairs = []
+        for i, edge in enumerate(edges):
+            try:
+                parent, child = edge
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"edge {i}: {exc}") from exc
+            if not parent.__class__ is child.__class__ is int:
+                raise ValueError(f"edge {i}: ends must be integers, got {_echo(edge)}")
+            pairs.append((parent, child))
         n = len(nodes)
         for i, node in enumerate(nodes):
             if node.id.__class__ is not int:
@@ -155,20 +165,17 @@ class TypeDag(Value):
                 raise ValueError(f"node {i}: members not within extent")
         if root.__class__ is not int or not 0 <= root < n:
             raise ValueError(f"root {_echo(root)} is not a node id")
-        for i, edge in enumerate(edges):
-            parent, child = edge
-            if not parent.__class__ is child.__class__ is int:
-                raise ValueError(f"edge {i}: ends must be integers, got {_echo(edge)}")
+        for i, (parent, child) in enumerate(pairs):
             if not (0 <= parent < n and 0 <= child < n):
                 raise ValueError(f"edge {i} references unknown node")
             # Every induced edge, tolerant ones included, strictly shrinks the
             # extent; this also rules out self-loops and cycles.
             if len(nodes[child].extent) >= len(nodes[parent].extent):
                 raise ValueError(f"edge {i}: child {child} is not smaller than parent {parent}")
-        if len(set(edges)) < len(edges):
-            i = next(i for i, edge in enumerate(edges) if edge in edges[:i])
+        if len(set(pairs)) < len(pairs):
+            i = next(i for i, edge in enumerate(pairs) if edge in pairs[:i])
             raise ValueError(f"edge {i} repeats an earlier edge")
-        self._set(nodes, edges, root)
+        self._set(nodes, pairs, root)
 
     def _set(self, nodes, edges, root) -> None:
         """Set the fields of a checked structure: the edges sorted, diagnostics derived."""
@@ -460,14 +467,8 @@ _NODE = '{\n      "extent": %s,\n      "id": %d,\n      "members": %s,\n      "p
 _EDGE = "[\n      %d,\n      %d\n    ]"
 
 
-def _array(items: Iterable[str], nl: str) -> str:
-    """The JSON array of the encoded items, laid out as dumps() lays it out at indent nl."""
-    body = ("," + nl + "  ").join(items)
-    return f"[{nl}  {body}{nl}]" if body else "[]"
-
-
 def _names(names: Iterable[str]) -> str:
-    return _array(map(jsonio._encode, names), "\n      ")
+    return jsonio._array(map(jsonio._encode, names), "\n      ")
 
 
 def dag_to_json_text(dag: TypeDag) -> str:
@@ -480,7 +481,7 @@ def dag_to_json_text(dag: TypeDag) -> str:
         for n in dag.nodes
     ]
     edges = [_EDGE % (p, c) for p, c in dag.edges]
-    return _DOC % (_array(edges, "\n  "), _array(nodes, "\n  "), dag.root)
+    return _DOC % (jsonio._array(edges, "\n  "), jsonio._array(nodes, "\n  "), dag.root)
 
 
 def _strings(raw: dict, key: str) -> list[str]:
@@ -494,9 +495,9 @@ def _strings(raw: dict, key: str) -> list[str]:
 def dag_from_json(data: object) -> TypeDag:
     """Read an ontology document; values are checked, never converted.
 
-    This checks the JSON shape; TypeDag checks the structure and the
-    integer rule for ids and the root.  Edge ends are checked here too, so
-    that the message quotes the edge as it appears in the document.
+    This checks the JSON shape of the document and its nodes; TypeDag checks
+    each edge, quoting it as the document has it, then the structure and the
+    integer rule for ids and the root.
     """
     if not isinstance(data, dict):
         raise OntologyError("ontology JSON must be an object")
@@ -520,17 +521,8 @@ def dag_from_json(data: object) -> TypeDag:
         except (KeyError, TypeError) as exc:
             raise OntologyError(f"ontology JSON: node {i}: {exc}") from exc
         nodes.append(node)
-    edges = []
-    for i, raw in enumerate(raw_edges):
-        try:
-            parent, child = raw
-        except (TypeError, ValueError) as exc:
-            raise OntologyError(f"ontology JSON: edge {i}: {exc}") from exc
-        if not parent.__class__ is child.__class__ is int:
-            raise OntologyError(f"ontology JSON: edge {i}: ends must be integers, got {_echo(raw)}")
-        edges.append((parent, child))
     try:
-        return TypeDag(nodes=tuple(nodes), edges=edges, root=root)
+        return TypeDag(nodes=tuple(nodes), edges=raw_edges, root=root)
     except ValueError as exc:
         raise OntologyError(f"ontology JSON: {exc}") from exc
 

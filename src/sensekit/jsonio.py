@@ -9,7 +9,10 @@ allow_nan=False)`` plus the newline, and it raises the same errors (a
 cyclic value is ``ValueError: Circular reference detected``).  One shape
 takes a faster path to the same bytes: a document of one str key holding a
 list of string records (the triples `sensekit nominalize` prints) is
-rendered from one row template by _records.
+rendered from one row template by _records.  _array is the one array
+layout outside the encoder: _records, the corpus export and the ontology
+document lay out their arrays with it (the meaning store, written record
+by record, joins each dimension's pairs inline).
 
 Three large documents do not call dumps(); they render its bytes directly
 with the same string encoder: the corpus export,
@@ -29,6 +32,7 @@ or decoded fails the same way wherever it is read.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from itertools import chain
 from json.encoder import encode_basestring as _encode
 from operator import itemgetter
@@ -43,10 +47,16 @@ def dumps(obj: object) -> str:
     if type(obj) is dict and len(obj) == 1:
         ((key, value),) = obj.items()
         if type(key) is str and isinstance(value, (list, tuple)) and value:
-            rows = _records(value, "\n    ")
+            rows = _records(value, "\n  ")
             if rows is not None:
-                return "{\n  " + _encode(key) + ": [\n    " + rows + "\n  ]\n}\n"
+                return f"{{\n  {_encode(key)}: {rows}\n}}\n"
     return _ENCODER.encode(obj) + "\n"
+
+
+def _array(items: Iterable[str], nl: str) -> str:
+    """The JSON array of the encoded items, laid out as dumps() lays it out at indent nl."""
+    body = ("," + nl + "  ").join(items)
+    return f"[{nl}  {body}{nl}]" if body else "[]"
 
 
 _STR = frozenset((str,))
@@ -54,7 +64,7 @@ _DICT = frozenset((dict,))
 
 
 def _records(value: list | tuple, nl: str) -> str | None:
-    """The items of value as JSON text joined at nl, if value holds string records.
+    """The JSON array of value at indent nl, if value holds string records.
 
     A list of string records holds exact dicts that share the first one's
     keys, all of exact type str, and map them to str.  The keys are sorted and
@@ -79,10 +89,9 @@ def _records(value: list | tuple, nl: str) -> str | None:
         encoded = tuple(map(_encode, chain.from_iterable(rows) if width > 1 else rows))
     except (KeyError, TypeError):  # a key is missing, or a value is not a str
         return None
-    inner = nl + "  "
-    fields = ",".join(inner + _encode(key).replace("%", "%%") + ": %s" for key in keys)
-    template = "{" + fields + nl + "}"
-    return ("," + nl).join([template] * len(value)) % encoded
+    row = nl + "  "
+    fields = ",".join(row + "  " + _encode(key).replace("%", "%%") + ": %s" for key in keys)
+    return _array(["{" + fields + row + "}"] * len(value), nl) % encoded
 
 
 def _reject_constant(name: str) -> object:

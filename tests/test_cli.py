@@ -222,6 +222,33 @@ def test_induce_without_corpus_exit_5(tmp_path, capsys, monkeypatch) -> None:
     assert code == 5
 
 
+def test_induce_reads_the_workspace_config_without_config_flag(tmp_path, leaf_file, capsys, monkeypatch) -> None:
+    monkeypatch.chdir(tmp_path)
+    plain = run_cli(capsys, "induce", leaf_file)[1]
+    (tmp_path / "sensekit.json").write_text(json.dumps({"corpus": leaf_file, "tau": 0.5}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "induce")
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, "induce", leaf_file, "--tau", "0.5")[1] != plain
+
+
+@pytest.mark.parametrize("text", ["[]", '[{"tau": 0.1}]'])
+def test_a_config_that_is_not_an_object_exit_5(text: str, tmp_path, leaf_file, capsys) -> None:
+    cfg = tmp_path / "ws.json"
+    cfg.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "induce", leaf_file, "--config", str(cfg))
+    assert (code, out) == (5, "")
+    assert err == f"error: config {cfg}: expected a JSON object\n"
+
+
+@pytest.mark.parametrize("labels", [{"HEAVY": 1}, {"HEAVY": "physical", "OLD": None}, ["HEAVY"]])
+def test_induce_refuses_a_label_map_that_is_not_string_to_string(labels, tmp_path, leaf_file, capsys) -> None:
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(labels), encoding="utf-8")
+    code, out, err = run_cli(capsys, "induce", leaf_file, "--labels", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: label map {path}: expected a string-to-string object\n"
+
+
 def test_induce_corpus_from_config(tmp_path, leaf_file, capsys) -> None:
     cfg = tmp_path / "ws.json"
     cfg.write_text(json.dumps({"corpus": leaf_file}), encoding="utf-8")

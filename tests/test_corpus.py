@@ -27,7 +27,7 @@ from sensekit.corpus import (
     scan_corpus,
     serialize_corpus,
 )
-from sensekit.corpus import _key_of, _sensible_of
+from sensekit.corpus import _sensible_of
 from sensekit.errors import CorpusSyntaxError, InputDataError
 
 from conftest import random_assertion_set
@@ -702,13 +702,11 @@ def test_prop_sensible_of_equals_the_constructor(props: list[PropertyKey], conce
     """elicit's set, built straight into runs from keys built unchecked, equals
     the one built from Assertions."""
     subject = ConceptId(concept)
-    keyed = {}
-    for prop in props:
-        key = _key_of(prop.name, prop.position)
-        assert (key, repr(key), hash(key)) == (prop, repr(prop), hash(prop))
-        keyed[prop.name, prop.position or ""] = key
-    built = _sensible_of(subject, keyed)
+    built = _sensible_of(subject, [(prop.name, prop.position) for prop in props])
     want = AssertionSet(Assertion(prop, subject, SENSIBLE) for prop in props)
     assert built == want and hash(built) == hash(want)
+    assert built._runs.keys() == want._runs.keys()
+    for (key, _, _), (prop, _, _) in zip(built._runs.values(), want._runs.values()):
+        assert (key, repr(key), hash(key)) == (prop, repr(prop), hash(prop))
     assert (built.assertions, built.concepts, len(built)) == (want.assertions, want.concepts, len(want))
     assert corpus_to_json_text(built) == corpus_to_json_text(want)

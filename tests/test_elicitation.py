@@ -66,6 +66,22 @@ def test_template_rejects_duplicate_slots() -> None:
         PromptTemplate(REL.HAS_PROP, "{X} [MASK] [MASK]")
 
 
+@pytest.mark.parametrize(
+    "pattern, mark",
+    [
+        ("The {X} was very nice.", "'[MASK]' token"),
+        ("The game was very [MASK].", "'{X}' slot"),
+        ("{X} {X} [MASK]", "'{X}' slot"),
+        ("{X} [MASK] [MASK]", "'[MASK]' token"),
+        ("no marks", "'{X}' slot"),
+    ],
+)
+def test_template_names_the_mark_it_lacks(pattern: str, mark: str) -> None:
+    with pytest.raises(TemplateError) as info:
+        PromptTemplate(REL.HAS_PROP, pattern)
+    assert str(info.value) == f"template for hasProp must contain exactly one {mark}: {pattern!r}"
+
+
 # --- rank_to_weight -----------------------------------------------------------------
 
 def test_rank_one_is_full_weight() -> None:
@@ -104,6 +120,20 @@ def test_completion_list_dedupes_keeping_first_rank() -> None:
 def test_completion_list_rejects_empty() -> None:
     with pytest.raises(InputDataError, match="^completion list must not be empty$"):
         CompletionList.from_raw("book", REL.AGENT_OF, [])
+
+
+@pytest.mark.parametrize(
+    "completions, ranks, message",
+    [
+        (("a", "b", "a"), (1, 2, 3), "completion list must be deduplicated"),
+        (("a", "b"), (1,), "original_ranks must parallel completions"),
+        (("a",), (1, 2), "original_ranks must parallel completions"),
+    ],
+)
+def test_completion_list_refuses_repeats_and_unmatched_ranks(completions, ranks, message) -> None:
+    with pytest.raises(InputDataError) as info:
+        CompletionList("book", REL.AGENT_OF, completions, ranks, 3)
+    assert str(info.value) == message
 
 
 @given(st.lists(st.sampled_from(["a", "b", "c", "d", " a", "A"]), max_size=12), st.sampled_from(list(REL)))
@@ -181,6 +211,23 @@ def test_mock_provider_unknown_prompt() -> None:
     provider = MockProvider.from_file()
     with pytest.raises(ProviderError):
         provider.complete("The couch [MASK] everyone.", 5)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_mock_provider_refuses_a_count_below_one(n: int) -> None:
+    provider = MockProvider.from_file()
+    with pytest.raises(ProviderError) as info:
+        provider.complete("Jon has [MASK] the book", n)
+    assert str(info.value) == f"completion count must be >= 1, got {n}"
+
+
+@pytest.mark.parametrize("text", ["[]", '["book"]', '"book"', "null"])
+def test_mock_provider_refuses_a_fixture_file_that_is_not_an_object(text: str, tmp_path) -> None:
+    path = tmp_path / "fixture.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputDataError) as info:
+        MockProvider.from_file(str(path))
+    assert str(info.value) == "completion fixture must map subjects to dimensions"
 
 
 def test_mock_provider_deterministic() -> None:
@@ -472,6 +519,12 @@ def test_remote_provider_value_error_is_a_request_failure(no_proxies) -> None:
 def test_remote_provider_refused_port_is_a_request_failure(no_proxies) -> None:
     with pytest.raises(ProviderError, match="after 2 attempt.*request failed: .*refused"):
         RemoteProvider(_refused_url(), retries=1).complete(PROMPT, 1)
+
+
+def test_remote_provider_needs_an_endpoint() -> None:
+    with pytest.raises(ProviderError) as info:
+        RemoteProvider("")
+    assert str(info.value) == "remote provider needs an endpoint URL"
 
 
 def test_remote_provider_keeps_its_options_as_given() -> None:

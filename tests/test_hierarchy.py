@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import enum
+import json
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from sensekit.hierarchy import (
     TypeDag,
     TypedFact,
     TypeNode,
+    dag_from_json,
     dag_from_json_text,
     dag_to_json,
     dag_to_json_text,
@@ -771,6 +773,64 @@ def test_type_dag_constructor_checks_structure(mutate, message) -> None:
     nodes, edges, root = mutate(nodes, edges, 0)
     with pytest.raises(ValueError, match=message):
         TypeDag(nodes=nodes, edges=tuple(edges), root=root)
+
+
+# Edge faults as the loader has always worded them, after "edge i: ".
+_EDGE_FAULTS = [
+    (5, "cannot unpack non-iterable int object"),
+    ([0], "not enough values to unpack (expected 2, got 1)"),
+    ([0, 1, 2], "too many values to unpack (expected 2)"),
+    ([0.0, 1], "ends must be integers, got [0.0, 1]"),
+    ([0, True], "ends must be integers, got [0, True]"),
+    ("ab", "ends must be integers, got 'ab'"),
+    (None, "cannot unpack non-iterable NoneType object"),
+]
+
+
+def _three_parent_document() -> dict:
+    nodes, edges = _three_parent_dag_parts()
+    return json.loads(dag_to_json_text(TypeDag(nodes=nodes, edges=edges, root=0)))
+
+
+@pytest.mark.parametrize("edge, fault", _EDGE_FAULTS)
+def test_a_bad_edge_is_named_as_given_by_the_loader_and_the_constructor(edge, fault) -> None:
+    data = _three_parent_document()
+    data["edges"].append(edge)
+    with pytest.raises(OntologyError) as loaded:
+        dag_from_json(data)
+    assert str(loaded.value) == f"ontology JSON: edge 6: {fault}"
+    nodes, edges = _three_parent_dag_parts()
+    with pytest.raises(ValueError) as built:
+        TypeDag(nodes=nodes, edges=[*edges, edge], root=0)
+    assert type(built.value) is ValueError and str(built.value) == f"edge 6: {fault}"
+
+
+def test_a_bad_edge_end_is_reported_before_a_bad_node_id() -> None:
+    data = _three_parent_document()
+    data["nodes"][1]["id"] = "1"
+    data["edges"][2] = [0.0, 3]
+    with pytest.raises(OntologyError) as loaded:
+        dag_from_json(data)
+    assert str(loaded.value) == "ontology JSON: edge 2: ends must be integers, got [0.0, 3]"
+    del data["edges"][2]
+    with pytest.raises(OntologyError) as loaded:
+        dag_from_json(data)
+    assert str(loaded.value) == "ontology JSON: node 1 has id '1', not 1"
+
+
+def test_the_constructor_takes_list_pairs_as_edges() -> None:
+    nodes, edges = _three_parent_dag_parts()
+    dag = TypeDag(nodes=nodes, edges=[list(e) for e in edges], root=0)
+    assert dag == TypeDag(nodes=nodes, edges=edges, root=0)
+    assert dag.edges == tuple(sorted(edges))
+
+
+def test_a_label_that_two_nodes_share_is_ambiguous() -> None:
+    nodes, edges = _three_parent_dag_parts()
+    dag = TypeDag(nodes=nodes, edges=edges, root=0)
+    with pytest.raises(UnknownTypeError) as info:
+        dag.resolve("shared", {"A": "shared", "C": "shared"})
+    assert str(info.value) == "type name 'shared' is ambiguous (nodes 1, 3)"
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.1, 0.25])

@@ -513,6 +513,13 @@ def test_record_refuses_what_loading_rejects(gloss, pairs, message: str) -> None
         MeaningRecord("x", gloss, {REL.HAS_PROP: pairs})
 
 
+@pytest.mark.parametrize("key", ["colour", None, 0])
+def test_record_refuses_a_dimension_key_that_is_not_a_relation(key) -> None:
+    with pytest.raises(MeaningStoreError) as info:
+        MeaningRecord("x", "", {REL.HAS_PROP: ((0.5, "a"),), key: ((0.5, "b"),)})
+    assert str(info.value) == f"record 'x': dimension key {key!r} is not a relation"
+
+
 def test_record_refuses_dims_that_are_not_a_mapping() -> None:
     with pytest.raises(TypeError, match="^dims must be a mapping, not NoneType$"):
         MeaningRecord("w", "", None)
