@@ -136,8 +136,9 @@ class TypeDag(Value):
     flags every node with more than two parents in diagnostics.  Each edge
     is checked first: a pair (a tuple or a list) of ends of exact class int,
     as are ids and the root (not a bool, float or IntEnum); a fault names
-    the edge as given.  induce, which builds a valid structure, sets the
-    same fields without the checks.
+    the edge as given.  A node that is not a TypeNode is a TypeError.
+    induce, which builds a valid structure, sets the same fields without
+    the checks.
     """
 
     nodes: tuple[TypeNode, ...]
@@ -157,6 +158,8 @@ class TypeDag(Value):
             pairs.append((parent, child))
         n = len(nodes)
         for i, node in enumerate(nodes):
+            if not isinstance(node, TypeNode):
+                raise TypeError(f"nodes[{i}] must be a TypeNode, not {type(node).__name__}")
             if node.id.__class__ is not int:
                 raise ValueError(f"node {i} has id {_echo(node.id)}, not {i}")
             if node.id != i:
@@ -200,8 +203,11 @@ class TypeDag(Value):
 
         A name matches a node when it is one of the node's characteristic
         property tokens, the label assigned to one of them by the optional
-        label map, or "entity" for a synthetic root.
+        label map, or "entity" for a synthetic root.  labels that are
+        neither None nor a mapping are a TypeError.
         """
+        if labels is not None and not isinstance(labels, Mapping):
+            raise TypeError(f"labels must be a mapping or None, not {type(labels).__name__}")
         matches: list[TypeNode] = []
         for node in self.nodes:
             hit = type_name in node.characteristic_properties

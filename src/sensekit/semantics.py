@@ -685,28 +685,15 @@ def _walk_store(text: str, what: str) -> tuple[MeaningRecord, ...]:
     return tuple(records)
 
 
-def _escape_surrogates(sense: str, text: str) -> str:
-    """A record's chunk that UTF-8 cannot encode, with each lone surrogate
-    written as a \\uXXXX escape, which loads back as the same surrogate.
-
-    A high surrogate directly followed by a low one is refused: JSON loads
-    that escaped pair back as the one character it encodes.  (The patterns
-    are compiled here, on this rare path, not when the module is imported.)
-    """
-    if re.search("[\ud800-\udbff][\udc00-\udfff]", text):
-        raise MeaningStoreError(
-            f"record {_echo(sense)} holds a surrogate pair, which the store would "
-            "load back as one character"
-        )
-    return re.sub("[\ud800-\udfff]", lambda m: f"\\u{ord(m[0]):04x}", text)
-
-
 def save_meanings(records: Iterable[MeaningRecord], path: str) -> None:
     """Write the store atomically (single writer, readers never see partial files).
 
     The text is meanings_to_json_text(records), written one record at a
-    time; a record whose gloss or tokens hold a lone surrogate, which UTF-8
-    cannot encode, has it written as a \\uXXXX escape.  A repeated sense is
+    time.  UTF-8 cannot encode a lone surrogate in a gloss or token: the
+    codec's "backslashreplace" handler writes it as a \\uXXXX escape, which
+    loads back as the same surrogate.  A high surrogate directly followed by
+    a low one is refused before its record is written, since JSON loads that
+    escaped pair back as the one character it encodes.  A repeated sense is
     refused before any file is made; a failure after that removes the
     temporary file and leaves the target as it was.
 
@@ -727,16 +714,16 @@ def save_meanings(records: Iterable[MeaningRecord], path: str) -> None:
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     fd = os.open(tmp, flags, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", errors="backslashreplace") as fh:
             if mode is not None:
                 os.chmod(tmp, mode)
-            # A chunk that fails to encode writes nothing: TextIOWrapper
-            # encodes the whole chunk before it buffers any of it.
             for sense, text in chain((first,), chunks):
-                try:
-                    fh.write(text)
-                except UnicodeEncodeError:
-                    fh.write(_escape_surrogates(sense, text))
+                if not text.isascii() and re.search("[\ud800-\udbff][\udc00-\udfff]", text):
+                    raise MeaningStoreError(
+                        f"record {_echo(sense)} holds a surrogate pair, which the store "
+                        "would load back as one character"
+                    )
+                fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

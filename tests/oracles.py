@@ -9,15 +9,19 @@ JSON with the stdlib encoder, verify's oracle goes through corpus.extent(),
 the meaning store is parsed as one tree before its rows are read, the
 similarity and join oracles enumerate all
 cross-pairs instead of probing a token index, the corpus scanner matches
-each line against a unary, then a binary regex, and elicitation builds every
-value through its public, checking constructor.  All are slow and obviously
-correct.
+each line against a unary, then a binary regex, elicitation builds every
+value through its public, checking constructor, the meaning store's writer
+escapes lone surrogates with a regex, and the CLI's ingest and nominalize
+commands are composed from the scanner, normalize and conflict references
+with every document written by the stdlib encoder.  All are slow and
+obviously correct.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from types import SimpleNamespace
 from typing import Iterable
 
 from sensekit import jsonio
@@ -29,7 +33,7 @@ from sensekit.errors import (
     CorpusSyntaxError, ElicitationError, InputDataError, MeaningStoreError, ProviderError, TemplateError,
 )
 from sensekit.hierarchy import TypeDag, TypedFact, VerifyResult
-from sensekit.semantics import MeaningRecord, PrimitiveRelation, _record_from_json
+from sensekit.semantics import MeaningRecord, PrimitiveRelation, _record_from_json, gerund
 from sensekit.similarity import MatchedPair
 
 
@@ -274,11 +278,15 @@ _COMMENT_RE = re.compile(r"(?:^|(?<=\s))#")  # for str patterns, \s is str.isspa
 _ECHO_LIMIT = 200  # characters of an input line or token an error message repeats
 
 
-def _echo(text: str) -> str:
-    """repr(text), cut to its first _ECHO_LIMIT characters and marked when longer."""
-    if len(text) <= _ECHO_LIMIT:
-        return repr(text)
-    return f"{text[:_ECHO_LIMIT]!r}... ({len(text)} characters)"
+def _echo(value) -> str:
+    """repr(value), cut to _ECHO_LIMIT characters and marked when longer; a str
+    is cut before repr."""
+    if not isinstance(value, str):
+        text = repr(value)
+        return text if len(text) <= _ECHO_LIMIT else f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"
+    if len(value) <= _ECHO_LIMIT:
+        return repr(value)
+    return f"{value[:_ECHO_LIMIT]!r}... ({len(value)} characters)"
 
 
 def _interned(memo: dict, make, *fields):
@@ -408,3 +416,81 @@ def reference_elicit(provider, subject, dims, n, templates=None) -> ElicitResult
         raise ElicitationError(f"all dimensions failed: {detail}")
     assertions = AssertionSet(Assertion(prop, concept, SENSIBLE) for prop in props)
     return ElicitResult(MeaningRecord(concept.name, "", entries), assertions, failures, tuple(warnings))
+
+
+def reference_escape_surrogates(text: str, sense: str | None = None) -> str:
+    """A meaning store's text that UTF-8 cannot encode, with each lone surrogate
+    written as a \\uXXXX escape, which loads back as the same surrogate.
+
+    A high surrogate directly followed by a low one is refused, naming the
+    record's sense: JSON loads that escaped pair back as the one character it
+    encodes.  save_meanings writes the same bytes through the UTF-8 codec's
+    backslashreplace handler, checking for a pair record by record.
+    """
+    if re.search("[\ud800-\udbff][\udc00-\udfff]", text):
+        raise MeaningStoreError(
+            f"record {_echo(sense)} holds a surrogate pair, which the store would "
+            "load back as one character"
+        )
+    return re.sub("[\ud800-\udfff]", lambda m: f"\\u{ord(m[0]):04x}", text)
+
+
+def _dumps(document: object) -> str:
+    return json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n"
+
+
+def reference_run(argv: list[str], files: dict[str, str]) -> tuple[str, list[str], int]:
+    """(stdout, stderr lines, exit code) of ``sensekit ingest CORPUS`` or
+    ``sensekit nominalize CORPUS --lexicon LEXICON``, with no workspace config.
+
+    files maps each path in argv to the file's text.  The corpus is DSL text
+    (not corpus JSON) and the lexicon a valid one.  The corpus goes through
+    reference_scan_corpus and reference_normalize, ingest's conflicts come
+    from brute_force_conflicts with the first line of each polarity, and every
+    document is written by the stdlib encoder.
+    """
+    command, corpus, *rest = argv
+    try:
+        scanned = reference_scan_corpus(files[corpus])
+    except CorpusSyntaxError as exc:
+        return "", [f"error: {exc}"], 2
+    assertions, _ = reference_normalize(a for _, a in scanned)
+    if command == "ingest":
+        conflicts = brute_force_conflicts(SimpleNamespace(assertions=assertions))
+        if not conflicts:
+            return _dumps({"assertions": [
+                {"prop": a.property.name, "arity": a.property.arity, "position": a.property.position,
+                 "concept": a.concept.name, "polarity": a.polarity}
+                for a in assertions
+            ]}), [], 0
+        first_line: dict = {}
+        for lineno, a in scanned:
+            first_line.setdefault((a.property, a.concept, a.polarity), lineno)
+        stderr, payload = [], []
+        for prop, concept in conflicts:
+            lines = sorted(first_line[(prop, concept, polarity)] for polarity in (SENSIBLE, NONSENSICAL))
+            stderr.append(f"conflict: ({prop.token}, {concept.name}) asserted with both "
+                          f"polarities on lines {lines[0]} and {lines[1]}")
+            payload.append({"prop": prop.name, "arity": prop.arity, "position": prop.position,
+                            "concept": concept.name, "lines": lines})
+        return _dumps({"conflicts": payload}), stderr, 3
+    assert command == "nominalize" and rest[0] == "--lexicon", argv
+    lexicon = json.loads(files[rest[1]])
+    sensible = [a for a in assertions if a.polarity == SENSIBLE]
+    missing = sorted({a.property.name for a in sensible if a.property.arity == 1} - lexicon.keys())
+    if missing:
+        return "", [f"error: lexicon {rest[1]} lacks entries for: {_echo(missing)}"], 2
+    relations = {"property": "hasProp", "state": "inState"}
+    triples = []
+    for a in sensible:
+        entry = lexicon.get(a.property.name)
+        if a.property.arity == 2:
+            noun = entry["trope"] if entry else gerund(a.property.name.lower())
+            relation = "agentOf" if a.property.position == AGENT else "objectOf"
+        elif entry["cat"] in relations:
+            noun, relation = entry["trope"], relations[entry["cat"]]
+        else:
+            return "", [f"error: unary property {_echo(a.property.name)} has category "
+                        f"{entry['cat']!r}; only 'property' and 'state' nominalize to hasProp/inState"], 2
+        triples.append({"subject": a.concept.name, "relation": relation, "object": noun})
+    return _dumps({"triples": triples}), [], 0

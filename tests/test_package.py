@@ -108,6 +108,11 @@ def _elicit(provider, n):
     return sensekit.elicit(provider, "game", (sensekit.PrimitiveRelation.HAS_PROP,), n)
 
 
+_ASET = sensekit.parse_corpus("+ Q x\n+ R x\n+ R y\n")
+_DAG = sensekit.induce(_ASET)
+_FACT = sensekit.TypedFact(sensekit.PropertyKey("Q", 1, None), "Q")
+
+
 @pytest.mark.parametrize(
     ("call", "message"),
     [
@@ -118,9 +123,15 @@ def _elicit(provider, n):
         (lambda provider: sensekit.rank_to_weight("1", 2), None),
         (lambda provider: sensekit.CopularStatement("x", "adjective", 5), None),
         (lambda provider: sensekit.MatchedPair((None, "a"), (1.0, "a")), None),
+        (lambda provider: sensekit.TypeDag(nodes=(1,), edges=(), root=0),
+         "nodes[0] must be a TypeNode, not int"),
+        (lambda provider: _DAG.resolve("Q", ["x"]), "labels must be a mapping or None, not list"),
+        (lambda provider: sensekit.verify(_DAG, _FACT, _ASET, ["x"]),
+         "labels must be a mapping or None, not list"),
     ],
     ids=["induce-config-tau-str", "elicit-n-float", "elicit-n-str", "elicit-n-bool",
-         "rank-to-weight-rank-str", "copular-statement-payload-int", "matched-pair-weight-none"],
+         "rank-to-weight-rank-str", "copular-statement-payload-int", "matched-pair-weight-none",
+         "type-dag-node-int", "resolve-labels-list", "verify-labels-list"],
 )
 def test_a_wrong_type_argument_is_a_type_error(call, message) -> None:
     """Only a SensekitError, a constructor's documented ValueError or a

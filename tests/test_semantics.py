@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -41,7 +42,7 @@ from sensekit.semantics import (
     resolve_relation,
     save_meanings,
 )
-from oracles import reference_meanings_from_json_text
+from oracles import reference_escape_surrogates, reference_meanings_from_json_text
 
 REL = PrimitiveRelation
 
@@ -616,6 +617,48 @@ def test_save_refuses_a_surrogate_pair(record: MeaningRecord, tmp_path) -> None:
     assert str(err.value) == ("record 'w' holds a surrogate pair, which the store would load "
                               "back as one character")
     assert os.listdir(tmp_path) == []
+
+
+# Lone high and low surrogates, pairs made of them, and text JSON escapes or
+# UTF-8 encodes in more than one byte.
+_SURROGATE_TEXT = st.lists(st.sampled_from(["\ud800", "\udbff", "\udc00", "\udfff", "\ud83d\ude00",
+                                            "\x00", "\\", '"', "\U0001f600", "\u00e9", "%", "a"]),
+                           max_size=4).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.builds(
+        lambda sense, gloss, tokens: MeaningRecord(
+            sense, gloss, {REL.HAS_PROP: tuple((1.0 / (i + 1), t) for i, t in enumerate(tokens))}
+        ),
+        st.sampled_from(["a", "b#1", "w", "zz"]),
+        _SURROGATE_TEXT,
+        st.lists(_SURROGATE_TEXT, max_size=3, unique=True),
+    ),
+    max_size=4, unique_by=lambda r: r.sense,
+))
+@example([MeaningRecord("w", "\ud800", {}), MeaningRecord("a", "\udbff\udc00", {})])
+def test_prop_save_writes_what_the_surrogate_escaper_wrote(records: list[MeaningRecord]) -> None:
+    # The saved bytes are the reference escaper's text; a pair is refused with
+    # the reference's error for the first record, by sense, that holds one.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "meanings.json")
+        try:
+            want = reference_escape_surrogates(meanings_to_json_text(records)).encode("utf-8")
+        except MeaningStoreError:
+            with pytest.raises(MeaningStoreError) as want_err:
+                for record in sorted(records, key=lambda r: r.sense):
+                    reference_escape_surrogates(meanings_to_json_text([record]), record.sense)
+            with pytest.raises(MeaningStoreError) as err:
+                save_meanings(records, path)
+            assert str(err.value) == str(want_err.value)
+            assert os.listdir(tmp) == []
+            return
+        save_meanings(records, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == want
+        assert os.listdir(tmp) == ["meanings.json"]
 
 
 _STORE_TEXT = st.text(st.sampled_from(["a", "z", "\u00e9", "\u20ac", "\U0001f600", '"', "\\",
